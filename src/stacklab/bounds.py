@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .intarith import floor_pow
-from .sequences import SamplingSequence, max_gap
-from .tower import CodingSpec, ResourceGuard, StackingData, code_orbit, valid_levels
+from .sequences import SamplingSequence, max_gap, sampling_offsets
+from .tower import CodingSpec, ResourceGuard, StackingData, count_words, valid_levels
 
 
 class BoundsError(ValueError):
@@ -40,9 +40,7 @@ def brute_force_words(
     level_cap: int = 10**6,
 ) -> set[tuple[int, ...]]:
     """Exact distinct coded-word set over the valid levels of tower n."""
-    offsets = tuple(A.prefix(N)) if hasattr(A, "prefix") else tuple(A)[:N]
-    if len(offsets) != N:
-        raise BoundsError(f"need {N} sampling offsets")
+    offsets = sampling_offsets(A, N)
     if N == 0:
         return {()}
     levels = valid_levels(sd, n, offsets[-1])
@@ -50,8 +48,7 @@ def brute_force_words(
         raise ResourceGuard(
             f"valid-level set has {levels.count} levels, above the cap {level_cap}"
         )
-    spec = CodingSpec(reference=r, mode="base")
-    return {code_orbit(sd, spec, n, k, offsets) for k in levels}
+    return set(count_words(sd, CodingSpec(reference=r, mode="base"), n, levels, offsets))
 
 
 # -- tower selection -----------------------------------------------------------

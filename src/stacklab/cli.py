@@ -13,6 +13,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -410,6 +411,10 @@ _RUNNERS = {
 # -- output writing --------------------------------------------------------------
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _write_csv(path: Path, header: tuple[str, ...], rows, cfg_hash: str) -> None:
     lines = [f"# config_hash={cfg_hash}", ",".join(header)]
     for row in rows:
@@ -442,6 +447,7 @@ def execute(
         raise ConfigError("operations: nothing to run after filtering")
     (outdir / "summary.txt").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
     (outdir / "config.json").write_text(canonical_json(cfg.doc) + "\n", encoding="utf-8")
+    digests = {name: _sha256(outdir / name) for name in filenames + ["summary.txt"]}
     meta = {
         "tool": "stacklab",
         "version": __version__,
@@ -450,6 +456,7 @@ def execute(
         "workers": workers,
         "rng": {"spacer": SPACER_RNG_ID, "bulk": BULK_RNG_ID},
         "outputs": filenames,
+        "sha256": digests,
         "created_unix": time.time(),
     }
     (outdir / "meta.json").write_text(
@@ -500,7 +507,8 @@ def describe(cfg: ExperimentConfig, out=None) -> None:
 
 
 def verify(outdir: Path, out=None) -> int:
-    """Check that every report in a run directory matches its config hash."""
+    """Check that every report in a run directory matches its config hash
+    and the SHA-256 digest recorded for it in meta.json."""
     out = out if out is not None else sys.stdout
     meta_path = outdir / "meta.json"
     config_path = outdir / "config.json"
@@ -516,13 +524,24 @@ def verify(outdir: Path, out=None) -> int:
     if actual != declared:
         print(f"REJECTED: config.json hashes to {actual}, meta says {declared}", file=out)
         ok = False
-    for name in sorted(outdir.glob("*.csv")) + [outdir / "summary.txt"]:
-        first = name.read_text(encoding="utf-8").splitlines()[0]
-        if first != f"# config_hash={declared}":
-            print(f"REJECTED: {name.name} carries a different hash", file=out)
+    digests = meta.get("sha256", {})
+    csvs = {p.name for p in outdir.glob("*.csv")} | {n for n in digests if n.endswith(".csv")}
+    for name in sorted(csvs) + ["summary.txt"]:
+        path = outdir / name
+        if not path.exists():
+            print(f"REJECTED: {name} is missing", file=out)
+            ok = False
+        elif path.read_text(encoding="utf-8").split("\n", 1)[0] != f"# config_hash={declared}":
+            print(f"REJECTED: {name} carries a different hash", file=out)
+            ok = False
+        elif name not in digests:
+            print(f"REJECTED: {name} has no digest in meta.json", file=out)
+            ok = False
+        elif _sha256(path) != digests[name]:
+            print(f"REJECTED: {name} does not match its digest in meta.json", file=out)
             ok = False
         else:
-            print(f"ok: {name.name}", file=out)
+            print(f"ok: {name}", file=out)
     if ok:
         print(f"verified: {declared}", file=out)
         return EXIT_OK

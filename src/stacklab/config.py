@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .entropy import DEFAULT_WORD_CAP
 from .sequences import SamplingSequence, SequenceError
 from .tower import StackingData, TowerError
-
-DEFAULT_WORD_CAP = 1 << 24
 
 KNOWN_OPS = ("entropy", "profile", "seq", "markov", "generic", "bounds", "recipe")
 

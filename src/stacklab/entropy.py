@@ -17,7 +17,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .parallel import index_blocks, run_blocks
 from .rng import uniform_int
-from .tower import CodingSpec, StackingData, code_orbit, valid_levels
+from .sequences import sampling_offsets
+from .tower import CodingSpec, StackingData, count_words, valid_levels
 
 DEFAULT_WORD_CAP = 1 << 24
 
@@ -152,37 +153,16 @@ class EntropyResult:
     histogram: WordHistogram
 
 
-def _count_words_block(args) -> Counter:
-    """Counts coded words for valid-level ranks in [lo, hi); top-level for pickling."""
-    sd_doc, reference, mode, n, offsets, t_max, lo, hi = args
-    sd = StackingData.from_dict(sd_doc)
-    spec = CodingSpec(reference=reference, mode=mode)
-    levels = valid_levels(sd, n, t_max)
-    out: Counter = Counter()
-    for u in range(lo, hi):
-        out[code_orbit(sd, spec, n, levels.select(u), offsets)] += 1
-    return out
-
-
-def _count_sampled_block(args) -> Counter:
-    sd_doc, reference, mode, n, offsets, t_max, seed, lo, hi = args
-    sd = StackingData.from_dict(sd_doc)
-    spec = CodingSpec(reference=reference, mode=mode)
-    levels = valid_levels(sd, n, t_max)
-    out: Counter = Counter()
-    for s in range(lo, hi):
-        u = uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, levels.count)
-        out[code_orbit(sd, spec, n, levels.select(u), offsets)] += 1
-    return out
-
-
-def _resolve_offsets(A, length: int) -> tuple[int, ...]:
-    if hasattr(A, "prefix"):
-        return tuple(A.prefix(length))
-    offsets = tuple(int(t) for t in A)
-    if len(offsets) < length:
-        raise EntropyError(f"need {length} offsets, got {len(offsets)}")
-    return offsets[:length]
+def _count_block(args) -> Counter:
+    """Word counts for valid-level ranks [lo, hi), or for the level draws
+    [lo, hi) of the counter RNG when a seed is given; top-level for pickling.
+    """
+    sd, spec, n, offsets, seed, lo, hi = args
+    levels = valid_levels(sd, n, offsets[-1] if offsets else 0)
+    ranks = range(lo, hi)
+    if seed is not None:
+        ranks = (uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks)
+    return count_words(sd, spec, n, map(levels.select, ranks), offsets)
 
 
 def empirical_sequence_entropy(
@@ -205,32 +185,23 @@ def empirical_sequence_entropy(
     """
     if length < 0:
         raise EntropyError("word length must be nonnegative")
-    offsets = _resolve_offsets(A, length)
+    offsets = sampling_offsets(A, length)
     t_max = offsets[-1] if offsets else 0
     levels = valid_levels(sd, n, t_max)
     if levels.count == 0:
         raise EntropyError(
             f"empty valid-level set for tower {n} at horizon t_N={t_max}"
         )
-    sd_doc = sd.to_dict()
     if method == "exact":
-        blocks = [
-            (sd_doc, spec.reference, spec.mode, n, offsets, t_max, lo, hi)
-            for lo, hi in index_blocks(levels.count)
-        ]
-        partials = run_blocks(_count_words_block, blocks, workers=workers)
-        total = levels.count
+        total, draw_seed = levels.count, None
     elif method == "sampled":
         if not sample_count or sample_count < 1:
             raise EntropyError("sampled mode needs a positive sample_count")
-        blocks = [
-            (sd_doc, spec.reference, spec.mode, n, offsets, t_max, seed, lo, hi)
-            for lo, hi in index_blocks(sample_count)
-        ]
-        partials = run_blocks(_count_sampled_block, blocks, workers=workers)
-        total = sample_count
+        total, draw_seed = sample_count, seed
     else:
         raise EntropyError(f"unknown method {method!r}")
+    blocks = [(sd, spec, n, offsets, draw_seed, lo, hi) for lo, hi in index_blocks(total)]
+    partials = run_blocks(_count_block, blocks, workers=workers)
     counts: Counter = Counter()
     for part in partials:
         counts.update(part)
@@ -408,7 +379,7 @@ def subsequence_entropy_check(
     Both sides are conditioned on the same valid-level set (the one for
     the full horizon t_N), so join monotonicity holds exactly.
     """
-    offsets = _resolve_offsets(A, length)
+    offsets = sampling_offsets(A, length)
     picks = sorted(set(J))
     if any(j < 1 or j > length for j in picks):
         raise EntropyError("J must be a subset of [1, N]")
@@ -416,12 +387,10 @@ def subsequence_entropy_check(
     levels = valid_levels(sd, n, t_max)
     if levels.count == 0:
         raise EntropyError("empty valid-level set")
-    full: Counter = Counter()
+    full = count_words(sd, spec, n, levels, offsets)
     restricted: Counter = Counter()
-    for k in levels:
-        word = code_orbit(sd, spec, n, k, offsets)
-        full[word] += 1
-        restricted[tuple(word[j - 1] for j in picks)] += 1
+    for word, c in full.items():
+        restricted[tuple(word[j - 1] for j in picks)] += c
     total = levels.count
     h_full = sum(plogp(c / total) for c in full.values())
     h_restricted = sum(plogp(c / total) for c in restricted.values())

@@ -10,13 +10,13 @@ tower decoder; comparisons against the cap are exact rationals.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
 from ..rng import SPACER_RNG_ID, SpacerProcess
-from ..tower import CodingSpec, Stage, StackingData, code_orbit, valid_levels
+from ..sequences import sampling_offsets
+from ..tower import CodingSpec, Stage, StackingData, count_words, valid_levels
 
 
 class GenericSearchError(ValueError):
@@ -120,10 +120,7 @@ def evaluate_candidate(
     worst_ratio = Fraction(0)
     worst = (0, 1.0, 1, None)  # count, cap, reference, word
     for r in range(1, base.num_towers + 1):
-        spec = CodingSpec(reference=r, mode="base")
-        counts: Counter = Counter()
-        for k in levels:
-            counts[code_orbit(candidate, spec, top, k, offsets)] += 1
+        counts = count_words(candidate, CodingSpec(reference=r, mode="base"), top, levels, offsets)
         word, count = max(counts.items(), key=lambda kv: kv[1])
         ratio = Fraction(count) / caps[r]
         if ratio > worst_ratio:
@@ -163,9 +160,7 @@ def genericness_search(
         raise GenericSearchError("candidate cut count q must be >= 2")
     if trial_cap < 1:
         raise GenericSearchError("trial cap must be positive")
-    offsets = tuple(A.prefix(N)) if hasattr(A, "prefix") else tuple(A)[:N]
-    if len(offsets) != N:
-        raise GenericSearchError(f"need {N} sampling offsets")
+    offsets = sampling_offsets(A, N)
     h_n = base.heights()[-1]
     if offsets[-1] >= q * h_n:
         raise GenericSearchError(

@@ -35,15 +35,33 @@ def _digest64(seed: int, stream: int, index: int, attempt: int) -> int:
 
 
 def uniform_int(seed: int, stream: int, index: int, bound: int) -> int:
-    """Exactly uniform integer in [0, bound), by rejection on 64-bit draws."""
+    """Exactly uniform integer in [0, bound), by rejection on 64-bit draws.
+
+    Bounds above 2**64 draw ceil(bits/64) limbs per attempt, with the
+    limbs of attempt a at digest attempts a*limbs, ..., a*limbs + limbs-1.
+    """
     if bound <= 0:
         raise ValueError("bound must be positive")
     if bound > _U64:
-        raise ValueError("bound exceeds 64-bit draw range")
+        return _uniform_int_limbs(seed, stream, index, bound)
     limit = _U64 - (_U64 % bound)
     attempt = 0
     while True:
         x = _digest64(seed, stream, index, attempt)
+        if x < limit:
+            return x % bound
+        attempt += 1
+
+
+def _uniform_int_limbs(seed: int, stream: int, index: int, bound: int) -> int:
+    limbs = -(-bound.bit_length() // 64)
+    span = 1 << (64 * limbs)
+    limit = span - (span % bound)
+    attempt = 0
+    while True:
+        x = 0
+        for j in range(attempt * limbs, (attempt + 1) * limbs):
+            x = (x << 64) | _digest64(seed, stream, index, j)
         if x < limit:
             return x % bound
         attempt += 1

@@ -156,6 +156,17 @@ class SamplingSequence:
         return out
 
 
+def sampling_offsets(A, length: int) -> tuple[int, ...]:
+    """The first `length` orbit offsets of a sampling sequence or of an
+    explicit list of offsets."""
+    if hasattr(A, "prefix"):
+        return tuple(A.prefix(length))
+    offsets = tuple(int(t) for t in A)
+    if not 0 <= length <= len(offsets):
+        raise SequenceError(f"need {length} offsets, got {len(offsets)}")
+    return offsets[:length]
+
+
 def max_gap(seq: SamplingSequence, n: int) -> int:
     """s_n, the maximal difference t_{i+1} - t_i over n0 <= i <= n-1."""
     if n < seq.n0 + 1:

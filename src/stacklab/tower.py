@@ -13,8 +13,9 @@ Levels and heights are arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rng import SpacerProcess
 
@@ -382,23 +383,7 @@ def decode_symbol(sd: StackingData, spec: CodingSpec, n: int, k: int) -> int:
 
     Equals entry k of the fully expanded word without materializing it.
     """
-    r = spec.reference
-    if r > n:
-        raise TowerError(f"reference stage {r} exceeds tower index {n}")
-    refined = spec.mode == "refined"
-    if refined and sd.spacer_cap is None:
-        raise TowerError("refined mode requires a finite spacer_cap")
-    _check_level(sd, n, k)
-    heights = sd.heights()
-    h_r = heights[r - 1]
-    cur, lvl = n, k
-    while cur > r:
-        m = cur - 1
-        kind, _, off = _descend_once(sd, m, lvl)
-        if kind == "spacer":
-            return h_r + off + 1 if refined else 0
-        cur, lvl = m, off
-    return lvl + 1
+    return code_orbit(sd, spec, n, k, (0,))[0]
 
 
 @dataclass(frozen=True)
@@ -427,10 +412,7 @@ class ValidLevels:
         return self.sd.slice_starts(self.n - 1)[u // h] + (u % h)
 
     def __iter__(self) -> Iterator[int]:
-        h = self.sd.heights()[self.n - 2]
-        starts = self.sd.slice_starts(self.n - 1)
-        for u in range(self.count):
-            yield starts[u // h] + (u % h)
+        return map(self.select, range(self.count))
 
     @property
     def coverage(self) -> float:
@@ -469,14 +451,40 @@ def code_orbit(
 ) -> tuple[int, ...]:
     """Coded orbit word: symbol i is the level k + offsets[i] of tower n.
 
-    Raises OrbitEscape with the 1-based sample index if the orbit leaves
-    the tower.
+    The only symbol decoder: checks run once per orbit, then each symbol
+    descends through the stage tables n-1 .. reference, stopping early in a
+    spacer block.  Raises OrbitEscape with the 1-based sample index if the
+    orbit leaves the tower.
     """
     h_n = _check_level(sd, n, k)
+    r = spec.reference
+    if r > n:
+        raise TowerError(f"reference stage {r} exceeds tower index {n}")
+    refined = spec.mode == "refined"
+    if refined and sd.spacer_cap is None:
+        raise TowerError("refined mode requires a finite spacer_cap")
+    heights = sd.heights()
+    h_r = heights[r - 1]
+    descent = [(sd.slice_starts(m), heights[m - 1]) for m in range(n - 1, r - 1, -1)]
     word = []
     for i, t in enumerate(offsets, start=1):
         lvl = k + t
         if lvl >= h_n:
             raise OrbitEscape(i, lvl, h_n)
-        word.append(decode_symbol(sd, spec, n, lvl))
+        if lvl < 0:
+            raise TowerError(f"level {lvl} out of range [0, {h_n}) for tower {n}")
+        for starts, h in descent:
+            lvl -= starts[bisect_right(starts, lvl) - 1]
+            if lvl >= h:
+                word.append(h_r + lvl - h + 1 if refined else 0)
+                break
+        else:
+            word.append(lvl + 1)
     return tuple(word)
+
+
+def count_words(
+    sd: StackingData, spec: CodingSpec, n: int, levels: Iterable[int], offsets: Sequence[int]
+) -> Counter:
+    """Histogram of the coded orbit words of `levels`, keys in first-seen order."""
+    return Counter(code_orbit(sd, spec, n, k, offsets) for k in levels)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -167,6 +168,45 @@ def test_verify_detects_tampering(tmp_path):
     text = csv.read_text().replace(config_hash(TINY_DOC), "0" * 64)
     csv.write_text(text)
     assert main(["verify", "--out", str(out)]) == EXIT_VALIDATION
+
+
+def test_verify_detects_edited_data_row(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out)])
+    csv = out / "entropy.csv"
+    lines = csv.read_text().splitlines()
+    lines[2] = lines[2].replace("1", "2", 1)  # first data row; hash line untouched
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == EXIT_VALIDATION
+    assert "REJECTED: entropy.csv does not match its digest" in capsys.readouterr().out
+
+
+def test_verify_rejects_missing_digest_or_output(tmp_path):
+    out = tmp_path / "run"
+    main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out)])
+    meta_path = out / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["sha256"]["summary.txt"]
+    meta_path.write_text(json.dumps(meta))
+    assert main(["verify", "--out", str(out)]) == EXIT_VALIDATION
+    out2 = tmp_path / "run2"
+    main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out2)])
+    (out2 / "entropy.csv").unlink()
+    assert main(["verify", "--out", str(out2)]) == EXIT_VALIDATION
+
+
+def test_sampled_entropy_on_tower_above_64_bits(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", FIXTURES.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(workloads.probe_doc()))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert main(["verify", "--out", str(out)]) == EXIT_OK
 
 
 def test_bounds_subcommand(tmp_path):

@@ -21,6 +21,7 @@ from stacklab.entropy import (
     seq_entropy_upper_profile,
     subsequence_entropy_check,
 )
+from stacklab.parallel import BLOCK_SIZE, index_blocks
 from stacklab.sequences import SamplingSequence
 from stacklab.tower import CodingSpec, Stage, StackingData
 
@@ -131,6 +132,27 @@ def test_exact_mode_worker_invariance(tiny_tower):
     two = empirical_sequence_entropy(tiny_tower, CodingSpec(1), 2, (1, 2), 2, workers=2)
     assert one.h_nats == two.h_nats
     assert one.histogram.counts == two.histogram.counts
+
+
+def test_pool_path_worker_invariance():
+    # Tower 3 of this seeded construction has about 45 000 valid levels, so
+    # both methods split into several blocks and workers=2 runs a pool.
+    sd = StackingData(
+        2,
+        (Stage(q=3, spacers=(1, 2)), Stage(q=5000, seed=7, distribution="uniform")),
+        spacer_cap=3,
+    )
+    spec = CodingSpec(2, "refined")
+    A = (1, 3, 6, 10)
+    for kwargs in (
+        {"method": "exact"},
+        {"method": "sampled", "sample_count": 3 * BLOCK_SIZE + 5, "seed": 4},
+    ):
+        one = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=1, **kwargs)
+        two = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=2, **kwargs)
+        assert len(index_blocks(one.histogram.total)) > 1
+        assert list(one.histogram.counts.items()) == list(two.histogram.counts.items())
+        assert one.h_nats == two.h_nats
 
 
 def test_word_cap_guard(tiny_tower):

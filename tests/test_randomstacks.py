@@ -54,6 +54,15 @@ def test_uniform_int_is_unbiased_enough():
     assert min(counts) > 800
 
 
+def test_uniform_int_above_64_bits():
+    for bound in (1 << 79, 3 << 70, (1 << 64) + 1):
+        draws = [uniform_int(5, 1, i, bound) for i in range(64)]
+        assert all(0 <= x < bound for x in draws)
+        assert draws == [uniform_int(5, 1, i, bound) for i in range(64)]
+        assert len(set(draws)) == 64
+    assert max(uniform_int(5, 1, i, 1 << 79) for i in range(64)) >= 1 << 64
+
+
 # -- companion chain ------------------------------------------------------------
 
 

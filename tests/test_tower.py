@@ -11,6 +11,7 @@ from stacklab.tower import (
     StackingData,
     TowerError,
     code_orbit,
+    count_words,
     decode_symbol,
     locate_level,
     recompose_level,
@@ -181,6 +182,20 @@ def test_valid_levels_against_brute_force():
 def test_valid_levels_needs_previous_stage(tiny_tower):
     with pytest.raises(TowerError, match="n >= 2"):
         valid_levels(tiny_tower, 1, 0)
+
+
+def test_code_orbit_rejects_high_reference_and_negative_level(tiny_tower):
+    with pytest.raises(TowerError, match="exceeds tower index"):
+        code_orbit(tiny_tower, CodingSpec(2), 1, 0, ())
+    with pytest.raises(TowerError, match="out of range"):
+        code_orbit(tiny_tower, CodingSpec(1), 2, 1, (-2,))
+
+
+def test_count_words_first_seen_order(tiny_tower):
+    spec = CodingSpec(1)
+    # The reference-1 word of tower 2 is 1 2 0 1 2.
+    counts = count_words(tiny_tower, spec, 2, [1, 0, 2, 3, 1], (0, 1))
+    assert list(counts.items()) == [((2, 0), 2), ((1, 2), 2), ((0, 1), 1)]
 
 
 def test_code_orbit_examples(tiny_tower):
