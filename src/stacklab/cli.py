@@ -516,6 +516,15 @@ def verify(outdir: Path, out=None) -> int:
         print("REJECTED: missing meta.json or config.json", file=out)
         return EXIT_VALIDATION
     meta = json.loads(meta_path.read_text())
+    outputs = meta.get("outputs") if isinstance(meta, dict) else None
+    digests = meta.get("sha256") if isinstance(meta, dict) else None
+    if not (
+        isinstance(outputs, list)
+        and isinstance(digests, dict)
+        and all(isinstance(n, str) and n not in ("", "..") and Path(n).name == n for n in outputs)
+    ):
+        print("REJECTED: meta.json needs a list of output names and a digest table", file=out)
+        return EXIT_VALIDATION
     declared = meta.get("config_hash", "")
     from .config import config_hash as hash_fn
 
@@ -524,11 +533,10 @@ def verify(outdir: Path, out=None) -> int:
     if actual != declared:
         print(f"REJECTED: config.json hashes to {actual}, meta says {declared}", file=out)
         ok = False
-    digests = meta.get("sha256", {})
-    csvs = {p.name for p in outdir.glob("*.csv")} | {n for n in digests if n.endswith(".csv")}
+    csvs = {p.name for p in outdir.glob("*.csv")} | set(outputs)
     for name in sorted(csvs) + ["summary.txt"]:
         path = outdir / name
-        if not path.exists():
+        if not path.is_file():
             print(f"REJECTED: {name} is missing", file=out)
             ok = False
         elif path.read_text(encoding="utf-8").split("\n", 1)[0] != f"# config_hash={declared}":

@@ -160,6 +160,8 @@ def genericness_search(
         raise GenericSearchError("candidate cut count q must be >= 2")
     if trial_cap < 1:
         raise GenericSearchError("trial cap must be positive")
+    if N < 1:
+        raise GenericSearchError("word length must be positive")
     offsets = sampling_offsets(A, N)
     h_n = base.heights()[-1]
     if offsets[-1] >= q * h_n:

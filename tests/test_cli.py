@@ -160,6 +160,20 @@ def test_generic_exhausted_exit_code(tmp_path):
     assert len(body) == 2 + 6  # hash line + header + one row per trial
 
 
+def test_generic_empty_word_exit_code(tmp_path):
+    doc = {
+        "stacking": {"initial_height": 2, "spacer_cap": 2, "stages": []},
+        "sequence": {"kind": "explicit", "values": [1, 2, 3]},
+        "seed": 5,
+        "operations": [
+            {"op": "generic", "length": 0, "floor_length": 0, "q": 4, "alphabet": 2, "trial_cap": 6}
+        ],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["generic", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+
 def test_verify_detects_tampering(tmp_path):
     out = tmp_path / "run"
     main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out)])
@@ -194,6 +208,28 @@ def test_verify_rejects_missing_digest_or_output(tmp_path):
     main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out2)])
     (out2 / "entropy.csv").unlink()
     assert main(["verify", "--out", str(out2)]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("outputs", ["../other/x.csv"]),
+        ("outputs", ["sub/x.csv"]),
+        ("outputs", [".."]),
+        ("outputs", [7]),
+        ("outputs", "entropy.csv"),
+        ("sha256", 5),
+        ("sha256", None),
+    ],
+)
+def test_verify_rejects_malformed_meta(tmp_path, field, value):
+    out = tmp_path / "run"
+    main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out)])
+    meta_path = out / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[field] = value
+    meta_path.write_text(json.dumps(meta))
+    assert main(["verify", "--out", str(out)]) == EXIT_VALIDATION
 
 
 def test_sampled_entropy_on_tower_above_64_bits(tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stacklab.rng import SpacerProcess, uniform_int
+from stacklab.rng import SpacerProcess, _digest64, _uniform_int_limbs, uniform_int
 from stacklab.randomstacks import (
     analytic_failure_bound,
     build_markov_matrix,
@@ -52,6 +52,21 @@ def test_uniform_int_is_unbiased_enough():
     for i in range(3000):
         counts[uniform_int(9, 0, i, 3)] += 1
     assert min(counts) > 800
+
+
+def test_uniform_int_reads_one_digest_per_attempt_up_to_64_bits():
+    assert [uniform_int(5, 1, i, 1 << 64) for i in range(16)] == [
+        _digest64(5, 1, i, 0) for i in range(16)
+    ]
+    assert [uniform_int(5, 1, i, 1) for i in range(4)] == [0] * 4
+    # A bound of 3 rejects only the digest 2**64 - 1.
+    assert [uniform_int(5, 1, i, 3) for i in range(16)] == [
+        _digest64(5, 1, i, 0) % 3 for i in range(16)
+    ]
+    # The multi-limb loop, used above 2**64 only, reads the same stream here.
+    for bound in (1, 3, (1 << 63) + 1, 1 << 64):
+        draws = [uniform_int(5, 1, i, bound) for i in range(32)]
+        assert draws == [_uniform_int_limbs(5, 1, i, bound) for i in range(32)]
 
 
 def test_uniform_int_above_64_bits():
