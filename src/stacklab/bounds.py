@@ -17,7 +17,14 @@ from typing import Callable, Sequence
 
 from .intarith import floor_pow
 from .sequences import SamplingSequence, max_gap, sampling_offsets
-from .tower import CodingSpec, ResourceGuard, StackingData, count_words, valid_levels
+from .tower import (
+    CodingSpec,
+    ResourceGuard,
+    StackingData,
+    count_words,
+    lifted_word_counts,
+    valid_levels,
+)
 
 
 class BoundsError(ValueError):
@@ -39,16 +46,24 @@ def brute_force_words(
     N: int,
     level_cap: int = 10**6,
 ) -> set[tuple[int, ...]]:
-    """Exact distinct coded-word set over the valid levels of tower n."""
+    """Exact distinct coded-word set over the valid levels of tower n.
+
+    `level_cap` bounds the levels decoded when the set cannot be lifted
+    through the stacking grammar and every level is enumerated instead.
+    """
     offsets = sampling_offsets(A, N)
     if N == 0:
         return {()}
     levels = valid_levels(sd, n, offsets[-1])
+    spec = CodingSpec(reference=r, mode="base")
+    words = lifted_word_counts(levels, spec, offsets)
+    if words is not None:
+        return set(words)
     if levels.count > level_cap:
         raise ResourceGuard(
             f"valid-level set has {levels.count} levels, above the cap {level_cap}"
         )
-    return set(count_words(sd, CodingSpec(reference=r, mode="base"), n, levels, offsets))
+    return set(count_words(sd, spec, n, levels, offsets))
 
 
 # -- tower selection -----------------------------------------------------------

@@ -47,8 +47,14 @@ from .randomstacks.generic import GenericSearchError
 from .randomstacks.markov import MarkovError
 from .randomstacks.recipes import RecipeError
 from .rng import BULK_RNG_ID, SPACER_RNG_ID
-from .sequences import SequenceError, dilation_diagnostic, krug_K_estimate, max_gap
-from .tower import CodingSpec, ResourceGuard, TowerError, valid_levels
+from .sequences import (
+    SequenceError,
+    dilation_diagnostic,
+    krug_K_estimate,
+    max_gap,
+    sampling_offsets,
+)
+from .tower import CodingSpec, ResourceGuard, TowerError, lift_base_stage, valid_levels
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -101,6 +107,7 @@ class Report:
     rows: list[tuple]
     summary: list[str]
     accepted: bool | None = None  # searches only
+    paths: tuple[str, ...] = ()  # entropy paths taken, for meta.json only
 
 
 # -- operation runners ---------------------------------------------------------
@@ -157,7 +164,9 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"N={length} H_per_N={fmt(res.h_per_sample)} distinct={hist.distinct_words} "
         f"coverage={fmt(hist.coverage)}"
     ]
-    return Report(name="entropy", header=header, rows=[row], summary=summary)
+    return Report(
+        name="entropy", header=header, rows=[row], summary=summary, paths=(hist.path,)
+    )
 
 
 def _tau_from_op(cfg: ExperimentConfig, op: dict):
@@ -224,7 +233,13 @@ def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"profile: N={points[0].length}..{points[-1].length} "
         f"H_per_N {fmt(points[0].h_per_sample)} -> {fmt(points[-1].h_per_sample)}"
     ]
-    return Report(name="profile", header=header, rows=rows, summary=summary)
+    return Report(
+        name="profile",
+        header=header,
+        rows=rows,
+        summary=summary,
+        paths=tuple(p.path for p in points),
+    )
 
 
 def _run_seq(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -430,6 +445,7 @@ def execute(
     cfg_hash = cfg.hash
     reports: list[Report] = []
     filenames: list[str] = []
+    paths: dict[str, list[str]] = {}
     seen: dict[str, int] = {}
     summary_lines = [f"# config_hash={cfg_hash}", f"seed={cfg.seed}"]
     for op in cfg.operations:
@@ -441,6 +457,8 @@ def execute(
         filename = f"{report.name}{suffix}.csv"
         _write_csv(outdir / filename, report.header, report.rows, cfg_hash)
         filenames.append(filename)
+        if report.paths:
+            paths[filename] = list(report.paths)
         summary_lines.extend(report.summary)
         reports.append(report)
     if not reports:
@@ -456,6 +474,7 @@ def execute(
         "workers": workers,
         "rng": {"spacer": SPACER_RNG_ID, "bulk": BULK_RNG_ID},
         "outputs": filenames,
+        "paths": paths,
         "sha256": digests,
         "created_unix": time.time(),
     }
@@ -482,13 +501,17 @@ def describe(cfg: ExperimentConfig, out=None) -> None:
         kind = op["op"]
         print(f"[{i}] op={kind}", file=out)
         if kind == "entropy" and cfg.stacking is not None:
-            t_max = cfg.sequence.generate(cfg.sequence.n0 + op["length"] - 1)
-            K = valid_levels(cfg.stacking, op["stage"], t_max)
+            offsets = sampling_offsets(cfg.sequence, op["length"])
+            K = valid_levels(cfg.stacking, op["stage"], offsets[-1] if offsets else 0)
             spec = _coding_spec(op)
+            if op.get("method", "exact") != "exact":
+                path = "sampled"
+            else:
+                path = "enumerate" if lift_base_stage(K, spec, offsets) is None else "compressed"
             print(
                 f"    stage={op['stage']} reference={spec.reference} "
                 f"|K|={K.count} coverage={fmt(K.coverage)} "
-                f"alphabet={spec.alphabet_size(cfg.stacking)}",
+                f"alphabet={spec.alphabet_size(cfg.stacking)} path={path}",
                 file=out,
             )
         elif kind == "generic":
@@ -515,7 +538,14 @@ def verify(outdir: Path, out=None) -> int:
     if not meta_path.exists() or not config_path.exists():
         print("REJECTED: missing meta.json or config.json", file=out)
         return EXIT_VALIDATION
-    meta = json.loads(meta_path.read_text())
+    docs = []
+    for path in (meta_path, config_path):
+        try:
+            docs.append(json.loads(path.read_text(encoding="utf-8")))
+        except ValueError as e:
+            print(f"REJECTED: {path.name} is not valid JSON: {e}", file=out)
+            return EXIT_VALIDATION
+    meta, config_doc = docs
     outputs = meta.get("outputs") if isinstance(meta, dict) else None
     digests = meta.get("sha256") if isinstance(meta, dict) else None
     if not (
@@ -528,7 +558,7 @@ def verify(outdir: Path, out=None) -> int:
     declared = meta.get("config_hash", "")
     from .config import config_hash as hash_fn
 
-    actual = hash_fn(json.loads(config_path.read_text()))
+    actual = hash_fn(config_doc)
     ok = True
     if actual != declared:
         print(f"REJECTED: config.json hashes to {actual}, meta says {declared}", file=out)

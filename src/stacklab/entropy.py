@@ -18,7 +18,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .parallel import index_blocks, run_blocks
 from .rng import uniform_int
 from .sequences import sampling_offsets
-from .tower import CodingSpec, StackingData, count_words, valid_levels
+from .tower import (
+    CodingSpec,
+    StackingData,
+    WordCapExceeded,
+    count_words,
+    lifted_word_counts,
+    valid_levels,
+)
 
 DEFAULT_WORD_CAP = 1 << 24
 
@@ -28,16 +35,6 @@ _STREAM_LEVEL_SAMPLE = 1
 
 class EntropyError(ValueError):
     """Invalid partition data or empty conditioning set."""
-
-
-class WordCapExceeded(RuntimeError):
-    """Histogram grew past the configured cap; a memory guard, not a bug."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(
-            f"distinct-word histogram exceeded the configured cap of {cap} entries"
-        )
 
 
 def plogp(x: float) -> float:
@@ -112,7 +109,9 @@ class WordHistogram:
     """Measure-weighted word counts over the valid levels of one tower.
 
     `total` is |K| in exact mode and the draw count in sampled mode; the
-    per-level weight is uniform, so frequencies are count/total.
+    per-level weight is uniform, so frequencies are count/total.  `path` is
+    how the counts were built: "compressed" (lifted through the stacking
+    grammar), "enumerate" (every valid level decoded) or "sampled".
     """
 
     counts: Mapping[tuple[int, ...], int]
@@ -126,6 +125,7 @@ class WordHistogram:
     seed: int | None
     valid_count: int
     coverage: float
+    path: str
 
     def __post_init__(self) -> None:
         if self.total != sum(self.counts.values()):
@@ -179,9 +179,11 @@ def empirical_sequence_entropy(
 ) -> EntropyResult:
     """Empirical (1/N) H of the length-N coded-orbit histogram over K.
 
-    Exact mode enumerates every valid level; sampled mode draws
-    `sample_count` levels uniformly from K with the counter RNG, so the
-    result is bit-identical for a fixed seed regardless of worker count.
+    Exact mode lifts the histogram through the stacking grammar when
+    `lifted_word_counts` applies and otherwise enumerates every valid
+    level; both give the same counts in the same order.  Sampled mode
+    draws `sample_count` levels uniformly from K with the counter RNG, so
+    the result is bit-identical for a fixed seed regardless of worker count.
     """
     if length < 0:
         raise EntropyError("word length must be nonnegative")
@@ -192,21 +194,24 @@ def empirical_sequence_entropy(
         raise EntropyError(
             f"empty valid-level set for tower {n} at horizon t_N={t_max}"
         )
+    counts = None
     if method == "exact":
         total, draw_seed = levels.count, None
+        counts = lifted_word_counts(levels, spec, offsets, word_cap)
+        path = "enumerate" if counts is None else "compressed"
     elif method == "sampled":
         if not sample_count or sample_count < 1:
             raise EntropyError("sampled mode needs a positive sample_count")
-        total, draw_seed = sample_count, seed
+        total, draw_seed, path = sample_count, seed, "sampled"
     else:
         raise EntropyError(f"unknown method {method!r}")
-    blocks = [(sd, spec, n, offsets, draw_seed, lo, hi) for lo, hi in index_blocks(total)]
-    partials = run_blocks(_count_block, blocks, workers=workers)
-    counts: Counter = Counter()
-    for part in partials:
-        counts.update(part)
-        if len(counts) > word_cap:
-            raise WordCapExceeded(word_cap)
+    if counts is None:
+        blocks = [(sd, spec, n, offsets, draw_seed, lo, hi) for lo, hi in index_blocks(total)]
+        counts = Counter()
+        for part in run_blocks(_count_block, blocks, workers=workers):
+            counts.update(part)
+            if len(counts) > word_cap:
+                raise WordCapExceeded(word_cap)
     hist = WordHistogram(
         counts=dict(counts),
         total=total,
@@ -219,6 +224,7 @@ def empirical_sequence_entropy(
         seed=seed if method == "sampled" else None,
         valid_count=levels.count,
         coverage=levels.coverage,
+        path=path,
     )
     h = hist.entropy_nats()
     per = h / length if length > 0 else 0.0
@@ -312,6 +318,7 @@ class ProfilePoint:
     h_per_sample: float
     distinct_words: int
     coverage: float
+    path: str
 
 
 def seq_entropy_upper_profile(
@@ -350,6 +357,7 @@ def seq_entropy_upper_profile(
                 h_per_sample=res.h_per_sample,
                 distinct_words=res.histogram.distinct_words,
                 coverage=res.histogram.coverage,
+                path=res.histogram.path,
             )
         )
     return out
@@ -387,7 +395,9 @@ def subsequence_entropy_check(
     levels = valid_levels(sd, n, t_max)
     if levels.count == 0:
         raise EntropyError("empty valid-level set")
-    full = count_words(sd, spec, n, levels, offsets)
+    full = lifted_word_counts(levels, spec, offsets)
+    if full is None:
+        full = count_words(sd, spec, n, levels, offsets)
     restricted: Counter = Counter()
     for word, c in full.items():
         restricted[tuple(word[j - 1] for j in picks)] += c

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from ..rng import SPACER_RNG_ID, SpacerProcess
 from ..sequences import sampling_offsets
-from ..tower import CodingSpec, Stage, StackingData, count_words, valid_levels
+from ..tower import CodingSpec, Stage, StackingData, count_words, lifted_word_counts, valid_levels
 
 
 class GenericSearchError(ValueError):
@@ -120,7 +120,10 @@ def evaluate_candidate(
     worst_ratio = Fraction(0)
     worst = (0, 1.0, 1, None)  # count, cap, reference, word
     for r in range(1, base.num_towers + 1):
-        counts = count_words(candidate, CodingSpec(reference=r, mode="base"), top, levels, offsets)
+        spec = CodingSpec(reference=r, mode="base")
+        counts = lifted_word_counts(levels, spec, offsets)
+        if counts is None:
+            counts = count_words(candidate, spec, top, levels, offsets)
         word, count = max(counts.items(), key=lambda kv: kv[1])
         ratio = Fraction(count) / caps[r]
         if ratio > worst_ratio:

@@ -5,7 +5,9 @@ spacer levels in between, producing a tower of height
 h_{n+1} = q_n*h_n + a_n.  The word encoding tower n over the alphabet of
 a reference tower r <= n is exponentially long, so it is never
 materialized: a level's symbol is resolved by arithmetic descent through
-per-stage prefix-sum tables, one binary search per stage.
+per-stage prefix-sum tables, one binary search per stage.  Exact word
+histograms over a whole valid-level set are lifted stage by stage through
+the stacking grammar where they can be, instead of decoding every level.
 
 Levels and heights are arbitrary-precision integers throughout.
 """
@@ -30,6 +32,16 @@ class TowerError(ValueError):
 
 class ResourceGuard(RuntimeError):
     """A configured memory/size guard tripped before any allocation."""
+
+
+class WordCapExceeded(RuntimeError):
+    """Histogram grew past the configured cap; a memory guard, not a bug."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        super().__init__(
+            f"distinct-word histogram exceeded the configured cap of {cap} entries"
+        )
 
 
 class OrbitEscape(Exception):
@@ -123,9 +135,9 @@ class StackingData:
                         f"{self.spacer_cap - 1}"
                     )
         else:
-            if self.spacer_cap is None:
+            if self.spacer_cap is None or self.spacer_cap < 2:
                 raise TowerError(
-                    f"stage {m}: seeded spacers require a finite spacer_cap"
+                    f"stage {m}: seeded spacers require a finite spacer_cap of at least 2"
                 )
             if stage.distribution != "uniform":
                 raise TowerError(
@@ -488,3 +500,60 @@ def count_words(
 ) -> Counter:
     """Histogram of the coded orbit words of `levels`, keys in first-seen order."""
     return Counter(code_orbit(sd, spec, n, k, offsets) for k in levels)
+
+
+def lift_base_stage(levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int]) -> int | None:
+    """The stage m0 that `lifted_word_counts` starts from, or None if it does
+    not apply: m0 is the lowest m with reference <= m < n and h_m > t_N, and
+    every offset must lie in [0, t_N].
+    """
+    t = levels.t_max
+    if any(not 0 <= o <= t for o in offsets):
+        return None
+    heights = levels.sd.heights()
+    return next((m for m in range(spec.reference, levels.n) if heights[m - 1] > t), None)
+
+
+def lifted_word_counts(
+    levels: ValidLevels,
+    spec: CodingSpec,
+    offsets: Sequence[int],
+    word_cap: int | None = None,
+) -> Counter | None:
+    """The histogram `count_words` gives over all of K, without visiting
+    every level; None when `lift_base_stage` finds no base stage.
+
+    Tower m+1 is q_m copies of tower m joined by spacer blocks, so the
+    histogram of the windows [j, j + t_N] inside tower m lifts as
+    H_{m+1} = q_m * H_m + (windows crossing a junction).  As t_N < h_m, the
+    windows of junction i (starts [P_i + h_m - t_N, P_{i+1})) depend only on
+    its spacer count: they are decoded once per distinct count, at its first
+    junction, and weighted by how many junctions share it.  At the top stage
+    n-1, K drops the starts inside spacer blocks.  Keys come out in
+    first-seen order over K, since each lift appends words in increasing
+    level order past every level already seen.  Every intermediate word
+    occurs in copy 0, which lies in K, so checking `word_cap` after every
+    step trips exactly when enumeration's check would.
+    """
+    m0 = lift_base_stage(levels, spec, offsets)
+    if m0 is None:
+        return None
+    sd, n, t = levels.sd, levels.n, levels.t_max
+    heights = sd.heights()
+    counts = count_words(sd, spec, m0, range(heights[m0 - 1] - t), offsets)
+    for m in range(m0, n + 1):
+        if word_cap is not None and len(counts) > word_cap:
+            raise WordCapExceeded(word_cap)
+        if m == n:
+            return counts
+        h, q = heights[m - 1], sd.stages[m - 1].q
+        for w in counts:
+            counts[w] *= q
+        spacers, starts = sd.stage_spacers(m), sd.slice_starts(m)
+        first: dict[int, int] = {}
+        for i, a in enumerate(spacers):
+            first.setdefault(a, i)
+        for a, mult in Counter(spacers).items():
+            lo = starts[first[a]] + h - t
+            for k in range(lo, lo + t + (a if m < n - 1 else 0)):
+                counts[code_orbit(sd, spec, m + 1, k, offsets)] += mult

@@ -3,8 +3,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from stacklab.tower import Stage, StackingData
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so they repeat exactly and do not flake on a loaded machine.
+settings.register_profile(
+    "stacklab", derandomize=True, deadline=None, max_examples=300, database=None
+)
+settings.load_profile("stacklab")
 
 
 def random_stacking(

@@ -232,6 +232,47 @@ def test_verify_rejects_malformed_meta(tmp_path, field, value):
     assert main(["verify", "--out", str(out)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("name", ["meta.json", "config.json"])
+def test_verify_rejects_invalid_json(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out)])
+    (out / name).write_text("{not json")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == EXIT_VALIDATION
+    assert f"REJECTED: {name} is not valid JSON" in capsys.readouterr().out
+
+
+def test_describe_and_run_agree_on_an_empty_word(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY_DOC))
+    doc["operations"][0]["length"] = 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["describe", "--config", str(path)]) == EXIT_OK
+    # Heights 2, 5: K is levels 0, 1, 3, 4 at t_N = 0, and h_1 = 2 > 0.
+    assert "|K|=4 coverage=0.800000000000 alphabet=3 path=compressed" in capsys.readouterr().out
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "meta.json").read_text())["paths"] == {"entropy.csv": ["compressed"]}
+
+
+def test_meta_records_entropy_paths(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY_DOC))
+    sampled = dict(doc["operations"][0], method="sampled", count=8)
+    doc["operations"] = [doc["operations"][0], sampled, {"op": "markov", "period": 3}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["describe", "--config", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    # t_N = 2 is not below h_1 = 2, so the exact op enumerates.
+    assert "path=enumerate" in text and "path=sampled" in text
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["paths"] == {"entropy.csv": ["enumerate"], "entropy_2.csv": ["sampled"]}
+    assert "path" not in (out / "summary.txt").read_text()
+    assert all("path" not in p.read_text() for p in out.glob("*.csv"))
+
+
 def test_sampled_entropy_on_tower_above_64_bits(tmp_path):
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", FIXTURES.parent / "perfbench" / "workloads.py"
@@ -313,6 +354,9 @@ def test_profile_op_via_config(tmp_path):
     body = (out / "profile.csv").read_text().splitlines()
     assert body[1].startswith("N,stage,")
     assert len(body) == 4
+    # Both points code tower 2 against reference 1 (h_1 = 2): t_N = 1 lifts, t_N = 2 cannot.
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["paths"] == {"profile.csv": ["compressed", "enumerate"]}
     # lambda-form selection rule
     doc["operations"] = [{"op": "profile", "lengths": [2], "rule": "lambda", "lam": "5"}]
     path.write_text(json.dumps(doc))

@@ -151,6 +151,10 @@ def test_pool_path_worker_invariance():
         one = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=1, **kwargs)
         two = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=2, **kwargs)
         assert len(index_blocks(one.histogram.total)) > 1
+        # h_2 = 9 < t_N = 10, so the exact case cannot be lifted and runs the pool.
+        assert one.histogram.path == two.histogram.path == (
+            "enumerate" if kwargs["method"] == "exact" else "sampled"
+        )
         assert list(one.histogram.counts.items()) == list(two.histogram.counts.items())
         assert one.h_nats == two.h_nats
 

@@ -53,6 +53,9 @@ def test_malformed_stage_reports_index():
         StackingData(2, (Stage(2, (1,)), Stage(2, (5,))), spacer_cap=3)
     with pytest.raises(TowerError, match="q must be an integer >= 2"):
         StackingData(2, (Stage(1, ()),))
+    # A uniform spacer stream needs at least two values to draw from.
+    with pytest.raises(TowerError, match="spacer_cap of at least 2"):
+        StackingData(2, (Stage(3, seed=4, distribution="uniform"),), spacer_cap=1)
 
 
 def test_locate_level_examples(tiny_tower):
