@@ -17,14 +17,7 @@ from typing import Callable, Sequence
 
 from .intarith import floor_pow
 from .sequences import SamplingSequence, max_gap, sampling_offsets
-from .tower import (
-    CodingSpec,
-    ResourceGuard,
-    StackingData,
-    count_words,
-    lifted_word_counts,
-    valid_levels,
-)
+from .tower import CodingSpec, StackingData, exact_word_counts, valid_levels
 
 
 class BoundsError(ValueError):
@@ -48,22 +41,15 @@ def brute_force_words(
 ) -> set[tuple[int, ...]]:
     """Exact distinct coded-word set over the valid levels of tower n.
 
-    `level_cap` bounds the levels decoded when the set cannot be lifted
-    through the stacking grammar and every level is enumerated instead.
+    `level_cap` bounds |K| when every valid level must be decoded (see
+    `exact_word_counts`).
     """
     offsets = sampling_offsets(A, N)
     if N == 0:
         return {()}
     levels = valid_levels(sd, n, offsets[-1])
-    spec = CodingSpec(reference=r, mode="base")
-    words = lifted_word_counts(levels, spec, offsets)
-    if words is not None:
-        return set(words)
-    if levels.count > level_cap:
-        raise ResourceGuard(
-            f"valid-level set has {levels.count} levels, above the cap {level_cap}"
-        )
-    return set(count_words(sd, spec, n, levels, offsets))
+    words, _ = exact_word_counts(levels, CodingSpec(r), offsets, level_cap=level_cap)
+    return set(words)
 
 
 # -- tower selection -----------------------------------------------------------

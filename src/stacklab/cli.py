@@ -600,7 +600,7 @@ def _load_doc(path: str) -> dict:
 
 def _cfg_from_args(args) -> ExperimentConfig:
     doc = _load_doc(args.config)
-    if getattr(args, "cap_words", None):
+    if getattr(args, "cap_words", None) is not None:
         doc.setdefault("caps", {})["words"] = args.cap_words
     return load_config(doc, seed_override=args.seed)
 
@@ -669,32 +669,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The subcommands that execute the config's operations, and which ops each runs.
+_EXECUTE_FILTERS = {
+    "run": None,
+    "entropy": ("entropy", "profile"),
+    "generic": ("generic",),
+    "bounds": ("bounds",),
+}
+
+
 def _dispatch(args) -> int:
     if args.command == "describe":
         describe(_cfg_from_args(args))
         return EXIT_OK
-    if args.command == "run":
-        reports = execute(_cfg_from_args(args), Path(args.out), workers=args.workers)
+    if args.command in _EXECUTE_FILTERS:
+        op_filter = _EXECUTE_FILTERS[args.command]
+        reports = execute(_cfg_from_args(args), Path(args.out), args.workers, op_filter)
         if any(r.accepted is False for r in reports):
             raise SearchExhausted("no spacer sequence accepted within the trial cap")
-        return EXIT_OK
-    if args.command == "entropy":
-        reports = execute(
-            _cfg_from_args(args),
-            Path(args.out),
-            workers=args.workers,
-            op_filter=("entropy", "profile"),
-        )
-        return EXIT_OK if reports else EXIT_VALIDATION
-    if args.command == "generic":
-        reports = execute(
-            _cfg_from_args(args), Path(args.out), workers=args.workers, op_filter=("generic",)
-        )
-        if any(r.accepted is False for r in reports):
-            raise SearchExhausted("no spacer sequence accepted within the trial cap")
-        return EXIT_OK
-    if args.command == "bounds":
-        execute(_cfg_from_args(args), Path(args.out), workers=args.workers, op_filter=("bounds",))
         return EXIT_OK
     if args.command == "markov":
         model = build_markov_matrix(args.period)

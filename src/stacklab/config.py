@@ -149,10 +149,17 @@ def _require(op_index: int, op: dict, *names: str) -> None:
             raise ConfigError(f"operations[{op_index}].{name}: required for op {op['op']!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_op(i: int, op: dict, stacking, sequence) -> None:
     kind = op["op"]
     if kind == "entropy":
         _require(i, op, "stage", "length")
+        for name in ("stage", "reference", "length", "count"):
+            if name in op and not _is_int(op[name]):
+                raise ConfigError(f"operations[{i}].{name}: must be an integer")
         if stacking is None:
             raise ConfigError(f"operations[{i}]: entropy needs a 'stacking' document")
         if sequence is None:
@@ -163,6 +170,9 @@ def _validate_op(i: int, op: dict, stacking, sequence) -> None:
             raise ConfigError(f"operations[{i}].count: required for sampled mode")
     elif kind == "profile":
         _require(i, op, "lengths")
+        lengths = op["lengths"]
+        if not isinstance(lengths, list) or not lengths or not all(map(_is_int, lengths)):
+            raise ConfigError(f"operations[{i}].lengths: must be a non-empty list of integers")
         if stacking is None or sequence is None:
             raise ConfigError(f"operations[{i}]: profile needs 'stacking' and 'sequence'")
     elif kind == "seq":

@@ -15,22 +15,17 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .parallel import index_blocks, run_blocks
-from .rng import uniform_int
 from .sequences import sampling_offsets
 from .tower import (
     CodingSpec,
     StackingData,
     WordCapExceeded,
-    count_words,
-    lifted_word_counts,
+    blocked_word_counts,
+    exact_word_counts,
     valid_levels,
 )
 
 DEFAULT_WORD_CAP = 1 << 24
-
-# Stream id for sampled-mode level draws (counter RNG).
-_STREAM_LEVEL_SAMPLE = 1
 
 
 class EntropyError(ValueError):
@@ -153,18 +148,6 @@ class EntropyResult:
     histogram: WordHistogram
 
 
-def _count_block(args) -> Counter:
-    """Word counts for valid-level ranks [lo, hi), or for the level draws
-    [lo, hi) of the counter RNG when a seed is given; top-level for pickling.
-    """
-    sd, spec, n, offsets, seed, lo, hi = args
-    levels = valid_levels(sd, n, offsets[-1] if offsets else 0)
-    ranks = range(lo, hi)
-    if seed is not None:
-        ranks = (uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks)
-    return count_words(sd, spec, n, map(levels.select, ranks), offsets)
-
-
 def empirical_sequence_entropy(
     sd: StackingData,
     spec: CodingSpec,
@@ -179,11 +162,9 @@ def empirical_sequence_entropy(
 ) -> EntropyResult:
     """Empirical (1/N) H of the length-N coded-orbit histogram over K.
 
-    Exact mode lifts the histogram through the stacking grammar when
-    `lifted_word_counts` applies and otherwise enumerates every valid
-    level; both give the same counts in the same order.  Sampled mode
-    draws `sample_count` levels uniformly from K with the counter RNG, so
-    the result is bit-identical for a fixed seed regardless of worker count.
+    Exact mode counts every level of K through `exact_word_counts`.
+    Sampled mode draws `sample_count` levels uniformly from K with the
+    counter RNG.  Both are bit-identical for any worker count.
     """
     if length < 0:
         raise EntropyError("word length must be nonnegative")
@@ -194,24 +175,16 @@ def empirical_sequence_entropy(
         raise EntropyError(
             f"empty valid-level set for tower {n} at horizon t_N={t_max}"
         )
-    counts = None
     if method == "exact":
-        total, draw_seed = levels.count, None
-        counts = lifted_word_counts(levels, spec, offsets, word_cap)
-        path = "enumerate" if counts is None else "compressed"
+        total = levels.count
+        counts, path = exact_word_counts(levels, spec, offsets, word_cap, workers)
     elif method == "sampled":
         if not sample_count or sample_count < 1:
             raise EntropyError("sampled mode needs a positive sample_count")
-        total, draw_seed, path = sample_count, seed, "sampled"
+        total, path = sample_count, "sampled"
+        counts = blocked_word_counts(sd, spec, n, levels, total, offsets, word_cap, workers, seed)
     else:
         raise EntropyError(f"unknown method {method!r}")
-    if counts is None:
-        blocks = [(sd, spec, n, offsets, draw_seed, lo, hi) for lo, hi in index_blocks(total)]
-        counts = Counter()
-        for part in run_blocks(_count_block, blocks, workers=workers):
-            counts.update(part)
-            if len(counts) > word_cap:
-                raise WordCapExceeded(word_cap)
     hist = WordHistogram(
         counts=dict(counts),
         total=total,
@@ -395,9 +368,7 @@ def subsequence_entropy_check(
     levels = valid_levels(sd, n, t_max)
     if levels.count == 0:
         raise EntropyError("empty valid-level set")
-    full = lifted_word_counts(levels, spec, offsets)
-    if full is None:
-        full = count_words(sd, spec, n, levels, offsets)
+    full, _ = exact_word_counts(levels, spec, offsets, workers=workers)
     restricted: Counter = Counter()
     for word, c in full.items():
         restricted[tuple(word[j - 1] for j in picks)] += c

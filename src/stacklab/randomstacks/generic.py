@@ -16,7 +16,7 @@ from typing import Sequence
 
 from ..rng import SPACER_RNG_ID, SpacerProcess
 from ..sequences import sampling_offsets
-from ..tower import CodingSpec, Stage, StackingData, count_words, lifted_word_counts, valid_levels
+from ..tower import CodingSpec, Stage, StackingData, exact_word_counts, valid_levels
 
 
 class GenericSearchError(ValueError):
@@ -121,9 +121,7 @@ def evaluate_candidate(
     worst = (0, 1.0, 1, None)  # count, cap, reference, word
     for r in range(1, base.num_towers + 1):
         spec = CodingSpec(reference=r, mode="base")
-        counts = lifted_word_counts(levels, spec, offsets)
-        if counts is None:
-            counts = count_words(candidate, spec, top, levels, offsets)
+        counts, _ = exact_word_counts(levels, spec, offsets)
         word, count = max(counts.items(), key=lambda kv: kv[1])
         ratio = Fraction(count) / caps[r]
         if ratio > worst_ratio:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..parallel import run_blocks
+from ..parallel import index_blocks, run_blocks
 from ..rng import BULK_RNG_ID, bulk_generator
 
 
@@ -330,14 +330,10 @@ def conditional_limits_mc(
     _check_period(word, period)
     if position is None:
         position = _default_position(word, l0)
-    blocks = []
-    remaining = samples
-    index = 0
-    while remaining > 0:
-        count = min(_MC_BLOCK, remaining)
-        blocks.append((h, tuple(pattern), l0, position, separation, seed, index, count))
-        remaining -= count
-        index += 1
+    blocks = [
+        (h, tuple(pattern), l0, position, separation, seed, lo // _MC_BLOCK, hi - lo)
+        for lo, hi in index_blocks(samples, _MC_BLOCK)
+    ]
     results = run_blocks(_mc_block, blocks, workers=workers)
     hits0 = sum(r[0] for r in results)
     if hits0 == 0:

@@ -19,11 +19,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .rng import SpacerProcess
+from .parallel import index_blocks, run_blocks
+from .rng import SpacerProcess, uniform_int
 
 # Seeded stages regenerate their spacers on demand; expanding more than
 # this many is treated as a resource guard, not an error in the data.
 SEEDED_STAGE_GUARD = 1 << 22
+
+# Stream id for sampled-mode level draws (counter RNG).
+_STREAM_LEVEL_SAMPLE = 1
 
 
 class TowerError(ValueError):
@@ -423,6 +427,8 @@ class ValidLevels:
         h = self.sd.heights()[self.n - 2]
         return self.sd.slice_starts(self.n - 1)[u // h] + (u % h)
 
+    __getitem__ = select
+
     def __iter__(self) -> Iterator[int]:
         return map(self.select, range(self.count))
 
@@ -503,9 +509,9 @@ def count_words(
 
 
 def lift_base_stage(levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int]) -> int | None:
-    """The stage m0 that `lifted_word_counts` starts from, or None if it does
-    not apply: m0 is the lowest m with reference <= m < n and h_m > t_N, and
-    every offset must lie in [0, t_N].
+    """The stage m0 that `exact_word_counts` lifts from, or None if it must
+    enumerate K: m0 is the lowest m with reference <= m < n and h_m > t_N,
+    and every offset must lie in [0, t_N].
     """
     t = levels.t_max
     if any(not 0 <= o <= t for o in offsets):
@@ -514,38 +520,74 @@ def lift_base_stage(levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int
     return next((m for m in range(spec.reference, levels.n) if heights[m - 1] > t), None)
 
 
-def lifted_word_counts(
+def _count_block(block) -> Counter:
+    """Word counts for the ranks [lo, hi) of a level set, or for the level
+    draws [lo, hi) of the counter RNG when a seed is given; top-level for
+    pickling.
+    """
+    sd, spec, n, levels, offsets, seed, lo, hi = block
+    ranks = range(lo, hi)
+    if seed is not None:
+        ranks = (uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks)
+    return count_words(sd, spec, n, map(levels.__getitem__, ranks), offsets)
+
+
+def blocked_word_counts(
+    sd: StackingData, spec: CodingSpec, n: int, levels: ValidLevels | range, total: int,
+    offsets: Sequence[int], word_cap: int | None = None, workers: int = 1, seed: int | None = None,
+) -> Counter:
+    """`count_words` over the ranks [0, total) of `levels` (a `ValidLevels`
+    or a range of levels of tower n), or over `total` uniform draws from K
+    when a seed is given.  The blocks do not depend on the worker count and
+    are merged in block order, checking `word_cap` after each.
+    """
+    blocks = [(sd, spec, n, levels, offsets, seed, lo, hi) for lo, hi in index_blocks(total)]
+    counts: Counter = Counter()
+    for part in run_blocks(_count_block, blocks, workers=workers):
+        counts.update(part)
+        if word_cap is not None and len(counts) > word_cap:
+            raise WordCapExceeded(word_cap)
+    return counts
+
+
+def exact_word_counts(
     levels: ValidLevels,
     spec: CodingSpec,
     offsets: Sequence[int],
     word_cap: int | None = None,
-) -> Counter | None:
-    """The histogram `count_words` gives over all of K, without visiting
-    every level; None when `lift_base_stage` finds no base stage.
+    workers: int = 1,
+    level_cap: int | None = None,
+) -> tuple[Counter, str]:
+    """The histogram `count_words` gives over all of K, keys in the same
+    first-seen order, and the path taken: "compressed" or "enumerate".
 
-    Tower m+1 is q_m copies of tower m joined by spacer blocks, so the
-    histogram of the windows [j, j + t_N] inside tower m lifts as
-    H_{m+1} = q_m * H_m + (windows crossing a junction).  As t_N < h_m, the
-    windows of junction i (starts [P_i + h_m - t_N, P_{i+1})) depend only on
-    its spacer count: they are decoded once per distinct count, at its first
-    junction, and weighted by how many junctions share it.  At the top stage
-    n-1, K drops the starts inside spacer blocks.  Keys come out in
-    first-seen order over K, since each lift appends words in increasing
-    level order past every level already seen.  Every intermediate word
-    occurs in copy 0, which lies in K, so checking `word_cap` after every
-    step trips exactly when enumeration's check would.
+    The base step is `blocked_word_counts` over the windows [j, j + t_N]
+    inside tower m0 = `lift_base_stage`, or over K itself when there is no
+    m0 (then |K| above `level_cap` raises ResourceGuard).  Tower m+1 is q_m
+    copies of tower m joined by spacer blocks, so the base histogram lifts
+    through stages m0 .. n-1 as H_{m+1} = q_m * H_m + (windows crossing a
+    junction).  As t_N < h_m, the windows of junction i (starts
+    [P_i + h_m - t_N, P_{i+1})) depend only on its spacer count: they are
+    decoded once per distinct count, at its first junction, and weighted by
+    how many junctions share it.  At the top stage n-1, K drops the starts
+    inside spacer blocks.  Each lift appends words in increasing level order
+    past every level already seen, and every intermediate word occurs in
+    copy 0, which lies in K, so checking `word_cap` after every block and
+    stage trips exactly when enumeration's check would.
     """
+    sd, n, t = levels.sd, levels.n, levels.t_max
     m0 = lift_base_stage(levels, spec, offsets)
     if m0 is None:
-        return None
-    sd, n, t = levels.sd, levels.n, levels.t_max
+        if level_cap is not None and levels.count > level_cap:
+            raise ResourceGuard(
+                f"valid-level set has {levels.count} levels, above the cap {level_cap}"
+            )
+        counts = blocked_word_counts(sd, spec, n, levels, levels.count, offsets, word_cap, workers)
+        return counts, "enumerate"
     heights = sd.heights()
-    counts = count_words(sd, spec, m0, range(heights[m0 - 1] - t), offsets)
-    for m in range(m0, n + 1):
-        if word_cap is not None and len(counts) > word_cap:
-            raise WordCapExceeded(word_cap)
-        if m == n:
-            return counts
+    base = heights[m0 - 1] - t
+    counts = blocked_word_counts(sd, spec, m0, range(base), base, offsets, word_cap, workers)
+    for m in range(m0, n):
         h, q = heights[m - 1], sd.stages[m - 1].q
         for w in counts:
             counts[w] *= q
@@ -557,3 +599,6 @@ def lifted_word_counts(
             lo = starts[first[a]] + h - t
             for k in range(lo, lo + t + (a if m < n - 1 else 0)):
                 counts[code_orbit(sd, spec, m + 1, k, offsets)] += mult
+        if word_cap is not None and len(counts) > word_cap:
+            raise WordCapExceeded(word_cap)
+    return counts, "compressed"

@@ -23,6 +23,7 @@ from stacklab.bounds import (
     word_count_bound,
 )
 from stacklab.sequences import SamplingSequence, max_gap
+from stacklab.tower import ResourceGuard, Stage, StackingData, valid_levels
 
 from .conftest import random_stacking
 
@@ -38,6 +39,17 @@ def test_brute_force_words_tiny(tiny_tower):
     assert words == {(2, 0), (0, 1)}
     assert brute_force_words(tiny_tower, 1, 2, (1, 2), 0) == {()}
     assert len(words) <= word_count_bound(2, 2, 2, 1)
+
+
+def test_brute_force_level_cap_guards_only_enumeration():
+    # Heights 3, 7, 22 and t_N = 4: reference 1 lifts from h_2 = 7 > 4, while
+    # reference 3 = n must decode every level of K.
+    sd = StackingData(3, (Stage(q=2, spacers=(1,)), Stage(q=3, spacers=(0, 1))), spacer_cap=2)
+    size = valid_levels(sd, 3, 4).count
+    assert brute_force_words(sd, 1, 3, (1, 2, 4), 3, level_cap=1)
+    assert brute_force_words(sd, 3, 3, (1, 2, 4), 3, level_cap=size)
+    with pytest.raises(ResourceGuard):
+        brute_force_words(sd, 3, 3, (1, 2, 4), 3, level_cap=size - 1)
 
 
 def test_select_tau_examples():

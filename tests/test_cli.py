@@ -133,6 +133,28 @@ def test_word_cap_exit_code(tmp_path):
     path.write_text(json.dumps(doc))
     code = main(["run", "--config", str(path), "--out", str(out), "--cap-words", "1"])
     assert code == EXIT_RESOURCE
+    # A cap of 0 is rejected like "caps": {"words": 0}, not ignored.
+    code = main(["run", "--config", str(path), "--out", str(out), "--cap-words", "0"])
+    assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "field, op",
+    [
+        ("lengths", {"op": "profile", "lengths": [], "cuts": 100}),
+        ("lengths", {"op": "profile", "lengths": 3, "cuts": 100}),
+        ("lengths", {"op": "profile", "lengths": [1, "2"], "cuts": 100}),
+        ("stage", {"op": "entropy", "stage": "2", "length": 2}),
+        ("reference", {"op": "entropy", "stage": 2, "reference": "1", "length": 2}),
+        ("length", {"op": "entropy", "stage": 2, "length": "2"}),
+        ("count", {"op": "entropy", "stage": 2, "length": 2, "method": "sampled", "count": "8"}),
+    ],
+)
+def test_op_field_types_exit_code(tmp_path, capsys, field, op):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY_DOC, operations=[op])))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert f"operations[0].{field}:" in capsys.readouterr().err
 
 
 def test_generic_exhausted_exit_code(tmp_path):
@@ -379,3 +401,20 @@ def test_entropy_run_filter(tmp_path):
     names = {p.name for p in out.glob("*.csv")}
     assert "entropy.csv" in names and "entropy_2.csv" in names
     assert "generic.csv" not in names
+
+
+def test_entropy_run_matches_run(tmp_path):
+    path = str(FIXTURES / "entropy_tiny.json")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert main(["entropy", "run", "--config", path, "--out", str(tmp_path / "ent")]) == EXIT_OK
+    expected = (tmp_path / "run" / "entropy.csv").read_bytes()
+    assert (tmp_path / "ent" / "entropy.csv").read_bytes() == expected
+    doc = {
+        "sequence": {"kind": "power", "alpha": "3/2", "horizon": 200},
+        "seed": 0,
+        "operations": [{"op": "bounds", "phi": "log", "cuts": "constant", "horizon": 10}],
+    }
+    bounds_only = tmp_path / "bounds.json"
+    bounds_only.write_text(json.dumps(doc))
+    code = main(["entropy", "run", "--config", str(bounds_only), "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION

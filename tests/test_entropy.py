@@ -157,6 +157,9 @@ def test_pool_path_worker_invariance():
         )
         assert list(one.histogram.counts.items()) == list(two.histogram.counts.items())
         assert one.h_nats == two.h_nats
+    # The subsequence check enumerates the same K in the same blocks.
+    one, two = (subsequence_entropy_check(sd, spec, 3, A, (1, 3), 4, workers=w) for w in (1, 2))
+    assert one == two
 
 
 def test_word_cap_guard(tiny_tower):

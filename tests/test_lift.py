@@ -1,5 +1,5 @@
-"""The lifted (grammar-compressed) exact word histogram against enumeration
-and against the string-recursion oracle."""
+"""The exact word histogram, lifted (grammar-compressed) or enumerated,
+against enumeration and against the string-recursion oracle."""
 
 from __future__ import annotations
 
@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stacklab.entropy import WordCapExceeded, empirical_sequence_entropy
+from stacklab.parallel import index_blocks
 from stacklab.sequences import SamplingSequence, sampling_offsets
 from stacklab.tower import (
     CodingSpec,
     Stage,
     StackingData,
     count_words,
+    exact_word_counts,
     lift_base_stage,
-    lifted_word_counts,
     valid_levels,
 )
 
@@ -47,23 +48,26 @@ def cases(draw):
 
 
 @given(cases())
-def test_lifted_counts_match_enumeration_and_oracle(case):
+def test_exact_counts_match_enumeration_and_oracle(case):
     sd, n, spec, offsets = case
     levels = valid_levels(sd, n, offsets[-1])
-    lifted = lifted_word_counts(levels, spec, offsets)
-    assert (lifted is None) == (lift_base_stage(levels, spec, offsets) is None)
-    if levels.count == 0:
-        assert lifted is None
-        return
+    counts, path = exact_word_counts(levels, spec, offsets)
+    m0 = lift_base_stage(levels, spec, offsets)
+    assert path == ("enumerate" if m0 is None else "compressed")
     enumerated = count_words(sd, spec, n, levels, offsets)
-    if lifted is not None:
-        assert list(lifted.items()) == list(enumerated.items())
-        assert dict(lifted) == oracle_word_counts(sd, spec.reference, n, offsets, spec.mode)
+    assert list(counts.items()) == list(enumerated.items())
+    if levels.count == 0:
+        assert path == "enumerate"
+        return
+    if path == "compressed":
+        assert dict(counts) == oracle_word_counts(sd, spec.reference, n, offsets, spec.mode)
     distinct = len(enumerated)
+    with pytest.raises(WordCapExceeded):
+        exact_word_counts(levels, spec, offsets, word_cap=distinct - 1)
     with pytest.raises(WordCapExceeded):
         empirical_sequence_entropy(sd, spec, n, offsets, len(offsets), word_cap=distinct - 1)
     res = empirical_sequence_entropy(sd, spec, n, offsets, len(offsets), word_cap=distinct)
-    assert res.histogram.path == ("enumerate" if lifted is None else "compressed")
+    assert res.histogram.path == path
     assert list(res.histogram.counts.items()) == list(enumerated.items())
 
 
@@ -78,10 +82,23 @@ def test_word_cap_on_both_paths(reference, path):
     assert distinct > 1
     with pytest.raises(WordCapExceeded):
         empirical_sequence_entropy(sd, spec, 3, offsets, 3, word_cap=distinct - 1)
-    if path == "compressed":
-        levels = valid_levels(sd, 3, offsets[-1])
-        with pytest.raises(WordCapExceeded):
-            lifted_word_counts(levels, spec, offsets, word_cap=distinct - 1)
+    levels = valid_levels(sd, 3, offsets[-1])
+    with pytest.raises(WordCapExceeded):
+        exact_word_counts(levels, spec, offsets, word_cap=distinct - 1)
+    assert exact_word_counts(levels, spec, offsets, word_cap=distinct)[1] == path
+
+
+def test_compressed_base_worker_invariance():
+    # h_1 = 9000 > t_N = 10, so the base step decodes the 8990 windows inside
+    # tower 1 in two blocks, then lifts stages 1 and 2.
+    sd = StackingData(9000, (Stage(q=3, spacers=(1, 0)), Stage(q=2, spacers=(1,))), spacer_cap=2)
+    spec, A = CodingSpec(1, "refined"), (1, 3, 6, 10)
+    assert len(index_blocks(9000 - 10)) > 1
+    one = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=1)
+    two = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=2)
+    assert one.histogram.path == two.histogram.path == "compressed"
+    assert list(one.histogram.counts.items()) == list(two.histogram.counts.items())
+    assert one.h_nats == two.h_nats
 
 
 def _squaring_tower() -> StackingData:
