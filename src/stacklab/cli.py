@@ -242,15 +242,16 @@ def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     )
 
 
+def _gap_rows(seq, limit: int) -> list[tuple]:
+    """(index, value, gap) for the terms n0 .. limit; the first gap is blank."""
+    values = [seq.generate(i) for i in range(seq.n0, limit + 1)]
+    return [(seq.n0 + j, t, t - values[j - 1] if j else "") for j, t in enumerate(values)]
+
+
 def _run_seq(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     seq = cfg.sequence
     limit = op.get("limit", seq.horizon)
-    rows = []
-    prev = None
-    for i in range(seq.n0, min(limit, seq.horizon) + 1):
-        t = seq.generate(i)
-        rows.append((i, t, "" if prev is None else t - prev))
-        prev = t
+    rows = _gap_rows(seq, min(limit, seq.horizon))
     summary = [f"seq: kind={seq.kind} n0={seq.n0} horizon={seq.horizon}"]
     if len(rows) >= 2:
         report = dilation_diagnostic(seq, min(limit, seq.horizon))
@@ -370,8 +371,8 @@ def _run_bounds(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     )
 
 
-def _run_recipe(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    bundle = recipe_params(
+def _recipe_bundle(op: dict, sequence):
+    return recipe_params(
         op["name"],
         h=op["h"],
         beta=parse_rational(op["beta"], "beta"),
@@ -380,8 +381,12 @@ def _run_recipe(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         eps=parse_rational(op.get("eps", "1/10"), "eps"),
         kappa=parse_rational(op["kappa"], "kappa") if "kappa" in op else None,
         L=op.get("L"),
-        A=cfg.sequence,
+        A=sequence,
     )
+
+
+def _run_recipe(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
+    bundle = _recipe_bundle(op, cfg.sequence)
     header = (
         "name",
         "N0",
@@ -689,12 +694,9 @@ def _dispatch(args) -> int:
             raise SearchExhausted("no spacer sequence accepted within the trial cap")
         return EXIT_OK
     if args.command == "markov":
-        model = build_markov_matrix(args.period)
-        pi = stationary_distribution(model)
-        exact = stationary_distribution_exact(model)
         print("state,stationary,exact")
-        for i in range(args.period + 1):
-            print(f"{i + 1},{fmt(float(pi[i]))},{exact[i].numerator}/{exact[i].denominator}")
+        for state, p, num, den in _run_markov(None, {"period": args.period}, 1).rows:
+            print(f"{state},{fmt(p)},{num}/{den}")
         return EXIT_OK
     if args.command == "recipe":
         sequence = None
@@ -703,17 +705,9 @@ def _dispatch(args) -> int:
                 _load_doc(args.config), seed_override=args.seed, require_operations=False
             )
             sequence = cfg.sequence
-        bundle = recipe_params(
-            args.name,
-            h=args.h,
-            beta=parse_rational(args.beta, "beta"),
-            alpha=parse_rational(args.alpha, "alpha") if args.alpha else None,
-            gamma=parse_rational(args.gamma, "gamma"),
-            eps=parse_rational(args.eps, "eps"),
-            kappa=parse_rational(args.kappa, "kappa") if args.kappa else None,
-            L=args.L,
-            A=sequence,
-        )
+        fields = ("name", "h", "beta", "alpha", "kappa", "L", "gamma", "eps")
+        op = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
+        bundle = _recipe_bundle(op, sequence)
         print(f"recipe={bundle.name}")
         print(f"q={bundle.cuts}")
         print(f"N0={bundle.floor_length}")
@@ -751,11 +745,8 @@ def _dispatch_seq(args) -> int:
         return EXIT_OK
     if args.seq_command == "gaps":
         print("index,value,gap")
-        prev = None
-        for i in range(seq.n0, limit + 1):
-            t = seq.generate(i)
-            print(f"{i},{t},{'' if prev is None else t - prev}")
-            prev = t
+        for row in _gap_rows(seq, limit):
+            print(",".join(map(str, row)))
         return EXIT_OK
     if args.seq_command == "kvalue":
         value = krug_K_estimate(seq, args.r, args.n)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -86,14 +85,6 @@ class SpacerProcess:
     def __post_init__(self) -> None:
         if self.alphabet < 2:
             raise ValueError("alphabet size must be at least 2")
-
-    @property
-    def symbol_probability(self) -> Fraction:
-        return Fraction(1, self.alphabet)
-
-    @property
-    def algorithm(self) -> str:
-        return SPACER_RNG_ID
 
     def value(self, index: int) -> int:
         return uniform_int(self.seed, self.stream, index, self.alphabet)

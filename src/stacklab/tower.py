@@ -80,10 +80,6 @@ class Stage:
         if self.spacers is not None and not isinstance(self.spacers, tuple):
             object.__setattr__(self, "spacers", tuple(self.spacers))
 
-    @property
-    def is_seeded(self) -> bool:
-        return self.seed is not None
-
 
 @dataclass(frozen=True)
 class StackingData:
@@ -310,14 +306,6 @@ class LevelLocator:
     @property
     def is_spacer(self) -> bool:
         return bool(self.chain) and self.chain[-1].kind == "spacer"
-
-    @property
-    def terminal_stage(self) -> int:
-        """Tower index where the descent stopped."""
-        if not self.chain:
-            return self.n
-        last = self.chain[-1]
-        return last.stage + 1 if last.kind == "spacer" else last.stage
 
     @property
     def terminal_offset(self) -> int:
