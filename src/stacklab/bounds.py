@@ -48,7 +48,7 @@ def brute_force_words(
     if N == 0:
         return {()}
     levels = valid_levels(sd, n, offsets[-1])
-    words, _ = exact_word_counts(levels, CodingSpec(r), offsets, level_cap=level_cap)
+    words = exact_word_counts(levels, CodingSpec(r), offsets, level_cap=level_cap)[0]
     return set(words)
 
 

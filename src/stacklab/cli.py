@@ -54,7 +54,7 @@ from .sequences import (
     max_gap,
     sampling_offsets,
 )
-from .tower import CodingSpec, ResourceGuard, TowerError, lift_base_stage, valid_levels
+from .tower import CodingSpec, ResourceGuard, TowerError, exact_plan, valid_levels
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -108,6 +108,7 @@ class Report:
     summary: list[str]
     accepted: bool | None = None  # searches only
     paths: tuple[str, ...] = ()  # entropy paths taken, for meta.json only
+    windows: tuple[int, ...] = ()  # windows decoded per entropy point, meta.json only
 
 
 # -- operation runners ---------------------------------------------------------
@@ -165,7 +166,12 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"coverage={fmt(hist.coverage)}"
     ]
     return Report(
-        name="entropy", header=header, rows=[row], summary=summary, paths=(hist.path,)
+        name="entropy",
+        header=header,
+        rows=[row],
+        summary=summary,
+        paths=(hist.path,),
+        windows=(hist.windows,),
     )
 
 
@@ -239,6 +245,7 @@ def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         rows=rows,
         summary=summary,
         paths=tuple(p.path for p in points),
+        windows=tuple(p.windows for p in points),
     )
 
 
@@ -450,7 +457,6 @@ def execute(
     cfg_hash = cfg.hash
     reports: list[Report] = []
     filenames: list[str] = []
-    paths: dict[str, list[str]] = {}
     seen: dict[str, int] = {}
     summary_lines = [f"# config_hash={cfg_hash}", f"seed={cfg.seed}"]
     for op in cfg.operations:
@@ -462,8 +468,6 @@ def execute(
         filename = f"{report.name}{suffix}.csv"
         _write_csv(outdir / filename, report.header, report.rows, cfg_hash)
         filenames.append(filename)
-        if report.paths:
-            paths[filename] = list(report.paths)
         summary_lines.extend(report.summary)
         reports.append(report)
     if not reports:
@@ -479,7 +483,8 @@ def execute(
         "workers": workers,
         "rng": {"spacer": SPACER_RNG_ID, "bulk": BULK_RNG_ID},
         "outputs": filenames,
-        "paths": paths,
+        "paths": {name: list(r.paths) for name, r in zip(filenames, reports) if r.paths},
+        "windows": {name: list(r.windows) for name, r in zip(filenames, reports) if r.windows},
         "sha256": digests,
         "created_unix": time.time(),
     }
@@ -510,13 +515,13 @@ def describe(cfg: ExperimentConfig, out=None) -> None:
             K = valid_levels(cfg.stacking, op["stage"], offsets[-1] if offsets else 0)
             spec = _coding_spec(op)
             if op.get("method", "exact") != "exact":
-                path = "sampled"
+                path, windows = "sampled", op["count"]
             else:
-                path = "enumerate" if lift_base_stage(K, spec, offsets) is None else "compressed"
+                path, windows, _ = exact_plan(K, spec, offsets)
             print(
                 f"    stage={op['stage']} reference={spec.reference} "
                 f"|K|={K.count} coverage={fmt(K.coverage)} "
-                f"alphabet={spec.alphabet_size(cfg.stacking)} path={path}",
+                f"alphabet={spec.alphabet_size(cfg.stacking)} path={path} windows={windows}",
                 file=out,
             )
         elif kind == "generic":

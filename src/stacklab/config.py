@@ -20,6 +20,7 @@ from .sequences import SamplingSequence, SequenceError
 from .tower import StackingData, TowerError
 
 KNOWN_OPS = ("entropy", "profile", "seq", "markov", "generic", "bounds", "recipe")
+_CUT_SCHEDULES = ("constant", "power", "loglog")
 
 
 class ConfigError(ValueError):
@@ -106,7 +107,7 @@ def load_config(
     if seed_override is not None:
         doc["seed"] = seed_override
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
     stacking = None
     if "stacking" in doc:
@@ -128,10 +129,10 @@ def load_config(
                 f"operations[{i}].op: unknown operation {op['op']!r} "
                 f"(known: {', '.join(KNOWN_OPS)})"
             )
-        _validate_op(i, op, stacking, sequence)
+        _validate_op(i, op, {"stacking": stacking, "sequence": sequence})
     caps = doc.get("caps", {})
     word_cap = caps.get("words", DEFAULT_WORD_CAP)
-    if not isinstance(word_cap, int) or word_cap < 1:
+    if not _is_int(word_cap) or word_cap < 1:
         raise ConfigError("caps.words: must be a positive integer")
     return ExperimentConfig(
         doc=doc,
@@ -143,52 +144,49 @@ def load_config(
     )
 
 
-def _require(op_index: int, op: dict, *names: str) -> None:
-    for name in names:
-        if name not in op:
-            raise ConfigError(f"operations[{op_index}].{name}: required for op {op['op']!r}")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate_op(i: int, op: dict, stacking, sequence) -> None:
+_GENERIC_FIELDS = ("length", "floor_length", "q", "alphabet", "trial_cap")
+# Per op: the fields it requires, the fields that must be integers when
+# present, and the documents it needs.
+_OP_SCHEMA = {
+    "entropy": (("stage", "length"), ("stage", "reference", "length", "count"),
+                ("stacking", "sequence")),
+    "profile": (("lengths",), (), ("stacking", "sequence")),
+    "seq": ((), ("limit",), ("sequence",)),
+    "markov": (("period",), ("period",), ()),
+    "generic": (_GENERIC_FIELDS, _GENERIC_FIELDS, ("stacking", "sequence")),
+    "bounds": (("phi", "cuts", "horizon"), ("horizon",), ("sequence",)),
+    "recipe": (("name", "h", "beta"), ("h", "L"), ()),
+}
+
+
+def _validate_op(i: int, op: dict, docs: dict) -> None:
     kind = op["op"]
-    if kind == "entropy":
-        _require(i, op, "stage", "length")
-        for name in ("stage", "reference", "length", "count"):
-            if name in op and not _is_int(op[name]):
-                raise ConfigError(f"operations[{i}].{name}: must be an integer")
-        if stacking is None:
-            raise ConfigError(f"operations[{i}]: entropy needs a 'stacking' document")
-        if sequence is None:
-            raise ConfigError(f"operations[{i}]: entropy needs a 'sequence' document")
-        if op.get("method", "exact") not in ("exact", "sampled"):
-            raise ConfigError(f"operations[{i}].method: must be 'exact' or 'sampled'")
-        if op.get("method") == "sampled" and "count" not in op:
-            raise ConfigError(f"operations[{i}].count: required for sampled mode")
-    elif kind == "profile":
-        _require(i, op, "lengths")
-        lengths = op["lengths"]
-        if not isinstance(lengths, list) or not lengths or not all(map(_is_int, lengths)):
-            raise ConfigError(f"operations[{i}].lengths: must be a non-empty list of integers")
-        if stacking is None or sequence is None:
-            raise ConfigError(f"operations[{i}]: profile needs 'stacking' and 'sequence'")
-    elif kind == "seq":
-        if sequence is None:
-            raise ConfigError(f"operations[{i}]: seq needs a 'sequence' document")
-    elif kind == "markov":
-        _require(i, op, "period")
-        if not isinstance(op["period"], int) or op["period"] < 2:
-            raise ConfigError(f"operations[{i}].period: must be an integer >= 2")
-    elif kind == "generic":
-        _require(i, op, "length", "floor_length", "q", "alphabet", "trial_cap")
-        if stacking is None or sequence is None:
-            raise ConfigError(f"operations[{i}]: generic needs 'stacking' and 'sequence'")
-    elif kind == "bounds":
-        _require(i, op, "phi", "cuts", "horizon")
-        if sequence is None:
-            raise ConfigError(f"operations[{i}]: bounds needs a 'sequence' document")
-    elif kind == "recipe":
-        _require(i, op, "name", "h", "beta")
+    required, integers, needs = _OP_SCHEMA[kind]
+    for name in required:
+        if name not in op:
+            raise ConfigError(f"operations[{i}].{name}: required for op {kind!r}")
+    for name in integers:
+        if name in op and not _is_int(op[name]):
+            raise ConfigError(f"operations[{i}].{name}: must be an integer")
+    for name in needs:
+        if docs[name] is None:
+            raise ConfigError(f"operations[{i}]: {kind} needs a {name!r} document")
+    if kind == "entropy" and op.get("method", "exact") not in ("exact", "sampled"):
+        raise ConfigError(f"operations[{i}].method: must be 'exact' or 'sampled'")
+    if kind == "entropy" and op.get("method") == "sampled" and "count" not in op:
+        raise ConfigError(f"operations[{i}].count: required for sampled mode")
+    lengths = op.get("lengths")
+    if kind == "profile" and not (
+        isinstance(lengths, list) and lengths and all(map(_is_int, lengths))
+    ):
+        raise ConfigError(f"operations[{i}].lengths: must be a non-empty list of integers")
+    if kind == "markov" and op["period"] < 2:
+        raise ConfigError(f"operations[{i}].period: must be an integer >= 2")
+    if "cuts" in op and not (_is_int(op["cuts"]) or op["cuts"] in _CUT_SCHEDULES):
+        raise ConfigError(
+            f"operations[{i}].cuts: must be an integer or one of {', '.join(_CUT_SCHEDULES)}"
+        )

@@ -106,7 +106,8 @@ class WordHistogram:
     `total` is |K| in exact mode and the draw count in sampled mode; the
     per-level weight is uniform, so frequencies are count/total.  `path` is
     how the counts were built: "compressed" (lifted through the stacking
-    grammar), "enumerate" (every valid level decoded) or "sampled".
+    grammar), "enumerate" (every valid level decoded) or "sampled", and
+    `windows` the orbit windows it decoded.
     """
 
     counts: Mapping[tuple[int, ...], int]
@@ -121,6 +122,7 @@ class WordHistogram:
     valid_count: int
     coverage: float
     path: str
+    windows: int
 
     def __post_init__(self) -> None:
         if self.total != sum(self.counts.values()):
@@ -177,11 +179,11 @@ def empirical_sequence_entropy(
         )
     if method == "exact":
         total = levels.count
-        counts, path = exact_word_counts(levels, spec, offsets, word_cap, workers)
+        counts, path, windows = exact_word_counts(levels, spec, offsets, word_cap, workers)
     elif method == "sampled":
         if not sample_count or sample_count < 1:
             raise EntropyError("sampled mode needs a positive sample_count")
-        total, path = sample_count, "sampled"
+        total, path, windows = sample_count, "sampled", sample_count
         counts = blocked_word_counts(sd, spec, n, levels, total, offsets, word_cap, workers, seed)
     else:
         raise EntropyError(f"unknown method {method!r}")
@@ -198,6 +200,7 @@ def empirical_sequence_entropy(
         valid_count=levels.count,
         coverage=levels.coverage,
         path=path,
+        windows=windows,
     )
     h = hist.entropy_nats()
     per = h / length if length > 0 else 0.0
@@ -292,6 +295,7 @@ class ProfilePoint:
     distinct_words: int
     coverage: float
     path: str
+    windows: int
 
 
 def seq_entropy_upper_profile(
@@ -331,6 +335,7 @@ def seq_entropy_upper_profile(
                 distinct_words=res.histogram.distinct_words,
                 coverage=res.histogram.coverage,
                 path=res.histogram.path,
+                windows=res.histogram.windows,
             )
         )
     return out
@@ -368,7 +373,7 @@ def subsequence_entropy_check(
     levels = valid_levels(sd, n, t_max)
     if levels.count == 0:
         raise EntropyError("empty valid-level set")
-    full, _ = exact_word_counts(levels, spec, offsets, workers=workers)
+    full = exact_word_counts(levels, spec, offsets, workers=workers)[0]
     restricted: Counter = Counter()
     for word, c in full.items():
         restricted[tuple(word[j - 1] for j in picks)] += c

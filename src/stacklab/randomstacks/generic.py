@@ -121,7 +121,7 @@ def evaluate_candidate(
     worst = (0, 1.0, 1, None)  # count, cap, reference, word
     for r in range(1, base.num_towers + 1):
         spec = CodingSpec(reference=r, mode="base")
-        counts, _ = exact_word_counts(levels, spec, offsets)
+        counts = exact_word_counts(levels, spec, offsets)[0]
         word, count = max(counts.items(), key=lambda kv: kv[1])
         ratio = Fraction(count) / caps[r]
         if ratio > worst_ratio:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .parallel import index_blocks, run_blocks
@@ -496,18 +498,6 @@ def count_words(
     return Counter(code_orbit(sd, spec, n, k, offsets) for k in levels)
 
 
-def lift_base_stage(levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int]) -> int | None:
-    """The stage m0 that `exact_word_counts` lifts from, or None if it must
-    enumerate K: m0 is the lowest m with reference <= m < n and h_m > t_N,
-    and every offset must lie in [0, t_N].
-    """
-    t = levels.t_max
-    if any(not 0 <= o <= t for o in offsets):
-        return None
-    heights = levels.sd.heights()
-    return next((m for m in range(spec.reference, levels.n) if heights[m - 1] > t), None)
-
-
 def _count_block(block) -> Counter:
     """Word counts for the ranks [lo, hi) of a level set, or for the level
     draws [lo, hi) of the counter RNG when a seed is given; top-level for
@@ -520,22 +510,104 @@ def _count_block(block) -> Counter:
     return count_words(sd, spec, n, map(levels.__getitem__, ranks), offsets)
 
 
-def blocked_word_counts(
-    sd: StackingData, spec: CodingSpec, n: int, levels: ValidLevels | range, total: int,
-    offsets: Sequence[int], word_cap: int | None = None, workers: int = 1, seed: int | None = None,
-) -> Counter:
-    """`count_words` over the ranks [0, total) of `levels` (a `ValidLevels`
-    or a range of levels of tower n), or over `total` uniform draws from K
-    when a seed is given.  The blocks do not depend on the worker count and
-    are merged in block order, checking `word_cap` after each.
-    """
-    blocks = [(sd, spec, n, levels, offsets, seed, lo, hi) for lo, hi in index_blocks(total)]
+def _merged(fn, blocks: list, word_cap: int | None, workers: int) -> Counter:
+    """The Counters `fn` gives for `blocks` on `workers` processes, merged in
+    block order, checking `word_cap` after each."""
     counts: Counter = Counter()
-    for part in run_blocks(_count_block, blocks, workers=workers):
+    for part in run_blocks(fn, blocks, workers=workers):
         counts.update(part)
         if word_cap is not None and len(counts) > word_cap:
             raise WordCapExceeded(word_cap)
     return counts
+
+
+def blocked_word_counts(
+    sd: StackingData, spec: CodingSpec, n: int, levels: ValidLevels, total: int,
+    offsets: Sequence[int], word_cap: int | None = None, workers: int = 1, seed: int | None = None,
+) -> Counter:
+    """`count_words` over the ranks [0, total) of `levels`, or over `total`
+    uniform draws from K when a seed is given, in blocks that do not depend
+    on the worker count.
+    """
+    blocks = [(sd, spec, n, levels, offsets, seed, lo, hi) for lo, hi in index_blocks(total)]
+    return _merged(_count_block, blocks, word_cap, workers)
+
+
+def exact_plan(
+    levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int]
+) -> tuple[str, int, list]:
+    """The cost guard of `exact_word_counts`: its path over K, the windows
+    it will decode and, on the compressed path, the (m, lo, hi, weight)
+    ranges it decodes, each window [lo, hi) of tower m standing for
+    `weight` levels of K.  The base (r, 0, h_r - t_N) comes first, then
+    the starts of tower m+1 for each stage m = r .. n-1.
+
+    The path is "enumerate" (|K| windows) when r = n, an offset lies
+    outside [0, t_N], the keys would read more than |K| spacers, or the
+    windows plus the distinct keys exceed |K|.  The reads (the sum over
+    j < q_m of min(j, t_N // h_m + 2)) are counted before any key is built;
+    their bound is one of memory, as it keeps at most one spacer reference
+    per level of K in the keys.  The keys check is one of speed: a distinct
+    key costs about one window's decode (building it in this process while
+    the decodes share the pool), so past |K| the lift is slower than
+    enumeration on one worker or two.
+
+    Tower m+1 is copies 0 .. q_m-1 of tower m at P_0 .. P_{q_m-1} with
+    spacer blocks between, so H_{m+1} = q_m * H_m + (the windows that leave
+    a copy).  The starts [P_i + max(0, h_m - t_N), P_{i+1}) whose windows
+    leave copy i see at most t_N // h_m + 1 more copies, so they depend
+    only on the key spacers[i : i + t_N // h_m + 2] and are decoded at its
+    first region, weighted by the regions that share it times the copies
+    q_{m+1} ... q_{n-1} of tower m+1 in tower n.  A key cut short by the
+    top of the tower is unique to its region and carries its clip
+    s + t_N < h_{m+1}; at the top stage K drops the starts inside spacer
+    blocks.
+    """
+    sd, n, t, r = levels.sd, levels.n, levels.t_max, spec.reference
+    heights, reads = sd.heights(), 0
+    for m in range(r, n):
+        q, width = sd.stages[m - 1].q, t // heights[m - 1] + 2
+        c = min(width, q - 1)
+        reads += c * (c + 1) // 2 + (q - 1 - c) * width
+    if r >= n or reads > levels.count or any(not 0 <= o <= t for o in offsets):
+        return "enumerate", levels.count, []
+    base = max(0, heights[r - 1] - t)
+    windows, keys = base, 0
+    ranges = [(r, 0, base, prod(stage.q for stage in sd.stages[r - 1 : n - 1]))]
+    for m in range(r, n):
+        h, width, top = heights[m - 1], t // heights[m - 1] + 2, m == n - 1
+        spacers, starts = sd.stage_spacers(m), sd.slice_starts(m)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i in range(len(spacers)):
+            group = groups.get(spacers[i : i + width])
+            if group is not None:
+                group[2] += 1
+                continue
+            lo = starts[i] + max(0, h - t)
+            hi = max(lo, min(starts[i] + h if top else starts[i + 1], heights[m] - t))
+            groups[spacers[i : i + width]] = [lo, hi, 1]
+            windows, keys = windows + hi - lo, keys + 1
+            if windows + keys > levels.count:
+                return "enumerate", levels.count, []
+        above = prod(stage.q for stage in sd.stages[m : n - 1])
+        ranges.extend((m + 1, lo, hi, mult * above) for lo, hi, mult in groups.values())
+    return "compressed", windows, ranges
+
+
+def _window_block(block) -> Counter:
+    """Word counts of the windows at positions [lo, hi) of the plan's ranges
+    laid end to end, `ends` being their running sums: position j of range
+    i = (m, a, b, weight) is the start b - (ends[i] - j) of tower m, counted
+    `weight` times; top-level for pickling."""
+    sd, spec, offsets, ranges, ends, lo, hi = block
+    part: Counter = Counter()
+    i = bisect_right(ends, lo)
+    while lo < hi:
+        m, _, b, weight = ranges[i]
+        for k in range(b - (ends[i] - lo), b - max(0, ends[i] - hi)):
+            part[code_orbit(sd, spec, m, k, offsets)] += weight
+        lo, i = ends[i], i + 1
+    return part
 
 
 def exact_word_counts(
@@ -545,48 +617,28 @@ def exact_word_counts(
     word_cap: int | None = None,
     workers: int = 1,
     level_cap: int | None = None,
-) -> tuple[Counter, str]:
+) -> tuple[Counter, str, int]:
     """The histogram `count_words` gives over all of K, keys in the same
-    first-seen order, and the path taken: "compressed" or "enumerate".
+    first-seen order, and the path and windows `exact_plan` picks.
 
-    The base step is `blocked_word_counts` over the windows [j, j + t_N]
-    inside tower m0 = `lift_base_stage`, or over K itself when there is no
-    m0 (then |K| above `level_cap` raises ResourceGuard).  Tower m+1 is q_m
-    copies of tower m joined by spacer blocks, so the base histogram lifts
-    through stages m0 .. n-1 as H_{m+1} = q_m * H_m + (windows crossing a
-    junction).  As t_N < h_m, the windows of junction i (starts
-    [P_i + h_m - t_N, P_{i+1})) depend only on its spacer count: they are
-    decoded once per distinct count, at its first junction, and weighted by
-    how many junctions share it.  At the top stage n-1, K drops the starts
-    inside spacer blocks.  Each lift appends words in increasing level order
-    past every level already seen, and every intermediate word occurs in
-    copy 0, which lies in K, so checking `word_cap` after every block and
-    stage trips exactly when enumeration's check would.
+    enumerate runs `blocked_word_counts` over K; |K| above `level_cap`
+    raises ResourceGuard.  compressed decodes the weighted ranges of the
+    plan in blocks that do not depend on the worker count: first the
+    h_r - t_N windows inside tower r, which need no descent, then each
+    stage's keys in order of first region, each past every level already
+    seen, so the words come out in enumeration's order.  Every word seen
+    occurs in copy 0 of tower n, which lies in K, so checking `word_cap`
+    after every block trips exactly when enumeration's check would.
     """
-    sd, n, t = levels.sd, levels.n, levels.t_max
-    m0 = lift_base_stage(levels, spec, offsets)
-    if m0 is None:
-        if level_cap is not None and levels.count > level_cap:
-            raise ResourceGuard(
-                f"valid-level set has {levels.count} levels, above the cap {level_cap}"
-            )
-        counts = blocked_word_counts(sd, spec, n, levels, levels.count, offsets, word_cap, workers)
-        return counts, "enumerate"
-    heights = sd.heights()
-    base = heights[m0 - 1] - t
-    counts = blocked_word_counts(sd, spec, m0, range(base), base, offsets, word_cap, workers)
-    for m in range(m0, n):
-        h, q = heights[m - 1], sd.stages[m - 1].q
-        for w in counts:
-            counts[w] *= q
-        spacers, starts = sd.stage_spacers(m), sd.slice_starts(m)
-        first: dict[int, int] = {}
-        for i, a in enumerate(spacers):
-            first.setdefault(a, i)
-        for a, mult in Counter(spacers).items():
-            lo = starts[first[a]] + h - t
-            for k in range(lo, lo + t + (a if m < n - 1 else 0)):
-                counts[code_orbit(sd, spec, m + 1, k, offsets)] += mult
-        if word_cap is not None and len(counts) > word_cap:
-            raise WordCapExceeded(word_cap)
-    return counts, "compressed"
+    sd, n = levels.sd, levels.n
+    path, windows, ranges = exact_plan(levels, spec, offsets)
+    if path == "compressed":
+        ends = list(accumulate(hi - lo for _, lo, hi, _ in ranges))
+        blocks = [(sd, spec, offsets, ranges, ends, lo, hi) for lo, hi in index_blocks(windows)]
+        return _merged(_window_block, blocks, word_cap, workers), path, windows
+    if level_cap is not None and levels.count > level_cap:
+        raise ResourceGuard(
+            f"valid-level set has {levels.count} levels, above the cap {level_cap}"
+        )
+    counts = blocked_word_counts(sd, spec, n, levels, levels.count, offsets, word_cap, workers)
+    return counts, path, windows

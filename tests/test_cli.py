@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from stacklab import cli
 from stacklab.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -157,6 +159,47 @@ def test_op_field_types_exit_code(tmp_path, capsys, field, op):
     assert f"operations[0].{field}:" in capsys.readouterr().err
 
 
+_GENERIC = {"op": "generic", "length": 2, "floor_length": 0, "q": 4, "alphabet": 2, "trial_cap": 2}
+_BOUNDS = {"op": "bounds", "phi": "log", "cuts": "constant", "horizon": 10}
+
+
+@pytest.mark.parametrize(
+    "field, op",
+    [
+        *((name, dict(_GENERIC, **{name: "2"})) for name in
+          ("length", "floor_length", "q", "alphabet", "trial_cap")),
+        ("q", dict(_GENERIC, q=4.0)),
+        ("trial_cap", dict(_GENERIC, trial_cap=True)),
+        ("horizon", dict(_BOUNDS, horizon="10")),
+        ("cuts", dict(_BOUNDS, cuts="cubic")),
+        ("cuts", dict(_BOUNDS, cuts=[1])),
+        ("cuts", dict(_BOUNDS, cuts=True)),
+        ("limit", {"op": "seq", "limit": "4"}),
+        ("cuts", {"op": "profile", "lengths": [1], "cuts": True}),
+        ("h", {"op": "recipe", "name": "poly", "h": "2", "beta": "1", "alpha": "2"}),
+    ],
+)
+def test_op_schema_field_types_exit_code(tmp_path, capsys, field, op):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY_DOC, operations=[op])))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"operations[0].{field}:" in err and "Traceback" not in err
+
+
+def test_json_booleans_are_not_integers(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    for doc, field in ((dict(TINY_DOC, seed=True), "seed:"),
+                       (dict(TINY_DOC, caps={"words": True}), "caps.words:")):
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert field in capsys.readouterr().err
+    # A real boolean field still takes a boolean.
+    op = dict(_GENERIC, floor_length=2, evaluate_all=True)
+    path.write_text(json.dumps(dict(TINY_DOC, operations=[op])))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 def test_generic_exhausted_exit_code(tmp_path):
     # Impossible cap: N large, N0 = 0, so counts must be <= a tiny fraction.
     doc = {
@@ -285,14 +328,43 @@ def test_meta_records_entropy_paths(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["describe", "--config", str(path)]) == EXIT_OK
     text = capsys.readouterr().out
-    # t_N = 2 is not below h_1 = 2, so the exact op enumerates.
-    assert "path=enumerate" in text and "path=sampled" in text
+    # Heights 2, 5 and t_N = 2: K is levels 0 and 1, both starting in copy 0,
+    # so a lift from reference 1 would decode the same 2 windows as
+    # enumeration and build a key besides: the exact op enumerates.
+    assert "path=enumerate windows=2" in text and "path=sampled windows=8" in text
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
     meta = json.loads((out / "meta.json").read_text())
     assert meta["paths"] == {"entropy.csv": ["enumerate"], "entropy_2.csv": ["sampled"]}
+    assert meta["windows"] == {"entropy.csv": [2], "entropy_2.csv": [8]}
     assert "path" not in (out / "summary.txt").read_text()
     assert all("path" not in p.read_text() for p in out.glob("*.csv"))
+    # The reference equal to the tower leaves nothing to lift from.
+    doc["operations"] = [dict(doc["operations"][0], reference=2)]
+    path.write_text(json.dumps(doc))
+    assert main(["describe", "--config", str(path)]) == EXIT_OK
+    assert "path=enumerate windows=2" in capsys.readouterr().out
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "meta.json").read_text())["paths"] == {"entropy.csv": ["enumerate"]}
+
+
+def test_telemetry_leaves_csvs_and_summary_unchanged(tmp_path, monkeypatch):
+    config = FIXTURES / "acceptance_determinism.json"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "with")]) == EXIT_OK
+    runners = dict(cli._RUNNERS)
+    for kind, run in runners.items():
+        monkeypatch.setitem(
+            cli._RUNNERS, kind,
+            lambda cfg, op, w, run=run: dataclasses.replace(run(cfg, op, w), paths=(), windows=()),
+        )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "without")]) == EXIT_OK
+    with_meta = json.loads((tmp_path / "with" / "meta.json").read_text())
+    without_meta = json.loads((tmp_path / "without" / "meta.json").read_text())
+    assert with_meta["paths"] and with_meta["windows"].keys() == with_meta["paths"].keys()
+    assert without_meta["paths"] == without_meta["windows"] == {}
+    for name in with_meta["outputs"] + ["summary.txt"]:
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+    assert with_meta["sha256"] == without_meta["sha256"]
 
 
 def test_sampled_entropy_on_tower_above_64_bits(tmp_path):
@@ -376,9 +448,12 @@ def test_profile_op_via_config(tmp_path):
     body = (out / "profile.csv").read_text().splitlines()
     assert body[1].startswith("N,stage,")
     assert len(body) == 4
-    # Both points code tower 2 against reference 1 (h_1 = 2): t_N = 1 lifts, t_N = 2 cannot.
+    # Both points code tower 2 against reference 1 (h_1 = 2).  At t_N = 1
+    # the lift decodes 2 of the |K| = 3 windows; at t_N = 2 it would decode
+    # all |K| = 2 and build a key besides, so that point enumerates.
     meta = json.loads((out / "meta.json").read_text())
     assert meta["paths"] == {"profile.csv": ["compressed", "enumerate"]}
+    assert meta["windows"]["profile.csv"] == [2, 2]
     # lambda-form selection rule
     doc["operations"] = [{"op": "profile", "lengths": [2], "rule": "lambda", "lam": "5"}]
     path.write_text(json.dumps(doc))

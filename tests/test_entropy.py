@@ -142,8 +142,10 @@ def test_pool_path_worker_invariance():
         (Stage(q=3, spacers=(1, 2)), Stage(q=5000, seed=7, distribution="uniform")),
         spacer_cap=3,
     )
-    spec = CodingSpec(2, "refined")
     A = (1, 3, 6, 10)
+    # Reference 3 is the tower itself, so the exact case cannot be lifted and
+    # runs the pool.
+    spec = CodingSpec(3, "refined")
     for kwargs in (
         {"method": "exact"},
         {"method": "sampled", "sample_count": 3 * BLOCK_SIZE + 5, "seed": 4},
@@ -151,7 +153,6 @@ def test_pool_path_worker_invariance():
         one = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=1, **kwargs)
         two = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=2, **kwargs)
         assert len(index_blocks(one.histogram.total)) > 1
-        # h_2 = 9 < t_N = 10, so the exact case cannot be lifted and runs the pool.
         assert one.histogram.path == two.histogram.path == (
             "enumerate" if kwargs["method"] == "exact" else "sampled"
         )

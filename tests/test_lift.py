@@ -3,22 +3,26 @@ against enumeration and against the string-recursion oracle."""
 
 from __future__ import annotations
 
+import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from stacklab import tower
 from stacklab.entropy import WordCapExceeded, empirical_sequence_entropy
-from stacklab.parallel import index_blocks
+from stacklab.parallel import run_blocks
 from stacklab.sequences import SamplingSequence, sampling_offsets
 from stacklab.tower import (
     CodingSpec,
     Stage,
     StackingData,
     count_words,
+    decode_symbol,
+    exact_plan,
     exact_word_counts,
-    lift_base_stage,
     valid_levels,
 )
 
@@ -28,7 +32,8 @@ from .oracles import oracle_word_counts
 @st.composite
 def cases(draw):
     """Stacking data with explicit and seeded stages, a tower, a coding spec
-    and nondecreasing offsets that need not start at 0."""
+    and nondecreasing offsets that need not start at 0, with gaps large
+    enough that t_N often reaches past the heights of the lifted stages."""
     cap = draw(st.integers(1, 4))
     stages = []
     for _ in range(draw(st.integers(1, 4))):
@@ -42,18 +47,56 @@ def cases(draw):
     n = draw(st.integers(2, sd.num_towers))
     spec = CodingSpec(draw(st.integers(1, n)), draw(st.sampled_from(("base", "refined"))))
     offsets = [draw(st.integers(0, 3))]
+    gap = st.one_of(st.integers(0, 4), st.integers(5, 40))
     for _ in range(draw(st.integers(0, 4))):
-        offsets.append(offsets[-1] + draw(st.integers(0, 4)))
+        offsets.append(offsets[-1] + draw(gap))
     return sd, n, spec, tuple(offsets)
 
 
+def _lift_cost(sd, n, r, t):
+    """Spacers read, distinct keys and windows decoded by a lift from
+    reference r, counted start by start: a start of tower m+1 is decoded if
+    its window does not fit in its copy of tower m, lies in tower m+1 (and
+    in K when m = n-1), and its region is the first with its key."""
+    heights, reads, keys = sd.heights(), 0, 0
+    windows = max(0, heights[r - 1] - t)
+    for m in range(r, n):
+        h, spacers, starts = heights[m - 1], sd.stage_spacers(m), sd.slice_starts(m)
+        width = t // h + 2
+        reads += sum(len(spacers[i : i + width]) for i in range(len(spacers)))
+        seen = set()
+        for i in range(len(spacers)):
+            key = spacers[i : i + width]
+            if key in seen:
+                continue
+            seen.add(key)
+            keys += 1
+            end = starts[i] + h if m == n - 1 else starts[i + 1]
+            windows += sum(
+                1 for s in range(starts[i], end) if s - starts[i] + t >= h and s + t < heights[m]
+            )
+    return reads, keys, windows
+
+
+# Most draws with t_N >= h_m have nearly every key distinct and enumerate,
+# so more examples keep the lift with t_N >= h_m well covered.
+@settings(max_examples=1000)
 @given(cases())
 def test_exact_counts_match_enumeration_and_oracle(case):
     sd, n, spec, offsets = case
     levels = valid_levels(sd, n, offsets[-1])
-    counts, path = exact_word_counts(levels, spec, offsets)
-    m0 = lift_base_stage(levels, spec, offsets)
-    assert path == ("enumerate" if m0 is None else "compressed")
+    counts, path, windows = exact_word_counts(levels, spec, offsets)
+    assert (path, windows) == exact_plan(levels, spec, offsets)[:2]
+    # Offsets lie in [0, t_N] here, so only r = n, the spacers read or the
+    # windows plus keys can force enumeration.
+    r = spec.reference
+    reads, keys, lifted = _lift_cost(sd, n, r, offsets[-1])
+    if r < n and reads <= levels.count and lifted + keys <= levels.count:
+        assert path == "compressed" and windows == lifted
+    else:
+        assert path == "enumerate" and windows == levels.count
+    # A lift never decodes more windows than K has levels.
+    assert r == n or lifted <= levels.count
     enumerated = count_words(sd, spec, n, levels, offsets)
     assert list(counts.items()) == list(enumerated.items())
     if levels.count == 0:
@@ -88,16 +131,26 @@ def test_word_cap_on_both_paths(reference, path):
     assert exact_word_counts(levels, spec, offsets, word_cap=distinct)[1] == path
 
 
-def test_compressed_base_worker_invariance():
-    # h_1 = 9000 > t_N = 10, so the base step decodes the 8990 windows inside
-    # tower 1 in two blocks, then lifts stages 1 and 2.
+def test_compressed_base_worker_invariance(monkeypatch):
+    # h_1 = 9000 > t_N = 10, so the lift starts from the 8990 windows inside
+    # tower 1, then lifts stages 1 and 2: more than one block of windows,
+    # which run on a pool at workers=2.
     sd = StackingData(9000, (Stage(q=3, spacers=(1, 0)), Stage(q=2, spacers=(1,))), spacer_cap=2)
     spec, A = CodingSpec(1, "refined"), (1, 3, 6, 10)
-    assert len(index_blocks(9000 - 10)) > 1
+    calls = []
+
+    def spy(fn, blocks, workers=1):
+        calls.append((fn.__name__, len(blocks) > 1, workers))
+        return run_blocks(fn, blocks, workers=workers)
+
+    monkeypatch.setattr(tower, "run_blocks", spy)
     one = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=1)
     two = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=2)
+    assert calls == [("_window_block", True, 1), ("_window_block", True, 2)]
     assert one.histogram.path == two.histogram.path == "compressed"
     assert list(one.histogram.counts.items()) == list(two.histogram.counts.items())
+    enumerated = count_words(sd, spec, 3, valid_levels(sd, 3, A[-1]), A)
+    assert list(one.histogram.counts.items()) == list(enumerated.items())
     assert one.h_nats == two.h_nats
 
 
@@ -110,8 +163,9 @@ def _squaring_tower() -> StackingData:
     return StackingData(2, tuple(stages), spacer_cap=1)
 
 
-@pytest.mark.parametrize("reference, length", [(1, 16), (2, 32)])
+@pytest.mark.parametrize("reference, length", [(1, 16), (2, 32), (3, 64), (4, 128)])
 def test_closed_form_on_the_2_pow_32_level_tower(reference, length):
+    # From reference 3 on, t_N (512, then 1448) reaches past h_r (16, 256).
     start = time.perf_counter()
     sd = _squaring_tower()
     assert sd.heights()[-1] == 1 << 32
@@ -131,4 +185,54 @@ def test_closed_form_on_the_2_pow_32_level_tower(reference, length):
         for c in range(h_r)
     }
     assert list(hist.counts.items()) == list(expected.items())
-    assert elapsed < 1.0
+    # Each of the h_r words covers 1/h_r of the levels, up to the clipped top.
+    assert math.isclose(res.h_nats, math.log(h_r), rel_tol=1e-9)
+    assert elapsed < (1.0 if reference < 3 else 2.0)
+
+
+def test_guard_enumerates_random_spacers_far_below_the_horizon():
+    # t_N = 45 spans up to 23 copies of tower 1 (h_1 = 2) and the random
+    # spacers between them, so the keys would read more spacers than K has
+    # levels.
+    sd = StackingData(2, (Stage(q=200, seed=11, distribution="uniform"),), spacer_cap=3)
+    spec, offsets = CodingSpec(1, "refined"), (0, 1, 3, 6, 10, 15, 21, 28, 36, 45)
+    levels = valid_levels(sd, 2, offsets[-1])
+    assert exact_plan(levels, spec, offsets)[:2] == ("enumerate", levels.count)
+    counts, path, windows = exact_word_counts(levels, spec, offsets)
+    assert (path, windows) == ("enumerate", levels.count)
+    assert list(counts.items()) == list(count_words(sd, spec, 2, levels, offsets).items())
+
+
+def test_guard_enumerates_when_the_lift_saves_no_windows():
+    # With 64 spacer values and keys of 4 spacers nearly every key is
+    # distinct, so the lift would decode nearly all of K and build as many
+    # keys besides; the keys read no more spacers than K has levels.
+    sd = StackingData(4, (Stage(q=2000, seed=3, distribution="uniform"),), spacer_cap=64)
+    spec, offsets = CodingSpec(1), (0, 2, 5, 8)
+    levels = valid_levels(sd, 2, offsets[-1])
+    reads, keys, lifted = _lift_cost(sd, 2, 1, offsets[-1])
+    assert reads <= levels.count < lifted + keys
+    counts, path, windows = exact_word_counts(levels, spec, offsets)
+    assert (path, windows) == ("enumerate", levels.count)
+    assert list(counts.items()) == list(count_words(sd, spec, 2, levels, offsets).items())
+
+
+@given(cases())
+def test_lower_reference_histogram_is_the_symbol_projection(case):
+    # In base mode, level j of tower r codes to j + 1 at reference r and to
+    # its own code at reference r - 1, and a spacer codes to 0 at both.
+    sd, n, _, offsets = case
+    if valid_levels(sd, n, offsets[-1]).count == 0:
+        return
+    results = [
+        empirical_sequence_entropy(sd, CodingSpec(r), n, offsets, len(offsets))
+        for r in range(1, n + 1)
+    ]
+    for r in range(2, n + 1):
+        lower, upper = results[r - 2], results[r - 1]
+        project = [0] + [decode_symbol(sd, CodingSpec(r - 1), r, j) for j in range(sd.height(r))]
+        projected: Counter = Counter()
+        for word, count in upper.histogram.counts.items():
+            projected[tuple(project[x] for x in word)] += count
+        assert list(projected.items()) == list(lower.histogram.counts.items())
+        assert lower.h_nats <= upper.h_nats + 1e-12
