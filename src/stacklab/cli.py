@@ -54,7 +54,9 @@ from .sequences import (
     max_gap,
     sampling_offsets,
 )
-from .tower import CodingSpec, ResourceGuard, TowerError, exact_plan, valid_levels
+from .tower import (
+    CodingSpec, ResourceGuard, TowerError, exact_plan, int64_decodes, valid_levels,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -521,7 +523,8 @@ def describe(cfg: ExperimentConfig, out=None) -> None:
             print(
                 f"    stage={op['stage']} reference={spec.reference} "
                 f"|K|={K.count} coverage={fmt(K.coverage)} "
-                f"alphabet={spec.alphabet_size(cfg.stacking)} path={path} windows={windows}",
+                f"alphabet={spec.alphabet_size(cfg.stacking)} path={path} windows={windows} "
+                f"decoder={'int64' if int64_decodes(cfg.stacking, op['stage']) else 'bigint'}",
                 file=out,
             )
         elif kind == "generic":

@@ -150,16 +150,17 @@ def _is_int(value) -> bool:
 
 _GENERIC_FIELDS = ("length", "floor_length", "q", "alphabet", "trial_cap")
 # Per op: the fields it requires, the fields that must be integers when
-# present, and the documents it needs.
+# present, each with its minimum (None for none), and the documents it needs.
 _OP_SCHEMA = {
-    "entropy": (("stage", "length"), ("stage", "reference", "length", "count"),
+    "entropy": (("stage", "length"), dict.fromkeys(("stage", "reference", "length", "count")),
                 ("stacking", "sequence")),
-    "profile": (("lengths",), (), ("stacking", "sequence")),
-    "seq": ((), ("limit",), ("sequence",)),
-    "markov": (("period",), ("period",), ()),
-    "generic": (_GENERIC_FIELDS, _GENERIC_FIELDS, ("stacking", "sequence")),
-    "bounds": (("phi", "cuts", "horizon"), ("horizon",), ("sequence",)),
-    "recipe": (("name", "h", "beta"), ("h", "L"), ()),
+    "profile": (("lengths",), {}, ("stacking", "sequence")),
+    "seq": ((), {"limit": None}, ("sequence",)),
+    "markov": (("period",), {"period": 2}, ()),
+    "generic": (_GENERIC_FIELDS, dict.fromkeys(_GENERIC_FIELDS) | {"alphabet": 2},
+                ("stacking", "sequence")),
+    "bounds": (("phi", "cuts", "horizon"), {"horizon": None}, ("sequence",)),
+    "recipe": (("name", "h", "beta"), dict.fromkeys(("h", "L")), ()),
 }
 
 
@@ -169,9 +170,10 @@ def _validate_op(i: int, op: dict, docs: dict) -> None:
     for name in required:
         if name not in op:
             raise ConfigError(f"operations[{i}].{name}: required for op {kind!r}")
-    for name in integers:
-        if name in op and not _is_int(op[name]):
-            raise ConfigError(f"operations[{i}].{name}: must be an integer")
+    for name, low in integers.items():
+        if name in op and not (_is_int(op[name]) and (low is None or op[name] >= low)):
+            at_least = "" if low is None else f" >= {low}"
+            raise ConfigError(f"operations[{i}].{name}: must be an integer{at_least}")
     for name in needs:
         if docs[name] is None:
             raise ConfigError(f"operations[{i}]: {kind} needs a {name!r} document")
@@ -184,8 +186,6 @@ def _validate_op(i: int, op: dict, docs: dict) -> None:
         isinstance(lengths, list) and lengths and all(map(_is_int, lengths))
     ):
         raise ConfigError(f"operations[{i}].lengths: must be a non-empty list of integers")
-    if kind == "markov" and op["period"] < 2:
-        raise ConfigError(f"operations[{i}].period: must be an integer >= 2")
     if "cuts" in op and not (_is_int(op["cuts"]) or op["cuts"] in _CUT_SCHEDULES):
         raise ConfigError(
             f"operations[{i}].cuts: must be an integer or one of {', '.join(_CUT_SCHEDULES)}"

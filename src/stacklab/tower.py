@@ -17,9 +17,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import prod
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .parallel import index_blocks, run_blocks
 from .rng import SpacerProcess, uniform_int
@@ -450,6 +452,17 @@ def valid_levels(sd: StackingData, n: int, t_max: int) -> ValidLevels:
     return ValidLevels(sd=sd, n=n, t_max=t_max, count=count)
 
 
+def _coding(sd: StackingData, spec: CodingSpec, n: int) -> tuple[int, bool]:
+    """h_r and whether spec is refined, once spec is checked against tower n."""
+    r = spec.reference
+    if r > n:
+        raise TowerError(f"reference stage {r} exceeds tower index {n}")
+    refined = spec.mode == "refined"
+    if refined and sd.spacer_cap is None:
+        raise TowerError("refined mode requires a finite spacer_cap")
+    return sd.heights()[r - 1], refined
+
+
 def code_orbit(
     sd: StackingData,
     spec: CodingSpec,
@@ -459,20 +472,15 @@ def code_orbit(
 ) -> tuple[int, ...]:
     """Coded orbit word: symbol i is the level k + offsets[i] of tower n.
 
-    The only symbol decoder: checks run once per orbit, then each symbol
-    descends through the stage tables n-1 .. reference, stopping early in a
-    spacer block.  Raises OrbitEscape with the 1-based sample index if the
-    orbit leaves the tower.
+    The single-orbit decoder, exact at any height, and the oracle of
+    `code_orbits`: checks run once per orbit, then each symbol descends
+    through the stage tables n-1 .. reference, stopping early in a spacer
+    block.  Raises OrbitEscape with the 1-based sample index if the orbit
+    leaves the tower.
     """
     h_n = _check_level(sd, n, k)
-    r = spec.reference
-    if r > n:
-        raise TowerError(f"reference stage {r} exceeds tower index {n}")
-    refined = spec.mode == "refined"
-    if refined and sd.spacer_cap is None:
-        raise TowerError("refined mode requires a finite spacer_cap")
-    heights = sd.heights()
-    h_r = heights[r - 1]
+    h_r, refined = _coding(sd, spec, n)
+    r, heights = spec.reference, sd.heights()
     descent = [(sd.slice_starts(m), heights[m - 1]) for m in range(n - 1, r - 1, -1)]
     word = []
     for i, t in enumerate(offsets, start=1):
@@ -491,11 +499,70 @@ def code_orbit(
     return tuple(word)
 
 
+def int64_decodes(sd: StackingData, n: int) -> bool:
+    """Whether `code_orbits` decodes the levels of tower n as int64 arrays
+    (h_n < 2^63) rather than through `code_orbit`."""
+    return sd.height(n) < 1 << 63
+
+
+def _starts64(sd: StackingData, m: int) -> np.ndarray:
+    """`slice_starts(m)` as an int64 array, cached beside it."""
+    key = ("pfx64", m)
+    cached = sd._cache.get(key)
+    if cached is None:
+        cached = sd._cache[key] = np.array(sd.slice_starts(m), dtype=np.int64)
+    return cached
+
+
+def code_orbits(
+    sd: StackingData, spec: CodingSpec, n: int, ks: Sequence[int], offsets: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """`[code_orbit(sd, spec, n, k, offsets) for k in ks]`, decoded at once.
+
+    When `int64_decodes(sd, n)` holds and every k and k + o lies in
+    [0, h_n), the levels form one len(ks) x len(offsets) int64 array that
+    descends a stage at a time: one `searchsorted` over the slice starts,
+    then the slice start is subtracted.  A level that lands in a spacer
+    block lies above every slice start of the stages below, so it keeps its
+    excess over the height down to tower r and ends at h_r + (its position
+    in the block): refined mode codes it, like a level inside a copy, as
+    its final value + 1, and base mode codes every final value >= h_r as 0.
+    Otherwise each level goes through `code_orbit`, which raises its exact
+    error at the first offending level.  The words are tuples of Python
+    ints either way.
+    """
+    if not ks:
+        return []
+    lowest = min(ks) + min(0, min(offsets, default=0))
+    highest = max(ks) + max(0, max(offsets, default=0))
+    if not (int64_decodes(sd, n) and 0 <= lowest and highest < sd.height(n)):
+        return [code_orbit(sd, spec, n, k, offsets) for k in ks]
+    h_r, refined = _coding(sd, spec, n)
+    lvl = np.add.outer(np.array(ks, dtype=np.int64), np.array(offsets, dtype=np.int64))
+    for m in range(n - 1, spec.reference - 1, -1):
+        starts = _starts64(sd, m)
+        lvl -= starts[np.searchsorted(starts, lvl, side="right") - 1]
+    if not refined:
+        lvl[lvl >= h_r] = -1
+    lvl += 1
+    return list(map(tuple, lvl.tolist()))
+
+
+# Levels per `code_orbits` call: bounds the int64 arrays and the lists
+# built from them, whatever the size of a block.
+DECODE_BATCH = 1024
+
+
 def count_words(
     sd: StackingData, spec: CodingSpec, n: int, levels: Iterable[int], offsets: Sequence[int]
 ) -> Counter:
-    """Histogram of the coded orbit words of `levels`, keys in first-seen order."""
-    return Counter(code_orbit(sd, spec, n, k, offsets) for k in levels)
+    """Histogram of the coded orbit words of `levels`, keys in first-seen
+    order, decoded DECODE_BATCH levels at a time."""
+    counts: Counter = Counter()
+    it = iter(levels)
+    while batch := list(islice(it, DECODE_BATCH)):
+        counts.update(code_orbits(sd, spec, n, batch, offsets))
+    return counts
 
 
 def _count_block(block) -> Counter:
@@ -547,10 +614,12 @@ def exact_plan(
     windows plus the distinct keys exceed |K|.  The reads (the sum over
     j < q_m of min(j, t_N // h_m + 2)) are counted before any key is built;
     their bound is one of memory, as it keeps at most one spacer reference
-    per level of K in the keys.  The keys check is one of speed: a distinct
-    key costs about one window's decode (building it in this process while
-    the decodes share the pool), so past |K| the lift is slower than
-    enumeration on one worker or two.
+    per level of K in the keys.  The keys check is one of speed, set when a
+    distinct key cost about one window's decode.  With windows decoded in
+    int64 batches a distinct key costs about three (it is built in this
+    process and its range unpacked in a block, both in Python), so the lift
+    is already slower than enumeration from about 0.7 to 0.9 |K| in windows
+    plus keys on one worker, and earlier on two.
 
     Tower m+1 is copies 0 .. q_m-1 of tower m at P_0 .. P_{q_m-1} with
     spacer blocks between, so H_{m+1} = q_m * H_m + (the windows that leave
@@ -598,15 +667,23 @@ def _window_block(block) -> Counter:
     """Word counts of the windows at positions [lo, hi) of the plan's ranges
     laid end to end, `ends` being their running sums: position j of range
     i = (m, a, b, weight) is the start b - (ends[i] - j) of tower m, counted
-    `weight` times; top-level for pickling."""
+    `weight` times.  Each run of consecutive ranges of one tower is decoded
+    as one list of levels; top-level for pickling."""
     sd, spec, offsets, ranges, ends, lo, hi = block
     part: Counter = Counter()
     i = bisect_right(ends, lo)
     while lo < hi:
-        m, _, b, weight = ranges[i]
-        for k in range(b - (ends[i] - lo), b - max(0, ends[i] - hi)):
-            part[code_orbit(sd, spec, m, k, offsets)] += weight
-        lo, i = ends[i], i + 1
+        m, ks, weights = ranges[i][0], [], []
+        while lo < hi and ranges[i][0] == m:
+            b, weight = ranges[i][2:]
+            span = range(b - (ends[i] - lo), b - max(0, ends[i] - hi))
+            ks += span
+            weights += [weight] * len(span)
+            lo, i = ends[i], i + 1
+        for j in range(0, len(ks), DECODE_BATCH):
+            words = code_orbits(sd, spec, m, ks[j : j + DECODE_BATCH], offsets)
+            for word, weight in zip(words, weights[j : j + DECODE_BATCH]):
+                part[word] += weight
     return part
 
 

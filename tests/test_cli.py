@@ -177,6 +177,10 @@ _BOUNDS = {"op": "bounds", "phi": "log", "cuts": "constant", "horizon": 10}
         ("limit", {"op": "seq", "limit": "4"}),
         ("cuts", {"op": "profile", "lengths": [1], "cuts": True}),
         ("h", {"op": "recipe", "name": "poly", "h": "2", "beta": "1", "alpha": "2"}),
+        # Integers below the field's minimum.
+        ("alphabet", dict(_GENERIC, alphabet=0)),
+        ("alphabet", dict(_GENERIC, alphabet=1)),
+        ("period", {"op": "markov", "period": 1}),
     ],
 )
 def test_op_schema_field_types_exit_code(tmp_path, capsys, field, op):
@@ -318,6 +322,23 @@ def test_describe_and_run_agree_on_an_empty_word(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "meta.json").read_text())["paths"] == {"entropy.csv": ["compressed"]}
+
+
+def test_describe_names_the_decoder(tmp_path, capsys):
+    assert main(["describe", "--config", str(FIXTURES / "acceptance_determinism.json")]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if "path=" in line]
+    assert len(lines) == 2 and all(line.endswith(" decoder=int64") for line in lines)
+    # h_1 = 2 and 7 stages of q = 2048: tower 6 has 2^56 levels, tower 8 2^78.
+    stacking = {"initial_height": 2, "spacer_cap": 2,
+                "stages": [{"q": 2048, "spacers": [0] * 2047}] * 7}
+    op = {"op": "entropy", "stage": 8, "reference": 1, "length": 2}
+    doc = dict(TINY_DOC, stacking=stacking, operations=[
+        op, dict(op, method="sampled", count=64), dict(op, stage=6)])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["describe", "--config", str(path)]) == EXIT_OK
+    decoders = [line.split()[-1] for line in capsys.readouterr().out.splitlines() if "path=" in line]
+    assert decoders == ["decoder=bigint", "decoder=bigint", "decoder=int64"]
 
 
 def test_meta_records_entropy_paths(tmp_path, capsys):

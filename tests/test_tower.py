@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stacklab import tower
 from stacklab.tower import (
     CodingSpec,
     OrbitEscape,
@@ -11,6 +14,7 @@ from stacklab.tower import (
     StackingData,
     TowerError,
     code_orbit,
+    code_orbits,
     count_words,
     decode_symbol,
     locate_level,
@@ -208,6 +212,98 @@ def test_code_orbit_examples(tiny_tower):
     with pytest.raises(OrbitEscape) as exc:
         code_orbit(tiny_tower, spec, 2, 3, (1, 2))
     assert exc.value.index == 2
+
+
+@st.composite
+def orbit_batches(draw):
+    """Explicit and seeded stages (unbounded spacers included), any tower
+    and reference up to it, and unsorted levels with repeats; one draw in
+    four may put a level or orbit sample outside the tower."""
+    cap = draw(st.sampled_from((None, 1, 2, 3, 4)))
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(2, 5))
+        if cap is not None and cap > 1 and draw(st.booleans()):
+            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16)), distribution="uniform"))
+        else:
+            top = 3 if cap is None else cap - 1
+            spacers = draw(st.lists(st.integers(0, top), min_size=q - 1, max_size=q - 1))
+            stages.append(Stage(q=q, spacers=tuple(spacers)))
+    sd = StackingData(draw(st.integers(1, 5)), tuple(stages), spacer_cap=cap)
+    n = sd.num_towers - draw(st.integers(0, sd.num_towers - 1))  # mostly the top tower
+    spec = CodingSpec(draw(st.integers(1, n)), draw(st.sampled_from(("base", "refined"))))
+    h = sd.height(n)
+    if draw(st.integers(0, 3)):
+        offsets = draw(st.lists(st.integers(0, h - 1), min_size=1, max_size=6))
+        levels = st.integers(0, h - 1 - max(offsets))
+    else:
+        offsets = draw(st.lists(st.integers(-2, h + 2), max_size=6))
+        levels = st.integers(-2, h + 2)
+    ks = draw(st.lists(levels, min_size=1, max_size=12))
+    return sd, n, spec, ks + ks[: draw(st.integers(0, 3))], offsets
+
+
+def _outcome(decode):
+    try:
+        return decode()
+    except (OrbitEscape, TowerError) as e:
+        return type(e), str(e)
+
+
+# About a third of the draws code at the tower itself or leave it, so more
+# examples keep the descent through the stage tables well covered.
+@settings(max_examples=1000)
+@given(orbit_batches())
+def test_code_orbits_matches_code_orbit(case):
+    sd, n, spec, ks, offsets = case
+    one_by_one = _outcome(lambda: [code_orbit(sd, spec, n, k, offsets) for k in ks])
+    assert _outcome(lambda: code_orbits(sd, spec, n, ks, offsets)) == one_by_one
+    if isinstance(one_by_one, list):
+        assert all(type(x) is int for word in code_orbits(sd, spec, n, ks, offsets) for x in word)
+        expected = Counter(one_by_one)
+        assert list(count_words(sd, spec, n, ks, offsets).items()) == list(expected.items())
+
+
+def test_code_orbits_checks_each_level_before_its_samples(tiny_tower):
+    # Every orbit sample lies in tower 2 (heights 2, 5), but a level does not.
+    spec = CodingSpec(1)
+    for ks, offsets in (([0, -1], (1, 2)), ([4, 5], (-1,)), ([2, 7], ())):
+        with pytest.raises(TowerError) as single:
+            [code_orbit(tiny_tower, spec, 2, k, offsets) for k in ks]
+        with pytest.raises(TowerError) as batch:
+            code_orbits(tiny_tower, spec, 2, ks, offsets)
+        assert str(batch.value) == str(single.value)
+
+
+def test_count_words_across_decode_batches():
+    # More levels than one batch, in decreasing order, so every batch
+    # boundary falls inside the first-seen order.
+    sd = StackingData(3, (Stage(q=700, seed=2, distribution="uniform"),), spacer_cap=4)
+    spec, offsets = CodingSpec(1, "refined"), (0, 1, 3, 6)
+    ks = list(range(sd.height(2) - 7, -1, -1))
+    assert len(ks) > 2 * tower.DECODE_BATCH
+    expected = Counter(code_orbit(sd, spec, 2, k, offsets) for k in ks)
+    assert list(count_words(sd, spec, 2, ks, offsets).items()) == list(expected.items())
+
+
+def test_count_words_above_int64_matches_code_orbit():
+    # h_1 = 2 and 7 stages of q = 2048: h_8 is about 2^78, so tower 8 (and
+    # tower 7, about 2^67) decodes through code_orbit while tower 6 fits int64.
+    sd = StackingData(
+        2, tuple(Stage(q=2048, spacers=tuple(j % 2 for j in range(2047))) for _ in range(7)),
+        spacer_cap=2,
+    )
+    h = sd.height(8)
+    assert 1 << 77 < h < 1 << 79
+    assert [tower.int64_decodes(sd, m) for m in (6, 7, 8)] == [True, False, False]
+    rng = random.Random(5)
+    offsets = (0, 1, 3, 7, 12)
+    ks = [0, 1, h - 13, (1 << 70) + 5] + [rng.randrange(h - 12) for _ in range(40)]
+    for spec in (CodingSpec(1), CodingSpec(1, "refined"), CodingSpec(7), CodingSpec(8)):
+        expected = Counter(code_orbit(sd, spec, 8, k, offsets) for k in ks + ks[:3])
+        assert list(count_words(sd, spec, 8, ks + ks[:3], offsets).items()) == list(expected.items())
+    with pytest.raises(OrbitEscape, match=f"level {h} >= height {h}"):
+        count_words(sd, CodingSpec(1), 8, [5, h - 12], offsets)
 
 
 def test_big_integer_towers():
