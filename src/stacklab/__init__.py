@@ -34,7 +34,6 @@ from .tower import (  # noqa: F401
     Stage,
     StackingData,
     code_orbit,
-    compute_heights,
     decode_symbol,
     locate_level,
     valid_levels,

@@ -82,7 +82,9 @@ class SearchExhausted(RuntimeError):
 
 
 def fmt(x) -> str:
-    """Deterministic CSV formatting; floats at fixed precision 12."""
+    """Deterministic CSV formatting; floats at fixed precision 12, None blank."""
+    if x is None:
+        return ""
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, int):
@@ -409,14 +411,14 @@ def _run_recipe(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     )
     row = (
         bundle.name,
-        "" if bundle.floor_length is None else bundle.floor_length,
-        "" if bundle.word_length is None else bundle.word_length,
+        bundle.floor_length,
+        bundle.word_length,
         bundle.cuts,
-        "" if bundle.dependence_range is None else bundle.dependence_range,
-        "" if bundle.deviation is None else bundle.deviation,
-        "" if bundle.horizon_term is None else bundle.horizon_term,
-        "" if bundle.p_fail_horizon_floor is None else bundle.p_fail_horizon_floor,
-        "" if bundle.p_fail_range_floor is None else bundle.p_fail_range_floor,
+        bundle.dependence_range,
+        bundle.deviation,
+        bundle.horizon_term,
+        bundle.p_fail_horizon_floor,
+        bundle.p_fail_range_floor,
     )
     summary = [
         f"recipe {bundle.name}: q={bundle.cuts} N={bundle.word_length} "

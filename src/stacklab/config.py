@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .entropy import DEFAULT_WORD_CAP
+from .intarith import as_fraction, is_int
 from .sequences import SamplingSequence, SequenceError
 from .tower import StackingData, TowerError
 
@@ -28,20 +29,7 @@ class ConfigError(ValueError):
 
 
 def parse_rational(value, fieldname: str) -> Fraction:
-    try:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, bool):
-            raise TypeError
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(value).limit_denominator(10**12)
-    except (ValueError, ZeroDivisionError, TypeError):
-        pass
-    raise ConfigError(f"{fieldname}: expected a number or 'p/q' rational, got {value!r}")
+    return as_fraction(value, fieldname, ConfigError)
 
 
 def canonical_json(doc: Any) -> str:
@@ -52,22 +40,22 @@ def config_hash(doc: Any) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
-def build_sequence(doc: dict, fieldname: str = "sequence") -> SamplingSequence:
+def build_sequence(doc: dict) -> SamplingSequence:
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError(f"{fieldname}: needs an object with a 'kind'")
+        raise ConfigError("sequence: needs an object with a 'kind'")
     kind = doc["kind"]
     n0 = doc.get("n0", 1)
     try:
         if kind == "power":
             return SamplingSequence.power(
-                parse_rational(doc["alpha"], f"{fieldname}.alpha"),
+                parse_rational(doc["alpha"], "sequence.alpha"),
                 horizon=doc["horizon"],
                 n0=n0,
             )
         if kind == "nlog":
             return SamplingSequence.nlog(
-                float(parse_rational(doc.get("C", 1), f"{fieldname}.C")),
-                float(parse_rational(doc["alpha"], f"{fieldname}.alpha")),
+                float(parse_rational(doc.get("C", 1), "sequence.C")),
+                float(parse_rational(doc["alpha"], "sequence.alpha")),
                 horizon=doc["horizon"],
                 n0=n0,
             )
@@ -78,10 +66,10 @@ def build_sequence(doc: dict, fieldname: str = "sequence") -> SamplingSequence:
         if kind == "explicit":
             return SamplingSequence.explicit(doc["values"], n0=n0)
     except KeyError as e:
-        raise ConfigError(f"{fieldname}: missing {e.args[0]!r} for kind {kind!r}") from None
+        raise ConfigError(f"sequence: missing {e.args[0]!r} for kind {kind!r}") from None
     except SequenceError as e:
-        raise ConfigError(f"{fieldname}: {e}") from None
-    raise ConfigError(f"{fieldname}.kind: unknown kind {kind!r}")
+        raise ConfigError(f"sequence: {e}") from None
+    raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,7 @@ def load_config(
     if seed_override is not None:
         doc["seed"] = seed_override
     seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
     stacking = None
     if "stacking" in doc:
@@ -132,7 +120,7 @@ def load_config(
         _validate_op(i, op, {"stacking": stacking, "sequence": sequence})
     caps = doc.get("caps", {})
     word_cap = caps.get("words", DEFAULT_WORD_CAP)
-    if not _is_int(word_cap) or word_cap < 1:
+    if not is_int(word_cap) or word_cap < 1:
         raise ConfigError("caps.words: must be a positive integer")
     return ExperimentConfig(
         doc=doc,
@@ -142,10 +130,6 @@ def load_config(
         seed=seed,
         word_cap=word_cap,
     )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _GENERIC_FIELDS = ("length", "floor_length", "q", "alphabet", "trial_cap")
@@ -171,7 +155,7 @@ def _validate_op(i: int, op: dict, docs: dict) -> None:
         if name not in op:
             raise ConfigError(f"operations[{i}].{name}: required for op {kind!r}")
     for name, low in integers.items():
-        if name in op and not (_is_int(op[name]) and (low is None or op[name] >= low)):
+        if name in op and not (is_int(op[name]) and (low is None or op[name] >= low)):
             at_least = "" if low is None else f" >= {low}"
             raise ConfigError(f"operations[{i}].{name}: must be an integer{at_least}")
     for name in needs:
@@ -183,10 +167,10 @@ def _validate_op(i: int, op: dict, docs: dict) -> None:
         raise ConfigError(f"operations[{i}].count: required for sampled mode")
     lengths = op.get("lengths")
     if kind == "profile" and not (
-        isinstance(lengths, list) and lengths and all(map(_is_int, lengths))
+        isinstance(lengths, list) and lengths and all(map(is_int, lengths))
     ):
         raise ConfigError(f"operations[{i}].lengths: must be a non-empty list of integers")
-    if "cuts" in op and not (_is_int(op["cuts"]) or op["cuts"] in _CUT_SCHEDULES):
+    if "cuts" in op and not (is_int(op["cuts"]) or op["cuts"] in _CUT_SCHEDULES):
         raise ConfigError(
             f"operations[{i}].cuts: must be an integer or one of {', '.join(_CUT_SCHEDULES)}"
         )

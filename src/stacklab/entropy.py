@@ -131,10 +131,6 @@ class WordHistogram:
             if len(w) != self.word_length:
                 raise EntropyError("histogram key with wrong word length")
 
-    def frequencies(self) -> Iterable[float]:
-        for c in self.counts.values():
-            yield c / self.total
-
     def entropy_nats(self) -> float:
         return sum(plogp(c / self.total) for c in self.counts.values())
 
@@ -184,7 +180,7 @@ def empirical_sequence_entropy(
         if not sample_count or sample_count < 1:
             raise EntropyError("sampled mode needs a positive sample_count")
         total, path, windows = sample_count, "sampled", sample_count
-        counts = blocked_word_counts(sd, spec, n, levels, total, offsets, word_cap, workers, seed)
+        counts = blocked_word_counts(spec, levels, total, offsets, word_cap, workers, seed)
     else:
         raise EntropyError(f"unknown method {method!r}")
     hist = WordHistogram(

@@ -11,6 +11,26 @@ import math
 from fractions import Fraction
 
 
+def is_int(value) -> bool:
+    """Whether `value` is an integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_fraction(value, name: str, error: type[Exception]) -> Fraction:
+    """`value` as an exact Fraction: a Fraction, an int, a rational string
+    ("3/2", "0.25") or a float, taken as the nearest fraction with a
+    denominator of at most 10^12.  Anything else, a bool included, raises
+    `error` naming `name`."""
+    try:
+        if isinstance(value, (Fraction, str)) or is_int(value):
+            return Fraction(value)
+        if isinstance(value, float):
+            return Fraction(value).limit_denominator(10**12)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise error(f"{name}: expected a number or 'p/q' rational, got {value!r}")
+
+
 def iroot(x: int, k: int) -> int:
     """floor(x ** (1/k)) for integers x >= 0, k >= 1, exactly."""
     if x < 0:

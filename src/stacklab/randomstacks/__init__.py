@@ -16,7 +16,6 @@ from .markov import (  # noqa: F401
     build_markov_matrix,
     chain_limit_report,
     conditional_limit_chain,
-    conditional_limit_mc,
     conditional_limits_mc,
     pattern_word,
     stationary_distribution,

@@ -75,23 +75,23 @@ def build_markov_matrix(H: int) -> MarkovModel:
     return MarkovModel(period=H, rows=tuple(rows))
 
 
-def stationary_distribution(
-    model: MarkovModel,
-    residual_tol: float = 1e-14,
-    agree_tol: float = 1e-10,
-    max_squarings: int = 200,
-) -> np.ndarray:
+_RESIDUAL_TOL = 1e-14
+_AGREE_TOL = 1e-10
+_MAX_SQUARINGS = 200
+
+
+def stationary_distribution(model: MarkovModel) -> np.ndarray:
     """Unique stationary probability vector, in floats.
 
-    Power iteration (accelerated by repeated matrix squaring) down to the
-    residual tolerance, cross-checked against a direct linear solve; the
-    two must agree to `agree_tol`.
+    Power iteration (accelerated by repeated matrix squaring) down to a
+    residual of _RESIDUAL_TOL, cross-checked against a direct linear solve;
+    the two must agree to _AGREE_TOL.
     """
     model.validate()
     A = model.as_array()
     size = A.shape[0]
     B = A.copy()
-    for _ in range(max_squarings):
+    for _ in range(_MAX_SQUARINGS):
         B = B @ B
         B /= B.sum(axis=1, keepdims=True)
         spread = np.max(B.max(axis=0) - B.min(axis=0))
@@ -100,10 +100,10 @@ def stationary_distribution(
     pi = B.mean(axis=0)
     pi /= pi.sum()
     residual = np.max(np.abs(pi @ A - pi))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise MarkovError(
             f"power iteration stalled at residual {residual:.3e} "
-            f"(> {residual_tol:.0e}) after {max_squarings} squarings"
+            f"(> {_RESIDUAL_TOL:.0e}) after {_MAX_SQUARINGS} squarings"
         )
     # Direct solve of pi (A - I) = 0 with the normalization constraint.
     M = A.T - np.eye(size)
@@ -111,7 +111,7 @@ def stationary_distribution(
     rhs = np.zeros(size)
     rhs[-1] = 1.0
     solved = np.linalg.solve(M, rhs)
-    if np.max(np.abs(solved - pi)) > agree_tol:
+    if np.max(np.abs(solved - pi)) > _AGREE_TOL:
         raise MarkovError("power iteration and linear solve disagree")
     return pi
 
@@ -353,19 +353,3 @@ def conditional_limits_mc(
         )
     return out
 
-
-def conditional_limit_mc(
-    h: int,
-    pattern: Sequence[int],
-    l0: int,
-    l1: int,
-    separation: int,
-    samples: int,
-    seed: int,
-    position: int | None = None,
-    workers: int = 1,
-) -> McEstimate:
-    """Single-target variant of conditional_limits_mc."""
-    return conditional_limits_mc(
-        h, pattern, l0, separation, samples, seed, position, workers
-    )[l1]

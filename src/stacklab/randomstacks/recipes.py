@@ -23,23 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..intarith import floor_pow, floor_rational_pow, iroot
+from ..intarith import as_fraction, floor_pow, floor_rational_pow, iroot
 
 
 class RecipeError(ValueError):
     """Parameters outside a recipe's stated range."""
-
-
-def _frac(x, name: str) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    raise RecipeError(f"{name} must be rational, got {x!r}")
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -86,14 +74,14 @@ def recipe_params(
     `A` (a sampling sequence) is needed to evaluate t_N for the dependence
     range and failure diagnostics; without it those fields are None.
     """
-    beta = _frac(beta, "beta")
+    beta = as_fraction(beta, "beta", RecipeError)
     if beta <= 0:
         raise RecipeError("beta must be positive")
     notes: list[str] = []
     if name in ("poly", "nlog"):
         if alpha is None:
             raise RecipeError(f"recipe {name!r} needs alpha")
-        alpha = _frac(alpha, "alpha")
+        alpha = as_fraction(alpha, "alpha", RecipeError)
         if name == "poly" and alpha < 1 + 1 / beta:
             raise RecipeError(
                 f"recipe 'poly' requires alpha >= 1 + 1/beta "
@@ -103,10 +91,10 @@ def recipe_params(
             raise RecipeError(
                 f"recipe 'nlog' requires alpha >= 1/beta (= {1 / beta}), got {alpha}"
             )
-        gamma = _frac(gamma, "gamma")
+        gamma = as_fraction(gamma, "gamma", RecipeError)
         if gamma <= 1:
             raise RecipeError("gamma must exceed 1")
-        eps = _frac(eps, "eps")
+        eps = as_fraction(eps, "eps", RecipeError)
         if name == "poly":
             N0 = floor_pow(h, beta) + 1
         else:
@@ -127,7 +115,7 @@ def recipe_params(
             raise RecipeError("recipe 'flex' needs kappa")
         if alpha is None:
             alpha = 1 + 1 / beta
-        alpha = _frac(alpha, "alpha")
+        alpha = as_fraction(alpha, "alpha", RecipeError)
         if alpha != 1 + 1 / beta:
             raise RecipeError(
                 f"recipe 'flex' requires alpha = 1 + 1/beta (= {1 + 1 / beta}), "
@@ -137,7 +125,7 @@ def recipe_params(
             raise RecipeError("recipe 'flex' needs an integer spacer range L >= 2")
         if h <= L:
             notes.append("initial height at or below L; the construction wants h > L")
-        eps = _frac(eps, "eps")
+        eps = as_fraction(eps, "eps", RecipeError)
         hb_exact = _exact_power(h, beta)
         if hb_exact is not None and isinstance(kappa, (int, Fraction)):
             kq = Fraction(kappa) ** hb_exact
@@ -213,7 +201,7 @@ def flexibility_bounds(L: int, beta, kappa) -> FlexibilityBounds:
     """
     if L < 2:
         raise RecipeError("L must be an integer >= 2")
-    beta_f = float(_frac(beta, "beta"))
+    beta_f = float(as_fraction(beta, "beta", RecipeError))
     kappa_f = float(kappa)
     if beta_f <= 0 or kappa_f <= 1:
         raise RecipeError("need beta > 0 and kappa > 1")

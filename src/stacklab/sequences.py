@@ -14,21 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .intarith import floor_pow
+from .intarith import as_fraction, floor_pow
 
 
 class SequenceError(ValueError):
     """Invalid sampling-sequence definition or index."""
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise SequenceError(f"expected an exact rational, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +47,7 @@ class SamplingSequence:
 
     @classmethod
     def power(cls, alpha, horizon: int, n0: int = 1) -> "SamplingSequence":
-        alpha = _as_fraction(alpha)
+        alpha = as_fraction(alpha, "alpha", SequenceError)
         if alpha <= 0:
             raise SequenceError("power sequence needs alpha > 0")
         return cls(kind="power", horizon=horizon, n0=n0, alpha=alpha)

@@ -318,21 +318,6 @@ class LevelLocator:
         return self.chain[-1].offset
 
 
-def compute_heights(
-    sd: StackingData,
-) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
-    """Heights h_1..h_M with the per-stage spacer totals and slice-start
-    tables that back level location.
-
-    Returns (heights, totals, tables) where totals[m-1] is a_m and
-    tables[m-1][i] = i*h_m + (a_{m,1} + ... + a_{m,i}).
-    """
-    heights = sd.heights()
-    totals = tuple(sd.spacer_total(m) for m in range(1, sd.num_towers))
-    tables = [sd.slice_starts(m) for m in range(1, sd.num_towers)]
-    return heights, totals, tables
-
-
 def _check_level(sd: StackingData, n: int, k: int) -> int:
     h_n = sd.height(n)
     if not 0 <= k < h_n:
@@ -354,16 +339,14 @@ def _descend_once(sd: StackingData, m: int, k: int) -> tuple[str, int, int]:
     return ("spacer", i + 1, off - h)
 
 
-def locate_level(sd: StackingData, n: int, k: int, stop_stage: int = 1) -> LevelLocator:
-    """Descent chain for level k of tower n, down to `stop_stage` or the
-    first spacer block hit.  Cost is one binary search per stage.
+def locate_level(sd: StackingData, n: int, k: int) -> LevelLocator:
+    """Descent chain for level k of tower n, down to tower 1 or the first
+    spacer block hit.  Cost is one binary search per stage.
     """
     _check_level(sd, n, k)
-    if not 1 <= stop_stage <= n:
-        raise TowerError(f"stop stage {stop_stage} out of range 1..{n}")
     steps: list[LocatorStep] = []
     cur, lvl = n, k
-    while cur > stop_stage:
+    while cur > 1:
         m = cur - 1
         kind, idx, off = _descend_once(sd, m, lvl)
         steps.append(LocatorStep(stage=m, kind=kind, index=idx, offset=off))
@@ -418,8 +401,6 @@ class ValidLevels:
             raise TowerError(f"rank {u} out of range [0, {self.count})")
         h = self.sd.heights()[self.n - 2]
         return self.sd.slice_starts(self.n - 1)[u // h] + (u % h)
-
-    __getitem__ = select
 
     def __iter__(self) -> Iterator[int]:
         return map(self.select, range(self.count))
@@ -570,11 +551,11 @@ def _count_block(block) -> Counter:
     draws [lo, hi) of the counter RNG when a seed is given; top-level for
     pickling.
     """
-    sd, spec, n, levels, offsets, seed, lo, hi = block
+    spec, levels, offsets, seed, lo, hi = block
     ranks = range(lo, hi)
     if seed is not None:
         ranks = (uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks)
-    return count_words(sd, spec, n, map(levels.__getitem__, ranks), offsets)
+    return count_words(levels.sd, spec, levels.n, map(levels.select, ranks), offsets)
 
 
 def _merged(fn, blocks: list, word_cap: int | None, workers: int) -> Counter:
@@ -589,14 +570,14 @@ def _merged(fn, blocks: list, word_cap: int | None, workers: int) -> Counter:
 
 
 def blocked_word_counts(
-    sd: StackingData, spec: CodingSpec, n: int, levels: ValidLevels, total: int,
-    offsets: Sequence[int], word_cap: int | None = None, workers: int = 1, seed: int | None = None,
+    spec: CodingSpec, levels: ValidLevels, total: int, offsets: Sequence[int],
+    word_cap: int | None = None, workers: int = 1, seed: int | None = None,
 ) -> Counter:
     """`count_words` over the ranks [0, total) of `levels`, or over `total`
     uniform draws from K when a seed is given, in blocks that do not depend
     on the worker count.
     """
-    blocks = [(sd, spec, n, levels, offsets, seed, lo, hi) for lo, hi in index_blocks(total)]
+    blocks = [(spec, levels, offsets, seed, lo, hi) for lo, hi in index_blocks(total)]
     return _merged(_count_block, blocks, word_cap, workers)
 
 
@@ -707,15 +688,16 @@ def exact_word_counts(
     occurs in copy 0 of tower n, which lies in K, so checking `word_cap`
     after every block trips exactly when enumeration's check would.
     """
-    sd, n = levels.sd, levels.n
     path, windows, ranges = exact_plan(levels, spec, offsets)
     if path == "compressed":
         ends = list(accumulate(hi - lo for _, lo, hi, _ in ranges))
-        blocks = [(sd, spec, offsets, ranges, ends, lo, hi) for lo, hi in index_blocks(windows)]
+        blocks = [
+            (levels.sd, spec, offsets, ranges, ends, lo, hi) for lo, hi in index_blocks(windows)
+        ]
         return _merged(_window_block, blocks, word_cap, workers), path, windows
     if level_cap is not None and levels.count > level_cap:
         raise ResourceGuard(
             f"valid-level set has {levels.count} levels, above the cap {level_cap}"
         )
-    counts = blocked_word_counts(sd, spec, n, levels, levels.count, offsets, word_cap, workers)
+    counts = blocked_word_counts(spec, levels, levels.count, offsets, word_cap, workers)
     return counts, path, windows

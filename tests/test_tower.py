@@ -32,12 +32,9 @@ def test_heights_examples():
 
 
 def test_compute_heights_tables(tiny_tower):
-    from stacklab.tower import compute_heights
-
-    heights, totals, tables = compute_heights(tiny_tower)
-    assert heights == (2, 5)
-    assert totals == (1,)
-    assert tables == [[0, 3]]  # slice 2 starts past slice 1 plus one spacer
+    assert tiny_tower.heights() == (2, 5)
+    assert tiny_tower.spacer_total(1) == 1
+    assert tiny_tower.slice_starts(1) == [0, 3]  # slice 2 starts past slice 1 plus one spacer
 
 
 def test_heights_strictly_increasing():
