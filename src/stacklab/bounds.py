@@ -106,6 +106,8 @@ def power_cuts(alpha, beta) -> Callable[[int], int]:
     """c_n = floor(n^((alpha - 1/beta + 1)/2)), exact, clamped at 1."""
     alpha = Fraction(alpha)
     beta = Fraction(beta)
+    if beta <= 0:
+        raise BoundsError("power cut schedule needs beta > 0")
     exponent = (alpha - 1 / beta + 1) / 2
     if exponent < 0:
         raise BoundsError("cut exponent is negative for these (alpha, beta)")

@@ -192,11 +192,8 @@ def _tau_from_op(cfg: ExperimentConfig, op: dict):
 
 
 def _cuts_from_op(op: dict):
+    """The op's cut schedule; `load_config` has checked its fields."""
     cuts = op.get("cuts", 1)
-    if isinstance(cuts, int):
-        return bounds_mod.constant_cuts(cuts)
-    if cuts == "constant":
-        return bounds_mod.constant_cuts(op.get("c", 1))
     if cuts == "power":
         return bounds_mod.power_cuts(
             parse_rational(op["alpha"], "cuts.alpha"),
@@ -204,7 +201,7 @@ def _cuts_from_op(op: dict):
         )
     if cuts == "loglog":
         return bounds_mod.loglog_cuts()
-    raise ConfigError(f"cuts: unknown schedule {cuts!r}")
+    return bounds_mod.constant_cuts(op.get("c", 1) if cuts == "constant" else cuts)
 
 
 def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -344,14 +341,12 @@ def _run_generic(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
 
 
 def _phi_from_op(op: dict):
+    """The op's growth gauge; `load_config` has checked its fields."""
     phi = op["phi"]
     if phi == "log":
         return bounds_mod.phi_log()
-    if phi == "power":
-        return bounds_mod.phi_power(parse_rational(op["beta"], "phi.beta"))
-    if phi == "exp_power":
-        return bounds_mod.phi_exp_power(parse_rational(op["beta"], "phi.beta"))
-    raise ConfigError(f"phi: unknown gauge {phi!r}")
+    gauge = bounds_mod.phi_power if phi == "power" else bounds_mod.phi_exp_power
+    return gauge(parse_rational(op["beta"], "phi.beta"))
 
 
 def _run_bounds(cfg: ExperimentConfig, op: dict, workers: int) -> Report:

@@ -22,6 +22,14 @@ from .tower import StackingData, TowerError
 
 KNOWN_OPS = ("entropy", "profile", "seq", "markov", "generic", "bounds", "recipe")
 _CUT_SCHEDULES = ("constant", "power", "loglog")
+_GAUGES = ("log", "power", "exp_power")
+_RATIONALS = ("alpha", "beta", "gamma", "eps", "kappa", "lam")
+# The fields that a `cuts` schedule or a `phi` gauge reads from its op.
+_CHOICE_FIELDS = {
+    ("cuts", "power"): ("alpha", "beta"),
+    ("phi", "power"): ("beta",),
+    ("phi", "exp_power"): ("beta",),
+}
 
 
 class ConfigError(ValueError):
@@ -119,6 +127,8 @@ def load_config(
             )
         _validate_op(i, op, {"stacking": stacking, "sequence": sequence})
     caps = doc.get("caps", {})
+    if not isinstance(caps, dict):
+        raise ConfigError("caps: must be an object")
     word_cap = caps.get("words", DEFAULT_WORD_CAP)
     if not is_int(word_cap) or word_cap < 1:
         raise ConfigError("caps.words: must be a positive integer")
@@ -174,3 +184,14 @@ def _validate_op(i: int, op: dict, docs: dict) -> None:
         raise ConfigError(
             f"operations[{i}].cuts: must be an integer or one of {', '.join(_CUT_SCHEDULES)}"
         )
+    if "phi" in op and op["phi"] not in _GAUGES:
+        raise ConfigError(f"operations[{i}].phi: must be one of {', '.join(_GAUGES)}")
+    if op.get("cuts") == "constant" and not (is_int(op.get("c", 1)) and op.get("c", 1) >= 1):
+        raise ConfigError(f"operations[{i}].c: must be an integer >= 1")
+    for (name, choice), fields in _CHOICE_FIELDS.items():
+        for field_name in fields:
+            if op.get(name) == choice and field_name not in op:
+                raise ConfigError(f"operations[{i}].{field_name}: required for {name} {choice!r}")
+    for name in _RATIONALS:
+        if name in op:
+            parse_rational(op[name], f"operations[{i}].{name}")

@@ -10,6 +10,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+# The most bits that floor_pow and floor_rational_pow let a power n^p of
+# the exponent's numerator take (p * bit_length(n)).  Root extraction slows
+# sharply with p: at this bound it takes up to about 60 ms, at p near 10^6 it
+# runs for minutes.  Tests and benchmark workloads reach 51 bits.
+POW_WORK_BOUND = 1 << 14
+
+
+class ResourceGuard(RuntimeError):
+    """A configured memory/size guard tripped before any allocation."""
+
 
 def is_int(value) -> bool:
     """Whether `value` is an integer; a bool is not one."""
@@ -55,11 +65,22 @@ def iroot(x: int, k: int) -> int:
     return guess
 
 
+def _check_work(exponent: Fraction, *bases: int) -> None:
+    """Raise ResourceGuard before a power base^p above POW_WORK_BOUND bits."""
+    work = exponent.numerator * max(b.bit_length() for b in bases)
+    if work > POW_WORK_BOUND:
+        raise ResourceGuard(
+            f"exponent {exponent} needs a power of {work} bits, above the "
+            f"bound of {POW_WORK_BOUND}"
+        )
+
+
 def floor_pow(n: int, exponent: Fraction) -> int:
     """floor(n ** exponent) for integer n >= 0 and rational exponent >= 0."""
     p, q = exponent.numerator, exponent.denominator
     if n < 0 or p < 0:
         raise ValueError("floor_pow requires nonnegative base and exponent")
+    _check_work(exponent, n)
     return iroot(n**p, q)
 
 
@@ -73,6 +94,7 @@ def floor_rational_pow(base: Fraction, exponent: Fraction) -> int:
     p, q = exponent.numerator, exponent.denominator
     if num < 0 or p < 0:
         raise ValueError("floor_rational_pow requires nonnegative arguments")
+    _check_work(exponent, num, den)
     target_num = num**p
     target_den = den**p
     m = iroot(target_num // target_den, q)

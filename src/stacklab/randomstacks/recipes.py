@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..intarith import as_fraction, floor_pow, floor_rational_pow, iroot
+from ..intarith import as_fraction, floor_pow, floor_rational_pow, is_int
 
 
 class RecipeError(ValueError):
@@ -74,6 +74,8 @@ def recipe_params(
     `A` (a sampling sequence) is needed to evaluate t_N for the dependence
     range and failure diagnostics; without it those fields are None.
     """
+    if not is_int(h) or h < 1:
+        raise RecipeError(f"h must be a positive integer, got {h!r}")
     beta = as_fraction(beta, "beta", RecipeError)
     if beta <= 0:
         raise RecipeError("beta must be positive")
@@ -111,8 +113,8 @@ def recipe_params(
         delta = 2.0**exp_delta
         alphabet = h + 1
     elif name == "flex":
-        if kappa is None:
-            raise RecipeError("recipe 'flex' needs kappa")
+        if kappa is None or kappa <= 1:
+            raise RecipeError("recipe 'flex' needs kappa > 1")
         if alpha is None:
             alpha = 1 + 1 / beta
         alpha = as_fraction(alpha, "alpha", RecipeError)
@@ -175,10 +177,8 @@ def recipe_params(
 
 def _exact_power(h: int, beta: Fraction) -> int | None:
     """h^beta as an exact integer when it is one, else None."""
-    p, qd = beta.numerator, beta.denominator
-    x = h**p
-    r = iroot(x, qd)
-    return r if r**qd == x else None
+    r = floor_pow(h, beta)
+    return r if r**beta.denominator == h**beta.numerator else None
 
 
 @dataclass(frozen=True)

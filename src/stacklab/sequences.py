@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .intarith import as_fraction, floor_pow
+from .intarith import as_fraction, floor_pow, is_int
 
 
 class SequenceError(ValueError):
@@ -60,17 +60,21 @@ class SamplingSequence:
 
     @classmethod
     def linear(cls, a: int, b: int = 0, horizon: int = 1 << 16, n0: int = 1) -> "SamplingSequence":
-        if not isinstance(a, int) or not isinstance(b, int):
+        if not is_int(a) or not is_int(b):
             raise SequenceError("linear sequence needs integer coefficients")
         if a < 1:
             raise SequenceError("linear sequence needs slope a >= 1")
         return cls(kind="linear", horizon=horizon, n0=n0, a=a, b=b)
 
     @classmethod
-    def explicit(cls, values: Iterable[int], n0: int = 1) -> "SamplingSequence":
-        vals = tuple(int(v) for v in values)
+    def explicit(cls, values: Sequence[int], n0: int = 1) -> "SamplingSequence":
+        if not isinstance(values, (list, tuple)) or not all(map(is_int, values)):
+            raise SequenceError("explicit sequence values must be a list of integers")
+        vals = tuple(values)
         if not vals:
             raise SequenceError("explicit sequence must be nonempty")
+        if not is_int(n0):
+            raise SequenceError("n0 must be an integer")
         return cls(
             kind="explicit", horizon=n0 + len(vals) - 1, n0=n0, values=vals
         )
@@ -78,6 +82,9 @@ class SamplingSequence:
     def __post_init__(self) -> None:
         if self.kind not in ("power", "nlog", "linear", "explicit"):
             raise SequenceError(f"unknown sequence kind {self.kind!r}")
+        low = 1 if self.kind == "nlog" else 0  # nlog takes log n, power n^alpha
+        if not (is_int(self.n0) and self.n0 >= low and is_int(self.horizon)):
+            raise SequenceError(f"n0 must be an integer >= {low} and horizon an integer")
         if self.horizon < self.n0:
             raise SequenceError("horizon must be >= n0")
         terms = tuple(self._raw_term(i) for i in range(self.n0, self.horizon + 1))

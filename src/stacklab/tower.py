@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .intarith import ResourceGuard, is_int
 from .parallel import index_blocks, run_blocks
 from .rng import SpacerProcess, uniform_int
 
@@ -36,10 +37,6 @@ _STREAM_LEVEL_SAMPLE = 1
 
 class TowerError(ValueError):
     """Malformed stacking data or an out-of-range level query."""
-
-
-class ResourceGuard(RuntimeError):
-    """A configured memory/size guard tripped before any allocation."""
 
 
 class WordCapExceeded(RuntimeError):
@@ -104,17 +101,17 @@ class StackingData:
     def __post_init__(self) -> None:
         if not isinstance(self.stages, tuple):
             object.__setattr__(self, "stages", tuple(self.stages))
-        if not isinstance(self.initial_height, int) or self.initial_height < 1:
+        if not is_int(self.initial_height) or self.initial_height < 1:
             raise TowerError("initial_height must be a positive integer")
         if self.spacer_cap is not None and (
-            not isinstance(self.spacer_cap, int) or self.spacer_cap < 1
+            not is_int(self.spacer_cap) or self.spacer_cap < 1
         ):
             raise TowerError("spacer_cap must be a positive integer or None")
         for m, stage in enumerate(self.stages, start=1):
             self._validate_stage(m, stage)
 
     def _validate_stage(self, m: int, stage: Stage) -> None:
-        if not isinstance(stage.q, int) or stage.q < 2:
+        if not is_int(stage.q) or stage.q < 2:
             raise TowerError(f"stage {m}: cut count q must be an integer >= 2, got {stage.q}")
         explicit = stage.spacers is not None
         seeded = stage.seed is not None
@@ -129,7 +126,7 @@ class StackingData:
                     f"got {len(stage.spacers)}"
                 )
             for i, a in enumerate(stage.spacers, start=1):
-                if not isinstance(a, int) or a < 0:
+                if not is_int(a) or a < 0:
                     raise TowerError(
                         f"stage {m}: spacer {i} must be a nonnegative integer, got {a!r}"
                     )
@@ -139,6 +136,8 @@ class StackingData:
                         f"{self.spacer_cap - 1}"
                     )
         else:
+            if not is_int(stage.seed):
+                raise TowerError(f"stage {m}: seed must be an integer, got {stage.seed!r}")
             if self.spacer_cap is None or self.spacer_cap < 2:
                 raise TowerError(
                     f"stage {m}: seeded spacers require a finite spacer_cap of at least 2"
@@ -237,15 +236,18 @@ class StackingData:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StackingData":
-        try:
-            h1 = doc["initial_height"]
-        except KeyError:
-            raise TowerError("stacking document missing 'initial_height'") from None
+        if not isinstance(doc, dict) or "initial_height" not in doc:
+            raise TowerError("stacking document needs an object with an 'initial_height'")
+        items = doc.get("stages", [])
+        if not isinstance(items, list):
+            raise TowerError("stages: must be a list")
         stages = []
-        for idx, item in enumerate(doc.get("stages", []), start=1):
-            if "q" not in item:
-                raise TowerError(f"stage {idx}: missing 'q'")
+        for idx, item in enumerate(items, start=1):
+            if not isinstance(item, dict) or "q" not in item:
+                raise TowerError(f"stage {idx}: needs an object with a 'q'")
             if "spacers" in item:
+                if not isinstance(item["spacers"], list):
+                    raise TowerError(f"stage {idx}: spacers must be a list")
                 stages.append(Stage(q=item["q"], spacers=tuple(item["spacers"])))
             elif "seed" in item:
                 stages.append(
@@ -257,7 +259,7 @@ class StackingData:
                 )
             else:
                 raise TowerError(f"stage {idx}: needs 'spacers' or 'seed'")
-        return cls(h1, tuple(stages), doc.get("spacer_cap"))
+        return cls(doc["initial_height"], tuple(stages), doc.get("spacer_cap"))
 
 
 @dataclass(frozen=True)

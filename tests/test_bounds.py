@@ -76,6 +76,8 @@ def test_cut_schedules():
     assert loglog_cuts()(100) == 42
     assert loglog_cuts()(1) == 1
     assert constant_cuts(3)(999) == 3
+    with pytest.raises(BoundsError, match="beta > 0"):
+        power_cuts(2, 0)  # 1/beta in the exponent
 
 
 def test_word_count_vs_brute_force_randomized():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +77,27 @@ def test_describe_recipe_flex(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "q=5" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["describe", {"kind": "power", "alpha": alpha, "horizon": 8}]
+          for alpha in (3.14159, "314159/100000", 0.3333333)),
+        ["recipe", "--name", "poly", "--h", "10", "--alpha", "5", "--beta", "0.3333333"],
+        ["recipe", "--name", "flex", "--h", "10", "--beta", "0.3333333", "--kappa", "2", "--L", "3"],
+    ],
+)
+def test_large_exponents_hit_the_resource_guard(tmp_path, capsys, argv):
+    # Exact roots of n^p with p near 10^6 once ran for minutes.
+    if argv[0] == "describe":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sequence": argv[1], "operations": [{"op": "seq"}]}))
+        argv = ["describe", "--config", str(path)]
+    start = time.perf_counter()
+    assert main(argv) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert "resource guard: exponent" in capsys.readouterr().err
 
 
 def test_run_golden_fixture(tmp_path):
@@ -181,6 +203,17 @@ _BOUNDS = {"op": "bounds", "phi": "log", "cuts": "constant", "horizon": 10}
         ("alphabet", dict(_GENERIC, alphabet=0)),
         ("alphabet", dict(_GENERIC, alphabet=1)),
         ("period", {"op": "markov", "period": 1}),
+        # Fields that a cut schedule or a growth gauge reads.
+        ("alpha", dict(_BOUNDS, cuts="power", beta=1)),
+        ("beta", dict(_BOUNDS, cuts="power", alpha=2)),
+        ("alpha", {"op": "profile", "lengths": [1], "cuts": "power", "beta": 1}),
+        ("c", dict(_BOUNDS, c="x")),
+        ("c", dict(_BOUNDS, c=0)),
+        ("beta", dict(_BOUNDS, phi="power")),
+        ("beta", dict(_BOUNDS, phi="exp_power")),
+        ("beta", dict(_BOUNDS, phi="power", beta="x")),
+        ("phi", dict(_BOUNDS, phi="cubic")),
+        ("lam", {"op": "profile", "lengths": [1], "rule": "lambda", "lam": "x"}),
     ],
 )
 def test_op_schema_field_types_exit_code(tmp_path, capsys, field, op):
@@ -202,6 +235,45 @@ def test_json_booleans_are_not_integers(tmp_path, capsys):
     op = dict(_GENERIC, floor_length=2, evaluate_all=True)
     path.write_text(json.dumps(dict(TINY_DOC, operations=[op])))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+_SEEDED_STAGE = {"q": 3, "seed": 9, "distribution": "uniform"}
+_POWER = {"kind": "power", "alpha": "3/2", "horizon": 4}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # JSON booleans where the documents want integers.
+        ({"stacking": dict(TINY_DOC["stacking"], initial_height=True)}, "initial_height"),
+        ({"stacking": dict(TINY_DOC["stacking"], spacer_cap=True)}, "spacer_cap"),
+        ({"stacking": dict(TINY_DOC["stacking"], stages=[{"q": 2, "spacers": [True]}])},
+         "stacking: stage 1: spacer 1"),
+        ({"stacking": dict(TINY_DOC["stacking"], stages=[dict(_SEEDED_STAGE, seed=True)])},
+         "stacking: stage 1: seed"),
+        ({"sequence": {"kind": "explicit", "values": [True, 2]}}, "sequence: explicit"),
+        # Values of the wrong type.
+        ({"stacking": [1]}, "stacking:"),
+        ({"stacking": dict(TINY_DOC["stacking"], stages={})}, "stacking: stages:"),
+        ({"stacking": dict(TINY_DOC["stacking"], stages=[2])}, "stacking: stage 1:"),
+        ({"stacking": dict(TINY_DOC["stacking"], stages=[{"q": 2, "spacers": 1}])},
+         "stacking: stage 1: spacers"),
+        *(({"stacking": dict(TINY_DOC["stacking"], stages=[dict(_SEEDED_STAGE, seed=seed)])},
+           "stacking: stage 1: seed") for seed in ("x", [1], 2.5)),
+        ({"sequence": {"kind": "explicit", "values": 2}}, "sequence: explicit"),
+        ({"sequence": {"kind": "explicit", "values": [1, 2.5]}}, "sequence: explicit"),
+        ({"caps": 3}, "caps:"),
+        ({"sequence": {"kind": "explicit", "values": [1, 2], "n0": "x"}}, "sequence: n0"),
+        ({"sequence": dict(_POWER, horizon="x")}, "sequence: n0"),
+        ({"sequence": dict(_POWER, n0=-1)}, "sequence: n0"),
+        ({"sequence": {"kind": "nlog", "alpha": 1, "horizon": 4, "n0": 0}}, "sequence: n0"),
+    ],
+)
+def test_malformed_documents_exit_code(tmp_path, capsys, change, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY_DOC, **change)))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 def test_generic_exhausted_exit_code(tmp_path):
@@ -514,3 +586,48 @@ def test_entropy_run_matches_run(tmp_path):
     bounds_only.write_text(json.dumps(doc))
     code = main(["entropy", "run", "--config", str(bounds_only), "--out", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
+
+
+_MISSING = object()
+# Each JSON kind, plus values at the edges of the integer fields.  No huge
+# values: a large `period` or `q` is a real, long run, not a malformed one.
+_MUTATIONS = ("x", [1], {}, 2.5, True, -1, 0, None, _MISSING)
+
+
+def _json_paths(node, path=()):
+    """The path of every key and list element in a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from _json_paths(child, path + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_config_fuzz_exits_with_documented_codes(tmp_path):
+    # Every single-field mutation of the fixture configs ends in a
+    # documented exit code, never in an exception out of `main`.
+    path, failures = tmp_path / "cfg.json", []
+    for name in ("entropy_tiny.json", "acceptance_determinism.json"):
+        doc = json.loads((FIXTURES / name).read_text())
+        for field in _json_paths(doc):
+            for value in _MUTATIONS:
+                path.write_text(json.dumps(_mutated(doc, field, value)))
+                argv = ["run", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", "1"]
+                try:
+                    code = main(argv)
+                except Exception as e:  # noqa: BLE001 - any escape is the finding
+                    code = f"{type(e).__name__}: {e}"
+                if code not in (EXIT_OK, EXIT_VALIDATION, EXIT_RESOURCE, EXIT_EXHAUSTED):
+                    failures.append((name, field, "missing" if value is _MISSING else value, code))
+    assert not failures, f"{len(failures)} mutations escaped:\n" + "\n".join(map(repr, failures))

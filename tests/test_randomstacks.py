@@ -321,6 +321,11 @@ def test_recipe_flex_examples():
     assert b.cuts == 5
     with pytest.raises(RecipeError, match="alpha = 1 \\+ 1/beta"):
         recipe_params("flex", h=10, beta=1, kappa=2, L=3, alpha=Fraction(3))
+    with pytest.raises(RecipeError, match="kappa > 1"):
+        recipe_params("flex", h=10, beta=1, kappa=0, L=3)  # kappa^(-h^beta) in delta
+    for h in (0, -1):
+        with pytest.raises(RecipeError, match="h must be a positive integer"):
+            recipe_params("poly", h=h, beta=1, alpha=2)
 
 
 def test_recipe_flex_with_sequence_diagnostics():

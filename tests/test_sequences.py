@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stacklab.intarith import floor_pow, floor_rational_pow, iroot
+from stacklab.intarith import POW_WORK_BOUND, ResourceGuard, floor_pow, floor_rational_pow, iroot
 from stacklab.sequences import (
     SamplingSequence,
     SequenceError,
@@ -27,6 +27,19 @@ def test_floor_pow_and_rational_pow():
     assert floor_pow(10, Fraction(3, 2)) == 31
     assert floor_rational_pow(Fraction(8, 2), Fraction(1)) == 4
     assert floor_rational_pow(Fraction(7, 2), Fraction(2)) == 12  # (3.5)^2 = 12.25
+
+
+def test_power_work_guard():
+    # floor(n^(p/q)) builds n^p: up to POW_WORK_BOUND bits it does, past
+    # that it refuses before building anything.
+    half = POW_WORK_BOUND // 2  # 2 is a 2-bit base
+    assert floor_pow(2, Fraction(half)) == 2**half
+    with pytest.raises(ResourceGuard, match="exponent 8193"):
+        floor_pow(2, Fraction(half + 1))
+    with pytest.raises(ResourceGuard, match="exponent 314159/100000"):
+        floor_pow(8, Fraction(314159, 100000))
+    with pytest.raises(ResourceGuard, match="exponent 3333333/10000000"):
+        floor_rational_pow(Fraction(8, 5), Fraction(3333333, 10**7))
 
 
 def test_generate_examples():
