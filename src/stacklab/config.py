@@ -148,12 +148,12 @@ _GENERIC_FIELDS = ("length", "floor_length", "q", "alphabet", "trial_cap")
 _OP_SCHEMA = {
     "entropy": (("stage", "length"), dict.fromkeys(("stage", "reference", "length", "count")),
                 ("stacking", "sequence")),
-    "profile": (("lengths",), {}, ("stacking", "sequence")),
+    "profile": (("lengths",), {"c": 1}, ("stacking", "sequence")),
     "seq": ((), {"limit": None}, ("sequence",)),
     "markov": (("period",), {"period": 2}, ()),
     "generic": (_GENERIC_FIELDS, dict.fromkeys(_GENERIC_FIELDS) | {"alphabet": 2},
                 ("stacking", "sequence")),
-    "bounds": (("phi", "cuts", "horizon"), {"horizon": None}, ("sequence",)),
+    "bounds": (("phi", "cuts", "horizon"), {"horizon": None, "c": 1}, ("sequence",)),
     "recipe": (("name", "h", "beta"), dict.fromkeys(("h", "L")), ()),
 }
 
@@ -186,8 +186,6 @@ def _validate_op(i: int, op: dict, docs: dict) -> None:
         )
     if "phi" in op and op["phi"] not in _GAUGES:
         raise ConfigError(f"operations[{i}].phi: must be one of {', '.join(_GAUGES)}")
-    if op.get("cuts") == "constant" and not (is_int(op.get("c", 1)) and op.get("c", 1) >= 1):
-        raise ConfigError(f"operations[{i}].c: must be an integer >= 1")
     for (name, choice), fields in _CHOICE_FIELDS.items():
         for field_name in fields:
             if op.get(name) == choice and field_name not in op:

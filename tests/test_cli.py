@@ -626,7 +626,7 @@ def test_config_fuzz_exits_with_documented_codes(tmp_path):
                 argv = ["run", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", "1"]
                 try:
                     code = main(argv)
-                except Exception as e:  # noqa: BLE001 - any escape is the finding
+                except Exception as e:  # any escape from main is a finding
                     code = f"{type(e).__name__}: {e}"
                 if code not in (EXIT_OK, EXIT_VALIDATION, EXIT_RESOURCE, EXIT_EXHAUSTED):
                     failures.append((name, field, "missing" if value is _MISSING else value, code))
