@@ -83,8 +83,10 @@ class SamplingSequence:
         if self.kind not in ("power", "nlog", "linear", "explicit"):
             raise SequenceError(f"unknown sequence kind {self.kind!r}")
         low = 1 if self.kind == "nlog" else 0  # nlog takes log n, power n^alpha
-        if not (is_int(self.n0) and self.n0 >= low and is_int(self.horizon)):
-            raise SequenceError(f"n0 must be an integer >= {low} and horizon an integer")
+        if not (is_int(self.n0) and self.n0 >= low):
+            raise SequenceError(f"n0 must be an integer >= {low}")
+        if not is_int(self.horizon):
+            raise SequenceError("horizon must be an integer")
         if self.horizon < self.n0:
             raise SequenceError("horizon must be >= n0")
         terms = tuple(self._raw_term(i) for i in range(self.n0, self.horizon + 1))

@@ -264,7 +264,7 @@ _POWER = {"kind": "power", "alpha": "3/2", "horizon": 4}
         ({"sequence": {"kind": "explicit", "values": [1, 2.5]}}, "sequence: explicit"),
         ({"caps": 3}, "caps:"),
         ({"sequence": {"kind": "explicit", "values": [1, 2], "n0": "x"}}, "sequence: n0"),
-        ({"sequence": dict(_POWER, horizon="x")}, "sequence: n0"),
+        ({"sequence": dict(_POWER, horizon="x")}, "sequence: horizon"),
         ({"sequence": dict(_POWER, n0=-1)}, "sequence: n0"),
         ({"sequence": {"kind": "nlog", "alpha": 1, "horizon": 4, "n0": 0}}, "sequence: n0"),
     ],
