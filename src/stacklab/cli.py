@@ -493,22 +493,21 @@ def execute(
     return reports
 
 
-def describe(cfg: ExperimentConfig, out=None) -> None:
+def describe(cfg: ExperimentConfig) -> None:
     """Print derived quantities without executing heavy work."""
-    out = out if out is not None else sys.stdout
-    print(f"config hash: {cfg.hash}", file=out)
-    print(f"seed: {cfg.seed}", file=out)
+    print(f"config hash: {cfg.hash}")
+    print(f"seed: {cfg.seed}")
     if cfg.stacking is not None:
         heights = cfg.stacking.heights()
-        print(f"heights: {', '.join(map(str, heights))}", file=out)
+        print(f"heights: {', '.join(map(str, heights))}")
         if cfg.stacking.spacer_cap is not None:
-            print(f"spacer cap: {cfg.stacking.spacer_cap}", file=out)
+            print(f"spacer cap: {cfg.stacking.spacer_cap}")
     if cfg.sequence is not None:
         d = cfg.sequence.describe()
-        print(f"sequence: {d}", file=out)
+        print(f"sequence: {d}")
     for i, op in enumerate(cfg.operations):
         kind = op["op"]
-        print(f"[{i}] op={kind}", file=out)
+        print(f"[{i}] op={kind}")
         if kind == "entropy" and cfg.stacking is not None:
             offsets = sampling_offsets(cfg.sequence, op["length"])
             K = valid_levels(cfg.stacking, op["stage"], offsets[-1] if offsets else 0)
@@ -521,22 +520,20 @@ def describe(cfg: ExperimentConfig, out=None) -> None:
                 f"    stage={op['stage']} reference={spec.reference} "
                 f"|K|={K.count} coverage={fmt(K.coverage)} "
                 f"alphabet={spec.alphabet_size(cfg.stacking)} path={path} windows={windows} "
-                f"decoder={'int64' if int64_decodes(cfg.stacking, op['stage']) else 'bigint'}",
-                file=out,
+                f"decoder={'int64' if int64_decodes(cfg.stacking, op['stage']) else 'bigint'}"
             )
         elif kind == "generic":
             h_n = cfg.stacking.heights()[-1]
             print(
                 f"    q={op['q']} candidate height >= {op['q'] * h_n} "
-                f"trial_cap={op['trial_cap']}",
-                file=out,
+                f"trial_cap={op['trial_cap']}"
             )
         elif kind == "recipe":
             rep = _run_recipe(cfg, op, 1)
             for line in rep.summary:
-                print(f"    {line}", file=out)
+                print(f"    {line}")
         elif kind == "markov":
-            print(f"    period={op['period']}", file=out)
+            print(f"    period={op['period']}")
 
 
 def verify(outdir: Path, out=None) -> int:

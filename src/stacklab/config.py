@@ -20,7 +20,6 @@ from .intarith import as_fraction, is_int
 from .sequences import SamplingSequence, SequenceError
 from .tower import StackingData, TowerError
 
-KNOWN_OPS = ("entropy", "profile", "seq", "markov", "generic", "bounds", "recipe")
 _CUT_SCHEDULES = ("constant", "power", "loglog")
 _GAUGES = ("log", "power", "exp_power")
 _RATIONALS = ("alpha", "beta", "gamma", "eps", "kappa", "lam")
@@ -156,6 +155,7 @@ _OP_SCHEMA = {
     "bounds": (("phi", "cuts", "horizon"), {"horizon": None, "c": 1}, ("sequence",)),
     "recipe": (("name", "h", "beta"), dict.fromkeys(("h", "L")), ()),
 }
+KNOWN_OPS = tuple(_OP_SCHEMA)
 
 
 def _validate_op(i: int, op: dict, docs: dict) -> None:

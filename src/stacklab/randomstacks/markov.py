@@ -4,14 +4,15 @@ Random binary spacers between repeats of a fixed block w of length H
 drive the linear recursion p_s = (p_{s-H} + p_{s-H-1})/2 for conditional
 symbol probabilities, whose companion matrix is an irreducible aperiodic
 (H+1)-state chain.  Three independent routes to the limiting conditional
-probabilities are provided: the chain route (stationary vector times an
-exactly enumerated initial window), a renewal-density closed form, and
-seeded Monte Carlo on the symbol stream itself.
+probabilities are provided: the chain route (the stationary vector that
+`stationary_distribution_exact` computes by state reduction, contracted
+with an exactly enumerated initial window), a renewal-density closed form,
+and seeded Monte Carlo on the symbol stream itself.
 
 Note on constants: the stationary vector of the companion chain is
 (2/(2H+1), ..., 2/(2H+1), 1/(2H+1)).  A commonly quoted variant with
-denominator 2H-1 does not normalize; this module always computes the
-vector rather than pinning printed constants.
+denominator 2H-1 does not normalize.  The chain route embeds neither:
+it computes the vector.
 """
 
 from __future__ import annotations
@@ -117,33 +118,34 @@ def stationary_distribution(model: MarkovModel) -> np.ndarray:
 
 
 def stationary_distribution_exact(model: MarkovModel) -> tuple[Fraction, ...]:
-    """Stationary vector by Gaussian elimination over the rationals."""
+    """Stationary vector over the rationals, by GTH state reduction
+    (Grassmann, Taksar and Heyman, Operations Research 33(5), 1985).
+
+    States are folded away from the last one down, each scaled by its
+    outflow to the lower states (a sum, so nothing is subtracted and no
+    pivot is sought); the vector is then rebuilt forwards and normalised.
+    A zero outflow means the chain is reducible (two closed classes, say)
+    and raises MarkovError.
+    """
     model.validate()
-    size = model.period + 1
-    # Rows of (A^T - I) with the last equation replaced by normalization.
-    M = [
-        [model.rows[j][i] - (1 if i == j else 0) for j in range(size)]
-        for i in range(size)
-    ]
-    M[-1] = [Fraction(1)] * size
-    rhs = [Fraction(0)] * (size - 1) + [Fraction(1)]
-    for col in range(size):
-        pivot = next(
-            (r for r in range(col, size) if M[r][col] != 0), None
-        )
-        if pivot is None:
-            raise MarkovError("singular stationary system")
-        M[col], M[pivot] = M[pivot], M[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(size):
-            if r != col and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
-                rhs[r] = rhs[r] - factor * rhs[col]
-    return tuple(rhs)
+    A = [list(row) for row in model.rows]
+    for k in range(len(A) - 1, 0, -1):
+        lower = [(j, x) for j, x in enumerate(A[k][:k]) if x]
+        outflow = sum(x for _, x in lower)
+        if not outflow:
+            raise MarkovError(
+                f"states {k + 1}..{len(A)} form a closed set: the chain is reducible"
+            )
+        for row in A[:k]:
+            if row[k]:
+                row[k] /= outflow
+                for j, x in lower:
+                    row[j] += row[k] * x
+    pi = [Fraction(1)]
+    for k in range(1, len(A)):
+        pi.append(sum(pi[i] * A[i][k] for i in range(k) if A[i][k]))
+    total = sum(pi)
+    return tuple(x / total for x in pi)
 
 
 # -- the repeated-block symbol stream -----------------------------------------
@@ -180,30 +182,16 @@ def _window_bits_needed(H: int, position: int) -> int:
     return position // H + 2
 
 
-def _check_period(word: tuple[int, ...], period: int | None) -> None:
-    if period is not None and period != len(word):
-        raise MarkovError(
-            f"declared period {period} disagrees with the pattern "
-            f"(g*h + b = {len(word)})"
-        )
-
-
 def conditional_limit_chain(
-    h: int,
-    pattern: Sequence[int],
-    l0: int,
-    l1: int,
-    position: int | None = None,
-    period: int | None = None,
+    h: int, pattern: Sequence[int], l0: int, l1: int, position: int | None = None
 ) -> Fraction:
     """Exact s -> infinity limit of P(symbol at n+s = l1 | symbol at n = l0).
 
     The initial window p_0..p_H is enumerated exactly over the few spacer
     bits it involves, then contracted with the stationary vector of the
-    companion chain.
+    companion chain, as computed by `stationary_distribution_exact`.
     """
     word = pattern_word(h, pattern)
-    _check_period(word, period)
     H = len(word)
     if position is None:
         position = _default_position(word, l0)
@@ -220,8 +208,8 @@ def conditional_limit_chain(
     if weight_l0 == 0:
         raise MarkovError(f"conditioning symbol {l0} has zero probability at {position}")
     p = [Fraction(c, weight_l0) for c in window]
-    c = Fraction(1, 2 * H + 1)
-    return 2 * c * sum(p[1:], Fraction(0)) + c * p[0]
+    pi = stationary_distribution_exact(build_markov_matrix(H))
+    return sum(pi[i] * p[H - i] for i in range(H + 1))
 
 
 def _default_position(word: tuple[int, ...], l0: int) -> int:
@@ -255,14 +243,9 @@ def symbol_density_limit(h: int, pattern: Sequence[int], l1: int) -> Fraction:
     raise MarkovError(f"symbol {l1} outside the alphabet")
 
 
-def chain_limit_report(
-    h: int, pattern: Sequence[int], l0: int, position: int | None = None
-) -> dict[int, Fraction]:
+def chain_limit_report(h: int, pattern: Sequence[int], l0: int) -> dict[int, Fraction]:
     """Chain-route limits for every target symbol, keyed by symbol."""
-    return {
-        l1: conditional_limit_chain(h, pattern, l0, l1, position)
-        for l1 in range(0, h + 1)
-    }
+    return {l1: conditional_limit_chain(h, pattern, l0, l1) for l1 in range(0, h + 1)}
 
 
 # -- Monte Carlo on the symbol stream -----------------------------------------
@@ -315,9 +298,7 @@ def conditional_limits_mc(
     separation: int,
     samples: int,
     seed: int,
-    position: int | None = None,
     workers: int = 1,
-    period: int | None = None,
 ) -> dict[int, McEstimate]:
     """Monte Carlo estimates of P(symbol at n+s = l1 | symbol at n = l0)
     for every target symbol l1, from a single pass over the stream.
@@ -326,10 +307,7 @@ def conditional_limits_mc(
     the limits; sampling is blocked so the result is identical for any
     worker count.
     """
-    word = pattern_word(h, pattern)
-    _check_period(word, period)
-    if position is None:
-        position = _default_position(word, l0)
+    position = _default_position(pattern_word(h, pattern), l0)
     blocks = [
         (h, tuple(pattern), l0, position, separation, seed, lo // _MC_BLOCK, hi - lo)
         for lo, hi in index_blocks(samples, _MC_BLOCK)

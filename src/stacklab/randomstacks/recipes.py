@@ -23,7 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..intarith import as_fraction, floor_pow, floor_rational_pow, is_int
+from ..intarith import ResourceGuard, as_fraction, floor_pow, floor_rational_pow, is_int
+
+# The most decimal digits a cut count q may have: Python's default limit for
+# turning an int into a string, which every report of q does.
+_MAX_CUT_DIGITS = 4300
 
 
 class RecipeError(ValueError):
@@ -46,6 +50,18 @@ class RecipeBundle:
     p_fail_horizon_floor: float | None  # floor denominator t_N
     p_fail_range_floor: float | None  # floor denominator m
     notes: tuple[str, ...] = ()
+
+
+def _check_cut_digits(log_exponent: float, base: float, form: str) -> None:
+    """Raise ResourceGuard before a cut count q = base^e of more than
+    _MAX_CUT_DIGITS decimal digits is built.  The exponent comes as ln e,
+    capped where e leaves the float range: past the cap, q is over the
+    bound for every float base above 1."""
+    if math.exp(min(log_exponent, 709.0)) * math.log10(base) >= _MAX_CUT_DIGITS:
+        raise ResourceGuard(
+            f"exponent too large: the cut count q = {form} would have more "
+            f"than {_MAX_CUT_DIGITS} decimal digits"
+        )
 
 
 def _p_fail(alphabet: int, N: int, q: int, denom: int, delta: float) -> float | None:
@@ -106,6 +122,7 @@ def recipe_params(
                     f"recipe 'nlog': floor length e^(h^beta + 1) overflows at h={h}"
                 )
             N0 = math.floor(math.exp(growth)) + 1
+        _check_cut_digits(math.log(N0), 2, "2^N0")
         q = 2**N0
         N = _ceil_frac(gamma * N0)
         notes.append("word length rounds up: N = ceil(gamma * N0)")
@@ -128,6 +145,7 @@ def recipe_params(
         if h <= L:
             notes.append("initial height at or below L; the construction wants h > L")
         eps = as_fraction(eps, "eps", RecipeError)
+        _check_cut_digits(float(beta) * math.log(h), float(kappa), "floor(kappa^(h^beta)) + 1")
         hb_exact = _exact_power(h, beta)
         if hb_exact is not None and isinstance(kappa, (int, Fraction)):
             kq = Fraction(kappa) ** hb_exact

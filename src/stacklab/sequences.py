@@ -59,7 +59,7 @@ class SamplingSequence:
         return cls(kind="nlog", horizon=horizon, n0=n0, coeff=float(coeff), alpha=float(alpha))
 
     @classmethod
-    def linear(cls, a: int, b: int = 0, horizon: int = 1 << 16, n0: int = 1) -> "SamplingSequence":
+    def linear(cls, a: int, b: int = 0, *, horizon: int, n0: int = 1) -> "SamplingSequence":
         if not is_int(a) or not is_int(b):
             raise SequenceError("linear sequence needs integer coefficients")
         if a < 1:

@@ -17,7 +17,7 @@ from stacklab.cli import (
     EXIT_VALIDATION,
     main,
 )
-from stacklab.config import ConfigError, config_hash, load_config, parse_rational
+from stacklab.config import KNOWN_OPS, ConfigError, config_hash, load_config, parse_rational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -86,14 +86,22 @@ def test_describe_recipe_flex(capsys, tmp_path):
           for alpha in (3.14159, "314159/100000", 0.3333333)),
         ["recipe", "--name", "poly", "--h", "10", "--alpha", "5", "--beta", "0.3333333"],
         ["recipe", "--name", "flex", "--h", "10", "--beta", "0.3333333", "--kappa", "2", "--L", "3"],
+        # Cut counts q of more digits than an int may print as.
+        ["recipe", "--name", "nlog", "--h", "10", "--alpha", "2", "--beta", "2"],
+        ["recipe", "--name", "poly", "--h", "100000", "--alpha", "3", "--beta", "2"],
+        ["recipe", "--name", "flex", "--h", "100000", "--beta", "1", "--kappa", "2", "--L", "3"],
+        ["run", {"op": "recipe", "name": "nlog", "h": 3, "alpha": 2, "beta": "5/2"}],
     ],
 )
 def test_large_exponents_hit_the_resource_guard(tmp_path, capsys, argv):
     # Exact roots of n^p with p near 10^6 once ran for minutes.
+    path = tmp_path / "cfg.json"
     if argv[0] == "describe":
-        path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sequence": argv[1], "operations": [{"op": "seq"}]}))
         argv = ["describe", "--config", str(path)]
+    elif argv[0] == "run":
+        path.write_text(json.dumps({"operations": [argv[1]]}))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "o")]
     start = time.perf_counter()
     assert main(argv) == EXIT_RESOURCE
     assert time.perf_counter() - start < 1.0
@@ -487,6 +495,45 @@ def test_bounds_subcommand(tmp_path):
     body = (out / "bounds.csv").read_text().splitlines()
     assert body[1] == "n,c_n,diag_balance,diag_phi,diag_binom,tau"
     assert len(body) == 2 + 99  # n runs 2..100
+
+
+@pytest.mark.parametrize("phi", ["log", "power", "exp_power"])
+@pytest.mark.parametrize("cuts", ["constant", "power", "loglog"])
+def test_bounds_op_every_cut_schedule_and_gauge(tmp_path, cuts, phi):
+    op = {"op": "bounds", "phi": phi, "cuts": cuts, "horizon": 100, "alpha": "3/2", "beta": "1/2"}
+    doc = {"sequence": {"kind": "power", "alpha": "3/2", "horizon": 200}, "operations": [op]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    body = (out / "bounds.csv").read_text().splitlines()
+    assert body[1] == "n,c_n,diag_balance,diag_phi,diag_binom,tau"
+    assert len(body) == 2 + 99  # n runs 2..100
+
+
+@pytest.mark.parametrize(
+    "sequence, described",
+    [
+        ({"kind": "linear", "a": 2, "b": 1, "horizon": 16},
+         {"kind": "linear", "n0": 1, "horizon": 16, "a": 2, "b": 1}),
+        # C = 1/2 gives term 0 at n = 1, so n0 moves to 2.
+        ({"kind": "nlog", "C": "1/2", "alpha": 1, "horizon": 16},
+         {"kind": "nlog", "n0": 2, "horizon": 16, "C": 0.5, "alpha": 1.0, "requested_n0": 1}),
+    ],
+)
+def test_describe_and_run_seq_op(capsys, tmp_path, sequence, described):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequence": sequence, "operations": [{"op": "seq"}]}))
+    assert main(["describe", "--config", str(path)]) == EXIT_OK
+    assert f"sequence: {described}\n" in capsys.readouterr().out
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    summary = (out / "summary.txt").read_text()
+    assert f"seq: kind={described['kind']} n0={described['n0']} horizon=16\n" in summary
+
+
+def test_every_known_op_has_a_runner():
+    assert set(cli._RUNNERS) == set(KNOWN_OPS)
 
 
 def test_seq_subcommands(capsys, tmp_path):

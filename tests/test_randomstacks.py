@@ -23,7 +23,7 @@ from stacklab.randomstacks import (
     symbol_density_limit,
 )
 from stacklab.randomstacks.generic import evaluate_candidate
-from stacklab.randomstacks.markov import MarkovError
+from stacklab.randomstacks.markov import MarkovError, MarkovModel
 from stacklab.randomstacks.recipes import RecipeError
 from stacklab.sequences import SamplingSequence
 from stacklab.tower import StackingData
@@ -103,8 +103,31 @@ def test_stationary_examples():
     assert exact == (Fraction(2, 7), Fraction(2, 7), Fraction(2, 7), Fraction(1, 7))
     exact = stationary_distribution_exact(build_markov_matrix(2))
     assert exact == (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5))
-    for H in (2, 5, 17):
-        assert sum(stationary_distribution_exact(build_markov_matrix(H))) == 1
+    for H in range(2, 65):
+        c = Fraction(1, 2 * H + 1)
+        assert stationary_distribution_exact(build_markov_matrix(H)) == (2 * c,) * H + (c,)
+
+
+def _model(rows) -> MarkovModel:
+    return MarkovModel(
+        period=len(rows) - 1, rows=tuple(tuple(Fraction(x) for x in row) for row in rows)
+    )
+
+
+def test_stationary_exact_general_chain():
+    # Irreducible, aperiodic (cycles of length 2 and 3), not reversible and
+    # not a companion matrix; pi = pi P solved by hand.
+    model = _model([[0, "1/2", "1/2"], ["1/3", 0, "2/3"], [1, 0, 0]])
+    exact = stationary_distribution_exact(model)
+    assert exact == (Fraction(3, 7), Fraction(3, 14), Fraction(5, 14))
+    assert np.max(np.abs(stationary_distribution(model) - [float(x) for x in exact])) < 1e-12
+
+
+def test_stationary_exact_rejects_two_closed_classes():
+    # States 1 and 3 are absorbing, so every mix of them is stationary.
+    model = _model([[1, 0, 0], ["1/2", 0, "1/2"], [0, 0, 1]])
+    with pytest.raises(MarkovError, match="closed set"):
+        stationary_distribution_exact(model)
 
 
 def test_stationary_power_vs_solve_agreement():
