@@ -378,17 +378,13 @@ def _run_bounds(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
 
 
 def _recipe_bundle(op: dict, sequence):
-    return recipe_params(
-        op["name"],
-        h=op["h"],
-        beta=parse_rational(op["beta"], "beta"),
-        alpha=parse_rational(op["alpha"], "alpha") if "alpha" in op else None,
-        gamma=parse_rational(op.get("gamma", "3/2"), "gamma"),
-        eps=parse_rational(op.get("eps", "1/10"), "eps"),
-        kappa=parse_rational(op["kappa"], "kappa") if "kappa" in op else None,
-        L=op.get("L"),
-        A=sequence,
-    )
+    """`recipe_params` on the op's fields; those it lacks take its defaults."""
+    rationals = {
+        name: parse_rational(op[name], name)
+        for name in ("beta", "alpha", "gamma", "eps", "kappa")
+        if name in op
+    }
+    return recipe_params(op["name"], h=op["h"], L=op.get("L"), A=sequence, **rationals)
 
 
 def _run_recipe(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -666,8 +662,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_recipe.add_argument("--alpha", default=None)
     p_recipe.add_argument("--kappa", default=None)
     p_recipe.add_argument("--L", type=int, default=None)
-    p_recipe.add_argument("--gamma", default="3/2")
-    p_recipe.add_argument("--eps", default="1/10")
+    p_recipe.add_argument("--gamma", default=None)
+    p_recipe.add_argument("--eps", default=None)
     p_recipe.add_argument("--config", default=None, help="optional, supplies the sequence")
     p_recipe.add_argument("--seed", type=int, default=None)
 
@@ -696,8 +692,9 @@ def _dispatch(args) -> int:
             raise SearchExhausted("no spacer sequence accepted within the trial cap")
         return EXIT_OK
     if args.command == "markov":
+        rows = _run_markov(None, {"period": args.period}, 1).rows
         print("state,stationary,exact")
-        for state, p, num, den in _run_markov(None, {"period": args.period}, 1).rows:
+        for state, p, num, den in rows:
             print(f"{state},{fmt(p)},{num}/{den}")
         return EXIT_OK
     if args.command == "recipe":

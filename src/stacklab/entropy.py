@@ -155,7 +155,7 @@ def empirical_sequence_entropy(
     method: str = "exact",
     sample_count: int | None = None,
     seed: int = 0,
-    word_cap: int = DEFAULT_WORD_CAP,
+    word_cap: int | None = DEFAULT_WORD_CAP,
     workers: int = 1,
 ) -> EntropyResult:
     """Empirical (1/N) H of the length-N coded-orbit histogram over K.
@@ -359,26 +359,21 @@ def subsequence_entropy_check(
     """Full join entropy vs the join restricted to sample indices J.
 
     Both sides are conditioned on the same valid-level set (the one for
-    the full horizon t_N), so join monotonicity holds exactly.
+    the full horizon t_N), so join monotonicity holds exactly: the
+    restricted histogram is the full one projected onto J.
     """
-    offsets = sampling_offsets(A, length)
     picks = sorted(set(J))
     if any(j < 1 or j > length for j in picks):
         raise EntropyError("J must be a subset of [1, N]")
-    t_max = offsets[-1] if offsets else 0
-    levels = valid_levels(sd, n, t_max)
-    if levels.count == 0:
-        raise EntropyError("empty valid-level set")
-    full = exact_word_counts(levels, spec, offsets, workers=workers)[0]
+    hist = empirical_sequence_entropy(
+        sd, spec, n, A, length, word_cap=None, workers=workers
+    ).histogram
     restricted: Counter = Counter()
-    for word, c in full.items():
+    for word, c in hist.counts.items():
         restricted[tuple(word[j - 1] for j in picks)] += c
-    total = levels.count
-    h_full = sum(plogp(c / total) for c in full.values())
-    h_restricted = sum(plogp(c / total) for c in restricted.values())
     return SubsequenceCheck(
-        full_nats=h_full,
-        restricted_nats=h_restricted,
+        full_nats=hist.entropy_nats(),
+        restricted_nats=sum(plogp(c / hist.total) for c in restricted.values()),
         density=len(picks) / length if length else 0.0,
     )
 

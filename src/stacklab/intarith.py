@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# The most bits that floor_pow and floor_rational_pow let a power n^p of
-# the exponent's numerator take (p * bit_length(n)).  Root extraction slows
+# The most bits that floor_pow lets a power of the base's numerator or
+# denominator to the exponent's numerator p take.  Root extraction slows
 # sharply with p: at this bound it takes up to about 60 ms, at p near 10^6 it
 # runs for minutes.  Tests and benchmark workloads reach 51 bits.
 POW_WORK_BOUND = 1 << 14
@@ -49,6 +49,8 @@ def iroot(x: int, k: int) -> int:
         raise ValueError("root order must be >= 1")
     if k == 1 or x in (0, 1):
         return x
+    if k >= x.bit_length():
+        return 1  # 1 < x < 2^k
     if k == 2:
         return math.isqrt(x)
     # Newton iteration on integers; the initial guess 2^ceil(bits/k) is >= root.
@@ -65,41 +67,23 @@ def iroot(x: int, k: int) -> int:
     return guess
 
 
-def _check_work(exponent: Fraction, *bases: int) -> None:
-    """Raise ResourceGuard before a power base^p above POW_WORK_BOUND bits."""
-    work = exponent.numerator * max(b.bit_length() for b in bases)
+def floor_pow(base, exponent: Fraction) -> int:
+    """floor(base ** exponent) for a rational base >= 0 (an int or a
+    Fraction) and a rational exponent >= 0, exactly.
+
+    With base = num/den and exponent = p/q this is the integer q-th root of
+    floor(num^p / den^p): a q-th root m <= y^(1/q) has m^q <= floor(y), as
+    m^q is an integer, so flooring the radicand first changes nothing.
+    """
+    num, den = base.numerator, base.denominator
+    p, q = exponent.numerator, exponent.denominator
+    if num < 0 or p < 0:
+        raise ValueError("floor_pow requires nonnegative base and exponent")
+    # An int base has den = 1, whose power costs nothing.
+    work = p * max(num.bit_length(), den.bit_length() if den > 1 else 0)
     if work > POW_WORK_BOUND:
         raise ResourceGuard(
             f"exponent {exponent} needs a power of {work} bits, above the "
             f"bound of {POW_WORK_BOUND}"
         )
-
-
-def floor_pow(n: int, exponent: Fraction) -> int:
-    """floor(n ** exponent) for integer n >= 0 and rational exponent >= 0."""
-    p, q = exponent.numerator, exponent.denominator
-    if n < 0 or p < 0:
-        raise ValueError("floor_pow requires nonnegative base and exponent")
-    _check_work(exponent, n)
-    return iroot(n**p, q)
-
-
-def floor_rational_pow(base: Fraction, exponent: Fraction) -> int:
-    """floor(base ** exponent) for rational base >= 0, rational exponent >= 0.
-
-    The result m is the largest integer with m^q * den^p <= num^p where
-    base = num/den and exponent = p/q; comparisons are exact.
-    """
-    num, den = base.numerator, base.denominator
-    p, q = exponent.numerator, exponent.denominator
-    if num < 0 or p < 0:
-        raise ValueError("floor_rational_pow requires nonnegative arguments")
-    _check_work(exponent, num, den)
-    target_num = num**p
-    target_den = den**p
-    m = iroot(target_num // target_den, q)
-    while (m + 1) ** q * target_den <= target_num:
-        m += 1
-    while m > 0 and m**q * target_den > target_num:
-        m -= 1
-    return m
+    return iroot(num**p // den**p, q)

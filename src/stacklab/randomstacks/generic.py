@@ -16,7 +16,10 @@ from typing import Sequence
 
 from ..rng import SPACER_RNG_ID, SpacerProcess
 from ..sequences import sampling_offsets
-from ..tower import CodingSpec, Stage, StackingData, exact_word_counts, valid_levels
+from ..tower import (
+    SEEDED_STAGE_GUARD, CodingSpec, ResourceGuard, Stage, StackingData, exact_word_counts,
+    valid_levels,
+)
 
 
 class GenericSearchError(ValueError):
@@ -159,6 +162,11 @@ def genericness_search(
     """
     if q < 2:
         raise GenericSearchError("candidate cut count q must be >= 2")
+    if q - 1 > SEEDED_STAGE_GUARD:
+        raise ResourceGuard(
+            f"candidate cut count q={q} draws more spacers than the expansion "
+            f"guard ({SEEDED_STAGE_GUARD})"
+        )
     if trial_cap < 1:
         raise GenericSearchError("trial cap must be positive")
     if N < 1:

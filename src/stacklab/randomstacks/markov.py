@@ -25,8 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
+from ..intarith import ResourceGuard
 from ..parallel import index_blocks, run_blocks
 from ..rng import BULK_RNG_ID, bulk_generator
+
+
+# The largest period H the chain is built for.  Its (H+1)^2 Fractions and
+# the exact solver grow with H^2: the markov op takes about 7 s at 1024 and
+# 18 s at 1536, and 10^8 runs out of memory.
+MAX_PERIOD = 1024
 
 
 class MarkovError(ValueError):
@@ -35,15 +42,13 @@ class MarkovError(ValueError):
 
 @dataclass(frozen=True)
 class MarkovModel:
-    """(H+1)x(H+1) row-stochastic companion matrix, exact entries."""
+    """(H+1)x(H+1) row-stochastic matrix, exact entries, checked once at
+    construction."""
 
     period: int
     rows: tuple[tuple[Fraction, ...], ...]
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         size = self.period + 1
         if len(self.rows) != size or any(len(r) != size for r in self.rows):
             raise MarkovError("matrix shape disagrees with the period")
@@ -52,6 +57,9 @@ class MarkovModel:
                 raise MarkovError(f"row {i + 1} does not sum to 1")
             if any(x < 0 for x in row):
                 raise MarkovError(f"row {i + 1} has a negative entry")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
 
 
 def build_markov_matrix(H: int) -> MarkovModel:
@@ -62,6 +70,8 @@ def build_markov_matrix(H: int) -> MarkovModel:
     """
     if H < 2:
         raise MarkovError("period H must be >= 2")
+    if H > MAX_PERIOD:
+        raise ResourceGuard(f"period {H} is above the bound of {MAX_PERIOD}")
     size = H + 1
     half = Fraction(1, 2)
     rows = []
@@ -88,7 +98,6 @@ def stationary_distribution(model: MarkovModel) -> np.ndarray:
     residual of _RESIDUAL_TOL, cross-checked against a direct linear solve;
     the two must agree to _AGREE_TOL.
     """
-    model.validate()
     A = model.as_array()
     size = A.shape[0]
     B = A.copy()
@@ -127,7 +136,6 @@ def stationary_distribution_exact(model: MarkovModel) -> tuple[Fraction, ...]:
     A zero outflow means the chain is reducible (two closed classes, say)
     and raises MarkovError.
     """
-    model.validate()
     A = [list(row) for row in model.rows]
     for k in range(len(A) - 1, 0, -1):
         lower = [(j, x) for j, x in enumerate(A[k][:k]) if x]

@@ -9,7 +9,9 @@ Three recipes are provided, named for the sampling regime they target:
   N0 = floor(e^(h^beta + 1)) + 1 and q = 2^N0.
 * "flex":  bounded spacers in [0, L-1] at the critical alpha = 1 + 1/beta;
   q = floor(kappa^(h^beta)) + 1 and the word length is
-  N = floor(((h-2)/alpha)^beta) - 1.
+  N = floor(((h-2)/alpha)^beta) - 1.  q is exact when h^beta is an
+  integer; otherwise it is computed from floats, and only below 2^53,
+  where a double still holds every integer.
 
 All integer outputs are exact; failure-probability diagnostics are floats
 and come in two variants that differ in the denominator of the Hoeffding
@@ -23,19 +25,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..intarith import ResourceGuard, as_fraction, floor_pow, floor_rational_pow, is_int
+from ..intarith import ResourceGuard, as_fraction, floor_pow, is_int
 
 # The most decimal digits a cut count q may have: Python's default limit for
 # turning an int into a string, which every report of q does.
 _MAX_CUT_DIGITS = 4300
 
+# A cut count computed from floats is exact only below 2^53: above it a
+# double no longer holds every integer.
+_FLOAT_EXACT = 1 << 53
+
 
 class RecipeError(ValueError):
     """Parameters outside a recipe's stated range."""
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,14 @@ class RecipeBundle:
     p_fail_horizon_floor: float | None  # floor denominator t_N
     p_fail_range_floor: float | None  # floor denominator m
     notes: tuple[str, ...] = ()
+
+
+def _float(value, name: str) -> float:
+    """`value` as a float; past the float range, ResourceGuard naming `name`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ResourceGuard(f"{name} is too large for a float") from None
 
 
 def _check_cut_digits(log_exponent: float, base: float, form: str) -> None:
@@ -116,15 +126,14 @@ def recipe_params(
         if name == "poly":
             N0 = floor_pow(h, beta) + 1
         else:
-            growth = float(h) ** float(beta) + 1.0
-            if growth > 700.0:
-                raise RecipeError(
-                    f"recipe 'nlog': floor length e^(h^beta + 1) overflows at h={h}"
-                )
-            N0 = math.floor(math.exp(growth)) + 1
+            # ln N0 is about h^beta + 1 = e^(beta ln h) + 1: check it before
+            # e^(h^beta + 1) can leave the float range.
+            beta_f = _float(beta, "beta")
+            _check_cut_digits(math.exp(min(beta_f * math.log(h), 709.0)) + 1.0, 2, "2^N0")
+            N0 = math.floor(math.exp(_float(h, "h") ** beta_f + 1.0)) + 1
         _check_cut_digits(math.log(N0), 2, "2^N0")
         q = 2**N0
-        N = _ceil_frac(gamma * N0)
+        N = math.ceil(gamma * N0)
         notes.append("word length rounds up: N = ceil(gamma * N0)")
         exp_delta = -float((Fraction(1, 2) / gamma - eps) * N)
         delta = 2.0**exp_delta
@@ -145,22 +154,30 @@ def recipe_params(
         if h <= L:
             notes.append("initial height at or below L; the construction wants h > L")
         eps = as_fraction(eps, "eps", RecipeError)
-        _check_cut_digits(float(beta) * math.log(h), float(kappa), "floor(kappa^(h^beta)) + 1")
+        beta_f, kappa_f = _float(beta, "beta"), _float(kappa, "kappa")
+        _check_cut_digits(beta_f * math.log(h), kappa_f, "floor(kappa^(h^beta)) + 1")
         hb_exact = _exact_power(h, beta)
+        hb_f = _float(h, "h") ** beta_f
         if hb_exact is not None and isinstance(kappa, (int, Fraction)):
-            kq = Fraction(kappa) ** hb_exact
-            q = kq.numerator // kq.denominator + 1
+            q = math.floor(Fraction(kappa) ** hb_exact) + 1
         else:
-            q = math.floor(float(kappa) ** (float(h) ** float(beta))) + 1
+            # Past 2^64 by logs q is over the bound, and the power may overflow.
+            small = hb_f * math.log2(kappa_f) < 64.0
+            q = math.floor(kappa_f**hb_f) + 1 if small else _FLOAT_EXACT
+            if q >= _FLOAT_EXACT:
+                raise ResourceGuard(
+                    "q = floor(kappa^(h^beta)) + 1 reaches 2^53 with h^beta not an "
+                    "integer, and a double no longer holds every integer there"
+                )
         if h > 2:
-            N = floor_rational_pow(Fraction(h - 2) / alpha, beta) - 1
+            N = floor_pow(Fraction(h - 2) / alpha, beta) - 1
         else:
             N = 0
         if N < 1:
             N = None
             notes.append("word-length rule gives N < 1 at this height")
         N0 = None
-        delta = float(kappa) ** (-(0.5 - float(eps)) * float(h) ** float(beta))
+        delta = kappa_f ** (-(0.5 - float(eps)) * hb_f)
         alphabet = h + L
     else:
         raise RecipeError(f"unknown recipe {name!r}")

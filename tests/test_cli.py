@@ -3,6 +3,10 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -106,6 +110,88 @@ def test_large_exponents_hit_the_resource_guard(tmp_path, capsys, argv):
     assert main(argv) == EXIT_RESOURCE
     assert time.perf_counter() - start < 1.0
     assert "resource guard: exponent" in capsys.readouterr().err
+
+
+def _load_probe_doc() -> dict:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", FIXTURES.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.probe_doc()
+
+
+def _probe_tower_entropy(**op) -> dict:
+    """The 79-bit perfbench probe tower with one exact entropy op."""
+    return {**_load_probe_doc(), "operations": [{"op": "entropy", "length": 8, **op}]}
+
+
+_TINY_OP = TINY_DOC["operations"][0]
+_GENERIC_OP = {"op": "generic", "length": 2, "floor_length": 0, "q": 10**12,
+               "alphabet": 2, "trial_cap": 1}
+_HUGE_H = str(10**400)
+# Each probe once hung, exhausted memory or ended in a traceback.
+_PROBES = {
+    "power-root-order": (["describe", {"sequence": {"kind": "power", "alpha": "1e-400",
+                                                    "horizon": 8}, "operations": [{"op": "seq"}]}],
+                         EXIT_VALIDATION, "strictly increasing"),
+    "flex-root-order": (["recipe", "--name", "flex", "--h", "3", "--beta", "1e-400",
+                         "--kappa", "2", "--L", "3"], EXIT_OK, ""),
+    "flex-kappa-float": (["recipe", "--name", "flex", "--h", "3", "--beta", "1",
+                          "--kappa", "1e400", "--L", "3"], EXIT_RESOURCE, "kappa"),
+    "flex-float-power": (["recipe", "--name", "flex", "--h", "5", "--beta", "3/2",
+                          "--kappa", "1e100", "--L", "3"], EXIT_RESOURCE, "q = "),
+    "flex-h-float": (["recipe", "--name", "flex", "--h", _HUGE_H, "--beta", "1/1000",
+                      "--kappa", "2", "--L", "3"], EXIT_RESOURCE, "h is too large"),
+    "flex-q-above-2^53": (["recipe", "--name", "flex", "--h", "5", "--beta", "3/2",
+                           "--kappa", "30", "--L", "3"], EXIT_RESOURCE, "reaches 2^53"),
+    "nlog-h30": (["recipe", "--name", "nlog", "--h", "30", "--alpha", "1", "--beta", "2"],
+                 EXIT_RESOURCE, "the cut count q = 2^N0"),
+    "nlog-h10": (["recipe", "--name", "nlog", "--h", "10", "--alpha", "2", "--beta", "2"],
+                 EXIT_RESOURCE, "the cut count q = 2^N0"),
+    "nlog-h-400-digits": (["recipe", "--name", "nlog", "--h", _HUGE_H, "--alpha", "1",
+                           "--beta", "2"], EXIT_RESOURCE, "the cut count q = 2^N0"),
+    "exact-enumeration": (["run", _probe_tower_entropy(stage=8, reference=8)],
+                          EXIT_RESOURCE, "into blocks"),
+    "exact-lifted-windows": (["run", _probe_tower_entropy(stage=8, reference=7)],
+                             EXIT_RESOURCE, "into blocks"),
+    "sampled-draws": (["run", {**TINY_DOC, "operations": [
+        {**_TINY_OP, "method": "sampled", "count": 10**12}]}], EXIT_RESOURCE, "into blocks"),
+    "markov-period": (["markov", "--period", str(10**8)], EXIT_RESOURCE, "period"),
+    "markov-op-period": (["run", {"operations": [{"op": "markov", "period": 1025}]}],
+                         EXIT_RESOURCE, "period"),
+    "generic-q": (["run", {**TINY_DOC, "operations": [_GENERIC_OP]}],
+                  EXIT_RESOURCE, "expansion guard"),
+}
+_PROBE_SECONDS = 2.0
+_PROBE_BYTES = 2 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_PROBE_BYTES, _PROBE_BYTES))
+
+
+@pytest.mark.parametrize("argv, code, message", _PROBES.values(), ids=_PROBES.keys())
+def test_probes_exit_with_documented_codes(tmp_path, argv, code, message):
+    # In its own process under a wall-clock and address-space limit, so a
+    # probe that hangs or allocates without bound fails instead of stalling
+    # the suite or exhausting memory.
+    if isinstance(argv[1], dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(argv[1]))
+        argv = [argv[0], "--config", str(path)]
+        if argv[0] == "run":
+            argv += ["--out", str(tmp_path / "o")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stacklab.cli", *argv], capture_output=True, text=True,
+        env=env, timeout=_PROBE_SECONDS, preexec_fn=_limit_address_space,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
 
 
 def test_run_golden_fixture(tmp_path):
@@ -469,13 +555,8 @@ def test_telemetry_leaves_csvs_and_summary_unchanged(tmp_path, monkeypatch):
 
 
 def test_sampled_entropy_on_tower_above_64_bits(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", FIXTURES.parent / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(workloads.probe_doc()))
+    path.write_text(json.dumps(_load_probe_doc()))
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
     assert main(["verify", "--out", str(out)]) == EXIT_OK

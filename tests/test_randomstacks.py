@@ -93,7 +93,6 @@ def test_matrix_shape_H2():
 def test_matrix_rows_sum_and_mixing():
     for H in range(2, 11):
         m = build_markov_matrix(H)
-        m.validate()
         assert all(sum(row) == 1 for row in m.rows)
         assert is_irreducible_aperiodic(m.as_array())
 
@@ -112,6 +111,19 @@ def _model(rows) -> MarkovModel:
     return MarkovModel(
         period=len(rows) - 1, rows=tuple(tuple(Fraction(x) for x in row) for row in rows)
     )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, "1/2", "1/3"], [1, 0, 0], [0, 1, 0]], "row 1 does not sum to 1"),
+        ([[0, "1/2", "1/2"], [2, -1, 0], [0, 1, 0]], "row 2 has a negative entry"),
+        ([[0, 1], [1, 0], [1, 0]], "shape disagrees with the period"),
+    ],
+)
+def test_markov_model_rejects_at_construction(rows, message):
+    with pytest.raises(MarkovError, match=message):
+        _model(rows)
 
 
 def test_stationary_exact_general_chain():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stacklab.intarith import POW_WORK_BOUND, ResourceGuard, floor_pow, floor_rational_pow, iroot
+from stacklab.intarith import POW_WORK_BOUND, ResourceGuard, floor_pow, iroot
 from stacklab.sequences import (
     SamplingSequence,
     SequenceError,
@@ -20,13 +20,18 @@ def test_iroot_exact():
         for k in (1, 2, 3, 5, 7):
             r = iroot(x, k)
             assert r**k <= x < (r + 1) ** k
+    # A root order at or above the radicand's bit length once hung in Newton's
+    # first step, which builds guess^(k-1).
+    assert iroot(3, 10**40) == 1
 
 
 def test_floor_pow_and_rational_pow():
     assert floor_pow(8, Fraction(4, 3)) == 16
     assert floor_pow(10, Fraction(3, 2)) == 31
-    assert floor_rational_pow(Fraction(8, 2), Fraction(1)) == 4
-    assert floor_rational_pow(Fraction(7, 2), Fraction(2)) == 12  # (3.5)^2 = 12.25
+    assert floor_pow(Fraction(8, 2), Fraction(1)) == 4
+    assert floor_pow(Fraction(7, 2), Fraction(2)) == 12  # (3.5)^2 = 12.25
+    assert floor_pow(Fraction(7, 2), Fraction(1, 10**40)) == 1
+    assert floor_pow(Fraction(1, 2), Fraction(1, 10**40)) == 0
 
 
 def test_power_work_guard():
@@ -39,7 +44,7 @@ def test_power_work_guard():
     with pytest.raises(ResourceGuard, match="exponent 314159/100000"):
         floor_pow(8, Fraction(314159, 100000))
     with pytest.raises(ResourceGuard, match="exponent 3333333/10000000"):
-        floor_rational_pow(Fraction(8, 5), Fraction(3333333, 10**7))
+        floor_pow(Fraction(8, 5), Fraction(3333333, 10**7))
 
 
 def test_generate_examples():
