@@ -17,7 +17,9 @@ from typing import Callable, Sequence
 
 from .intarith import floor_pow
 from .sequences import SamplingSequence, max_gap, sampling_offsets
-from .tower import CodingSpec, StackingData, exact_word_counts, valid_levels
+from .tower import (
+    CodingSpec, StackingData, decode_words, exact_word_counts, symbol_width, valid_levels,
+)
 
 
 class BoundsError(ValueError):
@@ -48,8 +50,9 @@ def brute_force_words(
     if N == 0:
         return {()}
     levels = valid_levels(sd, n, offsets[-1])
-    words = exact_word_counts(levels, CodingSpec(r), offsets, level_cap=level_cap)[0]
-    return set(words)
+    spec = CodingSpec(r)
+    keys = exact_word_counts(levels, spec, offsets, level_cap=level_cap)[0]
+    return set(decode_words(keys, symbol_width(sd, spec)))
 
 
 # -- tower selection -----------------------------------------------------------

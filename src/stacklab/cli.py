@@ -55,7 +55,7 @@ from .sequences import (
     sampling_offsets,
 )
 from .tower import (
-    CodingSpec, ResourceGuard, TowerError, exact_plan, int64_decodes, valid_levels,
+    CodingSpec, ResourceGuard, TowerError, exact_plan, int64_decodes, symbol_width, valid_levels,
 )
 
 EXIT_OK = 0
@@ -113,6 +113,7 @@ class Report:
     accepted: bool | None = None  # searches only
     paths: tuple[str, ...] = ()  # entropy paths taken, for meta.json only
     windows: tuple[int, ...] = ()  # windows decoded per entropy point, meta.json only
+    keys: tuple[dict, ...] = ()  # distinct words and key bytes per entropy op, meta.json only
 
 
 # -- operation runners ---------------------------------------------------------
@@ -176,6 +177,8 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         summary=summary,
         paths=(hist.path,),
         windows=(hist.windows,),
+        keys=({"distinct_words": hist.distinct_words,
+               "key_bytes": hist.distinct_words * hist.key_bytes},),
     )
 
 
@@ -480,6 +483,7 @@ def execute(
         "outputs": filenames,
         "paths": {name: list(r.paths) for name, r in zip(filenames, reports) if r.paths},
         "windows": {name: list(r.windows) for name, r in zip(filenames, reports) if r.windows},
+        "keys": {name: list(r.keys) for name, r in zip(filenames, reports) if r.keys},
         "sha256": digests,
         "created_unix": time.time(),
     }
@@ -516,7 +520,8 @@ def describe(cfg: ExperimentConfig) -> None:
                 f"    stage={op['stage']} reference={spec.reference} "
                 f"|K|={K.count} coverage={fmt(K.coverage)} "
                 f"alphabet={spec.alphabet_size(cfg.stacking)} path={path} windows={windows} "
-                f"decoder={'int64' if int64_decodes(cfg.stacking, op['stage']) else 'bigint'}"
+                f"decoder={'int64' if int64_decodes(cfg.stacking, op['stage']) else 'bigint'} "
+                f"key_bytes={symbol_width(cfg.stacking, spec) * op['length']}"
             )
         elif kind == "generic":
             h_n = cfg.stacking.heights()[-1]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .sequences import sampling_offsets
 from .tower import (
@@ -21,7 +21,9 @@ from .tower import (
     StackingData,
     WordCapExceeded,
     blocked_word_counts,
+    decode_words,
     exact_word_counts,
+    symbol_width,
     valid_levels,
 )
 
@@ -107,10 +109,12 @@ class WordHistogram:
     per-level weight is uniform, so frequencies are count/total.  `path` is
     how the counts were built: "compressed" (lifted through the stacking
     grammar), "enumerate" (every valid level decoded) or "sampled", and
-    `windows` the orbit windows it decoded.
+    `windows` the orbit windows it decoded.  Each key of `counts` is a
+    word's symbols as `symbol_width`-byte little-endian integers
+    (`tower.encode_word`); `words()` decodes them.
     """
 
-    counts: Mapping[tuple[int, ...], int]
+    counts: Mapping[bytes, int]
     total: int
     stage: int
     reference: int
@@ -123,13 +127,22 @@ class WordHistogram:
     coverage: float
     path: str
     windows: int
+    symbol_width: int
 
     def __post_init__(self) -> None:
         if self.total != sum(self.counts.values()):
             raise EntropyError("histogram counts do not sum to the total")
-        for w in self.counts:
-            if len(w) != self.word_length:
-                raise EntropyError("histogram key with wrong word length")
+        if set(map(len, self.counts)) - {self.key_bytes}:
+            raise EntropyError("histogram key with wrong word length")
+
+    @property
+    def key_bytes(self) -> int:
+        """Bytes in one key: word length times symbol width."""
+        return self.word_length * self.symbol_width
+
+    def words(self) -> Iterator[tuple[int, ...]]:
+        """The words of `counts` as tuples of symbols, in its order."""
+        return decode_words(self.counts, self.symbol_width)
 
     def entropy_nats(self) -> float:
         return sum(plogp(c / self.total) for c in self.counts.values())
@@ -184,7 +197,7 @@ def empirical_sequence_entropy(
     else:
         raise EntropyError(f"unknown method {method!r}")
     hist = WordHistogram(
-        counts=dict(counts),
+        counts=counts,
         total=total,
         stage=n,
         reference=spec.reference,
@@ -197,6 +210,7 @@ def empirical_sequence_entropy(
         coverage=levels.coverage,
         path=path,
         windows=windows,
+        symbol_width=symbol_width(sd, spec),
     )
     h = hist.entropy_nats()
     per = h / length if length > 0 else 0.0
@@ -368,9 +382,10 @@ def subsequence_entropy_check(
     hist = empirical_sequence_entropy(
         sd, spec, n, A, length, word_cap=None, workers=workers
     ).histogram
+    w = hist.symbol_width
     restricted: Counter = Counter()
     for word, c in hist.counts.items():
-        restricted[tuple(word[j - 1] for j in picks)] += c
+        restricted[b"".join([word[(j - 1) * w : j * w] for j in picks])] += c
     return SubsequenceCheck(
         full_nats=hist.entropy_nats(),
         restricted_nats=sum(plogp(c / hist.total) for c in restricted.values()),

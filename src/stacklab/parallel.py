@@ -6,13 +6,17 @@ on a process pool and merged in block order, so results are identical for
 any number of workers.  Each pool worker receives the block function and
 the whole block list once, through the pool initializer (inherited without
 pickling under the fork start method, pickled once per worker otherwise),
-and is then sent only block indices.
+and is then sent only block indices.  Results are handed over one block at
+a time, so a consumer that stops early (a guard tripped, an error raised)
+leaves the remaining blocks unrun, and only the merged result need be
+held, not every block's.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .intarith import ResourceGuard
 
@@ -52,10 +56,25 @@ def _run_block(index: int):
     return _worker_fn(_worker_blocks[index])
 
 
-def run_blocks(fn: Callable[[A], R], blocks: Sequence[A], workers: int = 1) -> list[R]:
+def run_blocks(fn: Callable[[A], R], blocks: Sequence[A], workers: int = 1) -> Iterator[R]:
+    """`fn` of each block, yielded in block order.
+
+    On a pool, at most two blocks per worker are submitted, counting the
+    one whose result is awaited, so finished results do not pile up.
+    Closing the generator (as a consumer that stops early should) shuts
+    the pool down and cancels the blocks not yet started.
+    """
     if workers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(fn, blocks)
-    ) as pool:
-        return list(pool.map(_run_block, range(len(blocks))))
+        yield from map(fn, blocks)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(fn, blocks))
+    pending: deque = deque()
+    try:
+        for i in range(len(blocks)):
+            pending.append(pool.submit(_run_block, i))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

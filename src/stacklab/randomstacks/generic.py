@@ -17,8 +17,8 @@ from typing import Sequence
 from ..rng import SPACER_RNG_ID, SpacerProcess
 from ..sequences import sampling_offsets
 from ..tower import (
-    SEEDED_STAGE_GUARD, CodingSpec, ResourceGuard, Stage, StackingData, exact_word_counts,
-    valid_levels,
+    SEEDED_STAGE_GUARD, CodingSpec, ResourceGuard, Stage, StackingData, decode_words,
+    exact_word_counts, symbol_width, valid_levels,
 )
 
 
@@ -125,10 +125,11 @@ def evaluate_candidate(
     for r in range(1, base.num_towers + 1):
         spec = CodingSpec(reference=r, mode="base")
         counts = exact_word_counts(levels, spec, offsets)[0]
-        word, count = max(counts.items(), key=lambda kv: kv[1])
+        key, count = max(counts.items(), key=lambda kv: kv[1])
         ratio = Fraction(count) / caps[r]
         if ratio > worst_ratio:
             worst_ratio = ratio
+            word = next(decode_words([key], symbol_width(candidate, spec)))
             worst = (count, float(caps[r]), r, word)
     return TrialRecord(
         trial=-1,

@@ -320,7 +320,7 @@ def conditional_limits_mc(
         (h, tuple(pattern), l0, position, separation, seed, lo // _MC_BLOCK, hi - lo)
         for lo, hi in index_blocks(samples, _MC_BLOCK)
     ]
-    results = run_blocks(_mc_block, blocks, workers=workers)
+    results = list(run_blocks(_mc_block, blocks, workers=workers))
     hits0 = sum(r[0] for r in results)
     if hits0 == 0:
         raise MarkovError("zero conditioning events in the Monte Carlo run")

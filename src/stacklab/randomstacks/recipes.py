@@ -77,10 +77,25 @@ def _check_cut_digits(log_exponent: float, base: float, form: str) -> None:
 def _p_fail(alphabet: int, N: int, q: int, denom: int, delta: float) -> float | None:
     if denom < 1:
         return None
-    exponent = N * math.log(alphabet) - 2.0 * (q // denom) * delta * delta
+    cuts = q // denom
+    try:
+        exponent = N * math.log(alphabet) - 2.0 * cuts * delta * delta
+    except OverflowError:
+        # cuts is past the float range, so 2 cuts delta^2 is formed in logs;
+        # past e^709 it leaves exp(exponent) at 0.0 whatever N log(alphabet).
+        log_term = math.log(2 * cuts) + 2.0 * (math.log(delta) if delta > 0.0 else -math.inf)
+        exponent = N * math.log(alphabet) - math.exp(min(log_term, 709.0))
     if exponent > 700.0:
         return math.inf
     return math.exp(exponent)
+
+
+def _check_eps(eps, top: Fraction) -> Fraction:
+    """eps as a Fraction in (0, top); at top the deviation delta reaches 1."""
+    eps = as_fraction(eps, "eps", RecipeError)
+    if not 0 < eps < top:
+        raise RecipeError(f"eps must lie in (0, {top}); at {top} the deviation delta reaches 1")
+    return eps
 
 
 def recipe_params(
@@ -122,7 +137,7 @@ def recipe_params(
         gamma = as_fraction(gamma, "gamma", RecipeError)
         if gamma <= 1:
             raise RecipeError("gamma must exceed 1")
-        eps = as_fraction(eps, "eps", RecipeError)
+        eps = _check_eps(eps, 1 / (2 * gamma))
         if name == "poly":
             N0 = floor_pow(h, beta) + 1
         else:
@@ -153,11 +168,14 @@ def recipe_params(
             raise RecipeError("recipe 'flex' needs an integer spacer range L >= 2")
         if h <= L:
             notes.append("initial height at or below L; the construction wants h > L")
-        eps = as_fraction(eps, "eps", RecipeError)
+        eps = _check_eps(eps, Fraction(1, 2))
         beta_f, kappa_f = _float(beta, "beta"), _float(kappa, "kappa")
         _check_cut_digits(beta_f * math.log(h), kappa_f, "floor(kappa^(h^beta)) + 1")
         hb_exact = _exact_power(h, beta)
-        hb_f = _float(h, "h") ** beta_f
+        try:
+            hb_f = _float(h, "h") ** beta_f
+        except OverflowError:
+            raise ResourceGuard("h^beta is too large for a float") from None
         if hb_exact is not None and isinstance(kappa, (int, Fraction)):
             q = math.floor(Fraction(kappa) ** hb_exact) + 1
         else:

@@ -488,6 +488,26 @@ def int64_decodes(sd: StackingData, n: int) -> bool:
     return sd.height(n) < 1 << 63
 
 
+def symbol_width(sd: StackingData, spec: CodingSpec) -> int:
+    """Bytes per symbol of a word key: the fewest of 1, 2, 4, 8, 16, ...
+    that hold every symbol below `spec.alphabet_size(sd)`."""
+    top, width = spec.alphabet_size(sd) - 1, 1
+    while top >> 8 * width:
+        width *= 2
+    return width
+
+
+def encode_word(word: Sequence[int], width: int) -> bytes:
+    """The key of a coded word: each symbol as `width` little-endian bytes."""
+    return b"".join(x.to_bytes(width, "little") for x in word)
+
+
+def decode_words(keys: Iterable[bytes], width: int) -> Iterator[tuple[int, ...]]:
+    """The coded words of `keys`, in order; the inverse of `encode_word`."""
+    for key in keys:
+        yield tuple(int.from_bytes(key[i : i + width], "little") for i in range(0, len(key), width))
+
+
 def _starts64(sd: StackingData, m: int) -> np.ndarray:
     """`slice_starts(m)` as an int64 array, cached beside it."""
     key = ("pfx64", m)
@@ -499,51 +519,75 @@ def _starts64(sd: StackingData, m: int) -> np.ndarray:
 
 def code_orbits(
     sd: StackingData, spec: CodingSpec, n: int, ks: Sequence[int], offsets: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """`[code_orbit(sd, spec, n, k, offsets) for k in ks]`, decoded at once.
+) -> list[bytes]:
+    """`[encode_word(code_orbit(sd, spec, n, k, offsets), w) for k in ks]`
+    with w = `symbol_width(sd, spec)`, decoded at once.
 
-    When `int64_decodes(sd, n)` holds and every k and k + o lies in
-    [0, h_n), the levels form one len(ks) x len(offsets) int64 array that
-    descends a stage at a time: one `searchsorted` over the slice starts,
-    then the slice start is subtracted.  A level that lands in a spacer
-    block lies above every slice start of the stages below, so it keeps its
-    excess over the height down to tower r and ends at h_r + (its position
-    in the block): refined mode codes it, like a level inside a copy, as
-    its final value + 1, and base mode codes every final value >= h_r as 0.
+    `ks` may be a list or a 1-d numpy array.  When `int64_decodes(sd, n)`
+    holds, w is at most 8 and every k and k + o lies in [0, h_n), the
+    levels form one len(ks) x len(offsets) int64 array that descends a
+    stage at a time: one `searchsorted` over the slice starts, then the
+    slice start is subtracted.  A level that lands in a spacer block lies
+    above every slice start of the stages below, so it keeps its excess
+    over the height down to tower r and ends at h_r + (its position in the
+    block): refined mode codes it, like a level inside a copy, as its final
+    value + 1, and base mode codes every final value >= h_r as 0.  The
+    rows are then cast to w-byte little-endian integers and cut into keys.
     Otherwise each level goes through `code_orbit`, which raises its exact
-    error at the first offending level.  The words are tuples of Python
-    ints either way.
+    error at the first offending level.
     """
-    if not ks:
+    if len(ks) == 0:
         return []
-    lowest = min(ks) + min(0, min(offsets, default=0))
-    highest = max(ks) + max(0, max(offsets, default=0))
-    if not (int64_decodes(sd, n) and 0 <= lowest and highest < sd.height(n)):
-        return [code_orbit(sd, spec, n, k, offsets) for k in ks]
-    h_r, refined = _coding(sd, spec, n)
-    lvl = np.add.outer(np.array(ks, dtype=np.int64), np.array(offsets, dtype=np.int64))
+    array = isinstance(ks, np.ndarray)
+    k_min, k_max = (int(ks.min()), int(ks.max())) if array else (min(ks), max(ks))
+    lowest = k_min + min(0, min(offsets, default=0))
+    highest = k_max + max(0, max(offsets, default=0))
+    fast = int64_decodes(sd, n) and 0 <= lowest and highest < sd.height(n)
+    if fast:
+        h_r, refined = _coding(sd, spec, n)
+        width = symbol_width(sd, spec)
+    if not fast or width > 8:
+        words = [code_orbit(sd, spec, n, k, offsets) for k in (ks.tolist() if array else ks)]
+        width = symbol_width(sd, spec)
+        return [encode_word(word, width) for word in words]
+    if not offsets:
+        return [b""] * len(ks)
+    lvl = np.add.outer(np.asarray(ks, dtype=np.int64), np.array(offsets, dtype=np.int64))
     for m in range(n - 1, spec.reference - 1, -1):
         starts = _starts64(sd, m)
         lvl -= starts[np.searchsorted(starts, lvl, side="right") - 1]
     if not refined:
         lvl[lvl >= h_r] = -1
     lvl += 1
-    return list(map(tuple, lvl.tolist()))
+    return lvl.astype(f"<u{width}").view(f"V{width * len(offsets)}").ravel().tolist()
 
 
 # Levels per `code_orbits` call: bounds the int64 arrays and the lists
 # built from them, whatever the size of a block.
 DECODE_BATCH = 1024
 
+# The most bytes of distinct word keys a histogram may hold (distinct keys
+# times `len(offsets) * symbol_width`), checked after each block.  Long
+# words exhaust memory long before the word cap trips: at N = 2048 and
+# 4-byte symbols, 2^16 keys hold 512 MiB.  2^28 stops such a run well
+# inside a 2 GiB address space; the largest benchmark histogram holds
+# about 16 MiB of keys.
+MAX_KEY_BYTES = 1 << 28
+
 
 def count_words(
     sd: StackingData, spec: CodingSpec, n: int, levels: Iterable[int], offsets: Sequence[int]
 ) -> Counter:
-    """Histogram of the coded orbit words of `levels`, keys in first-seen
-    order, decoded DECODE_BATCH levels at a time."""
+    """Histogram of the word keys (`code_orbits`) of `levels`, keys in
+    first-seen order, decoded DECODE_BATCH levels at a time; `levels` may
+    be an iterable or a 1-d numpy array."""
     counts: Counter = Counter()
-    it = iter(levels)
-    while batch := list(islice(it, DECODE_BATCH)):
+    if isinstance(levels, np.ndarray):
+        batches = (levels[j : j + DECODE_BATCH] for j in range(0, len(levels), DECODE_BATCH))
+    else:
+        it = iter(levels)
+        batches = iter(lambda: list(islice(it, DECODE_BATCH)), [])
+    for batch in batches:
         counts.update(code_orbits(sd, spec, n, batch, offsets))
     return counts
 
@@ -551,23 +595,45 @@ def count_words(
 def _count_block(block) -> Counter:
     """Word counts for the ranks [lo, hi) of a level set, or for the level
     draws [lo, hi) of the counter RNG when a seed is given; top-level for
-    pickling.
+    pickling.  On an int64 tower n the ranks map to levels as arrays: rank
+    u is level P_{u // h_{n-1}} + u % h_{n-1} (`ValidLevels.select`).
     """
     spec, levels, offsets, seed, lo, hi = block
+    sd, n = levels.sd, levels.n
     ranks = range(lo, hi)
     if seed is not None:
-        ranks = (uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks)
-    return count_words(levels.sd, spec, levels.n, map(levels.select, ranks), offsets)
+        ranks = [uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks]
+    if not int64_decodes(sd, n):
+        return count_words(sd, spec, n, map(levels.select, ranks), offsets)
+    ranks = np.arange(lo, hi) if seed is None else np.array(ranks, dtype=np.int64)
+    copy, pos = np.divmod(ranks, sd.heights()[n - 2])
+    return count_words(sd, spec, n, _starts64(sd, n - 1)[copy] + pos, offsets)
 
 
 def _merged(fn, blocks: list, word_cap: int | None, workers: int) -> Counter:
     """The Counters `fn` gives for `blocks` on `workers` processes, merged in
-    block order, checking `word_cap` after each."""
+    block order, checking `word_cap` and MAX_KEY_BYTES after each (all keys
+    of one histogram have one length).  A tripped check stops the blocks."""
     counts: Counter = Counter()
-    for part in run_blocks(fn, blocks, workers=workers):
-        counts.update(part)
-        if word_cap is not None and len(counts) > word_cap:
-            raise WordCapExceeded(word_cap)
+    results = run_blocks(fn, blocks, workers=workers)
+    try:
+        for part in results:
+            counts.update(part)
+            if word_cap is not None and len(counts) > word_cap:
+                raise WordCapExceeded(word_cap)
+            key_bytes = len(next(iter(counts), b""))
+            if len(counts) * key_bytes > MAX_KEY_BYTES:
+                raise ResourceGuard(
+                    f"word histogram holds {len(counts)} distinct keys of {key_bytes} bytes, "
+                    f"{len(counts) * key_bytes} key bytes above the bound of "
+                    f"2^{MAX_KEY_BYTES.bit_length() - 1} (MAX_KEY_BYTES)"
+                )
+    finally:
+        # Stops the pool now rather than when the generator is collected; a
+        # wrapped run_blocks may return a list, which has nothing to stop.
+        close = getattr(results, "close", None)
+        if close is not None:
+            close()
     return counts
 
 
@@ -599,10 +665,10 @@ def exact_plan(
     their bound is one of memory, as it keeps at most one spacer reference
     per level of K in the keys.  The keys check is one of speed, set when a
     distinct key cost about one window's decode.  With windows decoded in
-    int64 batches a distinct key costs about three (it is built in this
-    process and its range unpacked in a block, both in Python), so the lift
-    is already slower than enumeration from about 0.7 to 0.9 |K| in windows
-    plus keys on one worker, and earlier on two.
+    int64 batches into bytes keys a distinct key costs more than ten (it is
+    built in this process and its range unpacked in a block, both in
+    Python), so the lift is already slower than enumeration from about
+    0.25 |K| in windows plus keys.
 
     Tower m+1 is copies 0 .. q_m-1 of tower m at P_0 .. P_{q_m-1} with
     spacer blocks between, so H_{m+1} = q_m * H_m + (the windows that leave
@@ -651,18 +717,24 @@ def _window_block(block) -> Counter:
     laid end to end, `ends` being their running sums: position j of range
     i = (m, a, b, weight) is the start b - (ends[i] - j) of tower m, counted
     `weight` times.  Each run of consecutive ranges of one tower is decoded
-    as one list of levels; top-level for pickling."""
+    as one array of levels; top-level for pickling."""
     sd, spec, offsets, ranges, ends, lo, hi = block
     part: Counter = Counter()
     i = bisect_right(ends, lo)
     while lo < hi:
-        m, ks, weights = ranges[i][0], [], []
+        m, firsts, sizes, weights = ranges[i][0], [], [], []
         while lo < hi and ranges[i][0] == m:
             b, weight = ranges[i][2:]
-            span = range(b - (ends[i] - lo), b - max(0, ends[i] - hi))
-            ks += span
-            weights += [weight] * len(span)
+            firsts.append(b - (ends[i] - lo))
+            sizes.append(min(ends[i], hi) - lo)
+            weights.append(weight)
             lo, i = ends[i], i + 1
+        # Level j of the run is firsts[s] + (j - the sizes before span s);
+        # object arrays keep levels and weights of any size exact.
+        dtype = np.int64 if int64_decodes(sd, m) else object
+        skips = np.cumsum([0] + sizes[:-1])
+        ks = np.repeat(np.array(firsts, dtype=dtype) - skips, sizes) + np.arange(sum(sizes))
+        weights = np.repeat(np.array(weights, dtype=object), sizes)
         for j in range(0, len(ks), DECODE_BATCH):
             words = code_orbits(sd, spec, m, ks[j : j + DECODE_BATCH], offsets)
             for word, weight in zip(words, weights[j : j + DECODE_BATCH]):

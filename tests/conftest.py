@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from stacklab.tower import Stage, StackingData
+from stacklab.tower import Stage, StackingData, decode_words
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, so they repeat exactly and do not flake on a loaded machine.
@@ -13,6 +13,12 @@ settings.register_profile(
     "stacklab", derandomize=True, deadline=None, max_examples=300, database=None
 )
 settings.load_profile("stacklab")
+
+
+def decoded(counts, width: int) -> dict:
+    """Counts keyed by word keys (`tower.code_orbits`), keyed instead by the
+    words they decode to (`tower.decode_words`), in the same order."""
+    return dict(zip(decode_words(counts, width), counts.values()))
 
 
 def random_stacking(

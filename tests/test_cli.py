@@ -162,6 +162,22 @@ _PROBES = {
                          EXIT_RESOURCE, "period"),
     "generic-q": (["run", {**TINY_DOC, "operations": [_GENERIC_OP]}],
                   EXIT_RESOURCE, "expansion guard"),
+    # q // t_N = 2^2001 // t_N is past the float range.
+    "poly-p-fail-float": (["recipe", {"sequence": {"kind": "power", "alpha": "3/2",
+                                                   "horizon": 4000}},
+                           "--name", "poly", "--h", "2000", "--alpha", "2", "--beta", "1"],
+                          EXIT_OK, ""),
+    "poly-eps-float": (["recipe", "--name", "poly", "--h", "4", "--alpha", "2", "--beta", "1",
+                        "--eps", "1e400"], EXIT_VALIDATION, "eps must lie in (0, 1/3)"),
+    "poly-eps-delta-above-1": (["recipe", "--name", "poly", "--h", "4", "--alpha", "2",
+                                "--beta", "1", "--eps", "7"],
+                               EXIT_VALIDATION, "eps must lie in (0, 1/3)"),
+    "flex-eps-float": (["recipe", "--name", "flex", "--h", "3", "--beta", "1", "--kappa", "2",
+                        "--L", "3", "--eps", "1e400"], EXIT_VALIDATION, "eps must lie in (0, 1/2)"),
+    # kappa's float is 1.0, so the digit check of q passes.
+    "flex-h^beta-float": (["recipe", "--name", "flex", "--h", str(10**300), "--beta", "2",
+                           "--kappa", "1.00000000000000000001", "--L", "3"],
+                          EXIT_RESOURCE, "h^beta"),
 }
 _PROBE_SECONDS = 2.0
 _PROBE_BYTES = 2 << 30
@@ -171,15 +187,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_PROBE_BYTES, _PROBE_BYTES))
 
 
-@pytest.mark.parametrize("argv, code, message", _PROBES.values(), ids=_PROBES.keys())
-def test_probes_exit_with_documented_codes(tmp_path, argv, code, message):
+def _run_probe(tmp_path, argv, code, message, seconds):
     # In its own process under a wall-clock and address-space limit, so a
     # probe that hangs or allocates without bound fails instead of stalling
     # the suite or exhausting memory.
     if isinstance(argv[1], dict):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(argv[1]))
-        argv = [argv[0], "--config", str(path)]
+        argv = [argv[0], "--config", str(path), *argv[2:]]
         if argv[0] == "run":
             argv += ["--out", str(tmp_path / "o")]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -187,11 +202,27 @@ def test_probes_exit_with_documented_codes(tmp_path, argv, code, message):
                str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "stacklab.cli", *argv], capture_output=True, text=True,
-        env=env, timeout=_PROBE_SECONDS, preexec_fn=_limit_address_space,
+        env=env, timeout=seconds, preexec_fn=_limit_address_space,
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, message", _PROBES.values(), ids=_PROBES.keys())
+def test_probes_exit_with_documented_codes(tmp_path, argv, code, message):
+    _run_probe(tmp_path, argv, code, message, _PROBE_SECONDS)
+
+
+def test_key_bytes_probe_exits_with_the_resource_code(tmp_path):
+    # The exact point N = 2048 at reference 5 on the 2^32-level squaring
+    # tower: 65 536 distinct words of 2048 four-byte symbols, 512 MiB of
+    # keys.  The guard trips after block 5 of 21; that took 4.1 s on 2 cores.
+    stages = [{"q": q, "spacers": [0] * (q - 1)} for q in (2, 4, 16, 256, 65536)]
+    doc = {"stacking": {"initial_height": 2, "spacer_cap": 1, "stages": stages},
+           "sequence": {"kind": "power", "alpha": "3/2", "horizon": 2048},
+           "operations": [{"op": "entropy", "stage": 6, "reference": 5, "length": 2048}]}
+    _run_probe(tmp_path, ["run", doc], EXIT_RESOURCE, "key bytes", 30.0)
 
 
 def test_run_golden_fixture(tmp_path):
@@ -493,7 +524,7 @@ def test_describe_and_run_agree_on_an_empty_word(tmp_path, capsys):
 def test_describe_names_the_decoder(tmp_path, capsys):
     assert main(["describe", "--config", str(FIXTURES / "acceptance_determinism.json")]) == EXIT_OK
     lines = [line for line in capsys.readouterr().out.splitlines() if "path=" in line]
-    assert len(lines) == 2 and all(line.endswith(" decoder=int64") for line in lines)
+    assert len(lines) == 2 and all(" decoder=int64 key_bytes=" in line for line in lines)
     # h_1 = 2 and 7 stages of q = 2048: tower 6 has 2^56 levels, tower 8 2^78.
     stacking = {"initial_height": 2, "spacer_cap": 2,
                 "stages": [{"q": 2048, "spacers": [0] * 2047}] * 7}
@@ -503,8 +534,14 @@ def test_describe_names_the_decoder(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main(["describe", "--config", str(path)]) == EXIT_OK
-    decoders = [line.split()[-1] for line in capsys.readouterr().out.splitlines() if "path=" in line]
-    assert decoders == ["decoder=bigint", "decoder=bigint", "decoder=int64"]
+    lines = [line.split() for line in capsys.readouterr().out.splitlines() if "path=" in line]
+    assert [line[-2] for line in lines] == ["decoder=bigint", "decoder=bigint", "decoder=int64"]
+    # Key bytes are symbol width x length: alphabets 3, 2^56 + 1 and about 2^78.
+    doc["operations"] = [op, dict(op, stage=6, reference=6), dict(op, reference=8)]
+    path.write_text(json.dumps(doc))
+    assert main(["describe", "--config", str(path)]) == EXIT_OK
+    lines = [line.split() for line in capsys.readouterr().out.splitlines() if "path=" in line]
+    assert [line[-1] for line in lines] == ["key_bytes=2", "key_bytes=16", "key_bytes=32"]
 
 
 def test_meta_records_entropy_paths(tmp_path, capsys):
@@ -524,6 +561,10 @@ def test_meta_records_entropy_paths(tmp_path, capsys):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["paths"] == {"entropy.csv": ["enumerate"], "entropy_2.csv": ["sampled"]}
     assert meta["windows"] == {"entropy.csv": [2], "entropy_2.csv": [8]}
+    # Two distinct words of two one-byte symbols.
+    assert meta["keys"]["entropy.csv"] == [{"distinct_words": 2, "key_bytes": 4}]
+    assert [k["key_bytes"] for k in meta["keys"]["entropy_2.csv"]] == [
+        2 * k["distinct_words"] for k in meta["keys"]["entropy_2.csv"]]
     assert "path" not in (out / "summary.txt").read_text()
     assert all("path" not in p.read_text() for p in out.glob("*.csv"))
     # The reference equal to the tower leaves nothing to lift from.

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from stacklab import tower
 from stacklab.entropy import WordCapExceeded, empirical_sequence_entropy
-from stacklab.parallel import run_blocks
+from stacklab.intarith import ResourceGuard
+from stacklab.parallel import BLOCK_SIZE, run_blocks
 from stacklab.sequences import SamplingSequence, sampling_offsets
 from stacklab.tower import (
     CodingSpec,
@@ -23,9 +24,11 @@ from stacklab.tower import (
     decode_symbol,
     exact_plan,
     exact_word_counts,
+    symbol_width,
     valid_levels,
 )
 
+from .conftest import decoded
 from .oracles import oracle_word_counts
 
 
@@ -103,7 +106,8 @@ def test_exact_counts_match_enumeration_and_oracle(case):
         assert path == "enumerate"
         return
     if path == "compressed":
-        assert dict(counts) == oracle_word_counts(sd, spec.reference, n, offsets, spec.mode)
+        expected = oracle_word_counts(sd, spec.reference, n, offsets, spec.mode)
+        assert decoded(counts, symbol_width(sd, spec)) == expected
     distinct = len(enumerated)
     with pytest.raises(WordCapExceeded):
         exact_word_counts(levels, spec, offsets, word_cap=distinct - 1)
@@ -184,7 +188,7 @@ def test_closed_form_on_the_2_pow_32_level_tower(reference, length):
         tuple((c + o) % h_r + 1 for o in offsets): (size - 1 - c) // h_r + 1
         for c in range(h_r)
     }
-    assert list(hist.counts.items()) == list(expected.items())
+    assert list(decoded(hist.counts, hist.symbol_width).items()) == list(expected.items())
     # Each of the h_r words covers 1/h_r of the levels, up to the clipped top.
     assert math.isclose(res.h_nats, math.log(h_r), rel_tol=1e-9)
     assert elapsed < (1.0 if reference < 3 else 2.0)
@@ -232,7 +236,64 @@ def test_lower_reference_histogram_is_the_symbol_projection(case):
         lower, upper = results[r - 2], results[r - 1]
         project = [0] + [decode_symbol(sd, CodingSpec(r - 1), r, j) for j in range(sd.height(r))]
         projected: Counter = Counter()
-        for word, count in upper.histogram.counts.items():
+        for word, count in zip(upper.histogram.words(), upper.histogram.counts.values()):
             projected[tuple(project[x] for x in word)] += count
-        assert list(projected.items()) == list(lower.histogram.counts.items())
+        lower_words = decoded(lower.histogram.counts, lower.histogram.symbol_width)
+        assert list(projected.items()) == list(lower_words.items())
         assert lower.h_nats <= upper.h_nats + 1e-12
+
+
+class _BlockSpy:
+    """A block function that appends each block's first rank to a file
+    before running it, so blocks run on pool workers are seen too."""
+
+    def __init__(self, fn, path):
+        self.fn, self.path = fn, path
+
+    def __call__(self, block):
+        with open(self.path, "a", encoding="utf-8") as f:
+            f.write(f"{block[-2]}\n")
+        return self.fn(block)
+
+
+def _ranks_run(path) -> list[int]:
+    return sorted(map(int, path.read_text(encoding="utf-8").split())) if path.exists() else []
+
+
+def _squaring_entropy_blocks(tmp_path, monkeypatch, workers, **kwargs):
+    """Exact entropy at stage 5, reference 5, N = 64 of the squaring tower
+    (every one of its 65 024 levels a distinct word, in 8 blocks) with each
+    block recorded; the ranks of the blocks that ran."""
+    path = tmp_path / f"blocks{workers}"
+    monkeypatch.setattr(tower, "_count_block", _BlockSpy(tower._count_block, path))
+    A = SamplingSequence.power(Fraction(3, 2), horizon=160)
+    with pytest.raises((WordCapExceeded, ResourceGuard)) as exc:
+        empirical_sequence_entropy(_squaring_tower(), CodingSpec(5), 5, A, 64, workers=workers,
+                                   **kwargs)
+    return _ranks_run(path), exc.value
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tripped_word_cap_stops_the_blocks(tmp_path, monkeypatch, workers):
+    # Block 0 alone holds 8192 distinct words.  On a pool, only the blocks
+    # already handed to it (two per worker) may still run.
+    ranks, error = _squaring_entropy_blocks(tmp_path, monkeypatch, workers, word_cap=10)
+    assert isinstance(error, WordCapExceeded)
+    assert ranks[0] == 0 and ranks == [r for r in ranks if r < 2 * workers * BLOCK_SIZE]
+    if workers == 1:
+        assert ranks == [0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_key_bytes_guard_stops_at_the_first_block_past_it(tmp_path, monkeypatch, workers):
+    # Each block adds 8192 keys of 64 symbols x 4 bytes, 2 MiB: a 3 MiB
+    # bound holds block 0 and trips on block 1.
+    monkeypatch.setattr(tower, "MAX_KEY_BYTES", 3 << 20)
+    ranks, error = _squaring_entropy_blocks(tmp_path, monkeypatch, workers)
+    assert isinstance(error, ResourceGuard)
+    assert f"{2 * 8192} distinct keys of 256 bytes" in str(error)
+    assert "MAX_KEY_BYTES" in str(error)
+    assert ranks[:2] == [0, BLOCK_SIZE]
+    assert ranks == [r for r in ranks if r < (1 + 2 * workers) * BLOCK_SIZE]
+    if workers == 1:
+        assert ranks == [0, BLOCK_SIZE]

@@ -371,6 +371,31 @@ def test_recipe_flex_with_sequence_diagnostics():
     assert b.p_fail_range_floor is not None
 
 
+def test_recipe_p_fail_past_the_float_range():
+    # q = 2^2001 and N = 3002: q // t_N and q // m are past the float range,
+    # and 2 (q // m) delta^2 is about 2^2000 * 2^-1400, so p_fail is 0.0.
+    A = SamplingSequence.power(Fraction(3, 2), horizon=4000)
+    b = recipe_params("poly", h=2000, beta=1, alpha=2, A=A)
+    assert (b.cuts, b.word_length) == (2**2001, 3002)
+    assert b.p_fail_horizon_floor == b.p_fail_range_floor == 0.0
+    # Below the float range the float formula is kept as it was.
+    b = recipe_params("flex", h=12, beta=1, kappa=2, L=3, A=A)
+    exponent = b.word_length * math.log(15) - 2.0 * (b.cuts // b.dependence_range) * b.deviation**2
+    assert repr(b.p_fail_range_floor) == repr(math.exp(exponent))
+
+
+@pytest.mark.parametrize("name, kwargs, top", [
+    ("poly", {"alpha": 2}, "1/3"), ("nlog", {"alpha": 2}, "1/3"),
+    ("poly", {"alpha": 2, "gamma": 2}, "1/4"), ("flex", {"kappa": 2, "L": 3}, "1/2")])
+def test_recipe_eps_range(name, kwargs, top):
+    # At the top of the range the deviation delta would reach 1.
+    top_f = Fraction(top)
+    for eps in (0, -1, top_f, top_f + 1, Fraction(10**400)):
+        with pytest.raises(RecipeError, match=f"eps must lie in \\(0, {top}\\)"):
+            recipe_params(name, h=4, beta=1, eps=eps, **kwargs)
+    assert recipe_params(name, h=4, beta=1, eps=top_f / 2, **kwargs).deviation < 1
+
+
 def test_flexibility_constants_examples():
     fb = flexibility_bounds(2, 1, 2**0.5)
     assert fb.lower == pytest.approx(0.5 * math.log(2), abs=1e-12)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,11 +18,15 @@ from stacklab.tower import (
     code_orbits,
     count_words,
     decode_symbol,
+    decode_words,
+    encode_word,
     locate_level,
     recompose_level,
+    symbol_width,
     valid_levels,
 )
 
+from .conftest import decoded
 from .oracles import brute_valid_levels, materialize_word, zero_symbol_count
 
 
@@ -199,7 +204,8 @@ def test_count_words_first_seen_order(tiny_tower):
     spec = CodingSpec(1)
     # The reference-1 word of tower 2 is 1 2 0 1 2.
     counts = count_words(tiny_tower, spec, 2, [1, 0, 2, 3, 1], (0, 1))
-    assert list(counts.items()) == [((2, 0), 2), ((1, 2), 2), ((0, 1), 1)]
+    assert list(counts.items()) == [(b"\x02\x00", 2), (b"\x01\x02", 2), (b"\x00\x01", 1)]
+    assert list(decoded(counts, 1).items()) == [((2, 0), 2), ((1, 2), 2), ((0, 1), 1)]
 
 
 def test_code_orbit_examples(tiny_tower):
@@ -254,11 +260,52 @@ def _outcome(decode):
 def test_code_orbits_matches_code_orbit(case):
     sd, n, spec, ks, offsets = case
     one_by_one = _outcome(lambda: [code_orbit(sd, spec, n, k, offsets) for k in ks])
-    assert _outcome(lambda: code_orbits(sd, spec, n, ks, offsets)) == one_by_one
-    if isinstance(one_by_one, list):
-        assert all(type(x) is int for word in code_orbits(sd, spec, n, ks, offsets) for x in word)
-        expected = Counter(one_by_one)
-        assert list(count_words(sd, spec, n, ks, offsets).items()) == list(expected.items())
+    keys = _outcome(lambda: code_orbits(sd, spec, n, ks, offsets))
+    if not isinstance(one_by_one, list):
+        assert keys == one_by_one
+        return
+    width = symbol_width(sd, spec)
+    assert keys == [encode_word(word, width) for word in one_by_one]
+    assert list(decode_words(keys, width)) == one_by_one
+    # Blocks pass levels as int64 arrays, or as object arrays above int64.
+    assert code_orbits(sd, spec, n, np.array(ks, dtype=object), offsets) == keys
+    if sd.height(n) < 1 << 63:
+        assert code_orbits(sd, spec, n, np.array(ks, dtype=np.int64), offsets) == keys
+    expected = Counter(one_by_one)
+    assert list(decoded(count_words(sd, spec, n, ks, offsets), width).items()) == list(
+        expected.items()
+    )
+
+
+@st.composite
+def wide_codings(draw):
+    """A tower n and reference-1 coding whose top symbol needs `width`
+    bytes, on a tower below 2^63 levels (1 to 3 stages) or above it (63
+    stages of q = 2), with offsets that reach the top symbol h_1 and the
+    spacer block of stage 1."""
+    width = draw(st.sampled_from((1, 2, 4, 8, 16)))
+    top = draw(st.integers(1 if width == 1 else 1 << 4 * width, (1 << 8 * width) - 1))
+    mode = draw(st.sampled_from(("base", "refined")))
+    h1 = top if mode == "base" else draw(st.integers(1, min(top, 5)))
+    cap = None if mode == "base" else top - h1 + 1
+    spacer = st.integers(0, 3 if cap is None else min(cap - 1, 3))
+    count = 63 if draw(st.booleans()) else draw(st.integers(1, 3))
+    sd = StackingData(h1, tuple(Stage(2, (draw(spacer),)) for _ in range(count)), spacer_cap=cap)
+    h = sd.height(sd.num_towers)
+    picks = sorted({o for o in (0, 1, h1 - 1, h1, h1 + 1, h1 + 2) if o < h})
+    offsets = draw(st.lists(st.sampled_from(picks), min_size=1, max_size=4))
+    ks = [0] + draw(st.lists(st.integers(0, h - 1 - max(offsets)), max_size=5))
+    return sd, CodingSpec(1, mode), width, ks, offsets
+
+
+@given(wide_codings())
+def test_code_orbits_keys_at_every_width(case):
+    sd, spec, width, ks, offsets = case
+    n = sd.num_towers
+    assert symbol_width(sd, spec) == width
+    keys = code_orbits(sd, spec, n, ks, offsets)
+    assert all(len(key) == width * len(offsets) for key in keys)
+    assert list(decode_words(keys, width)) == [code_orbit(sd, spec, n, k, offsets) for k in ks]
 
 
 def test_code_orbits_checks_each_level_before_its_samples(tiny_tower):
@@ -280,7 +327,8 @@ def test_count_words_across_decode_batches():
     ks = list(range(sd.height(2) - 7, -1, -1))
     assert len(ks) > 2 * tower.DECODE_BATCH
     expected = Counter(code_orbit(sd, spec, 2, k, offsets) for k in ks)
-    assert list(count_words(sd, spec, 2, ks, offsets).items()) == list(expected.items())
+    counts = count_words(sd, spec, 2, ks, offsets)
+    assert list(decoded(counts, symbol_width(sd, spec)).items()) == list(expected.items())
 
 
 def test_count_words_above_int64_matches_code_orbit():
@@ -298,7 +346,8 @@ def test_count_words_above_int64_matches_code_orbit():
     ks = [0, 1, h - 13, (1 << 70) + 5] + [rng.randrange(h - 12) for _ in range(40)]
     for spec in (CodingSpec(1), CodingSpec(1, "refined"), CodingSpec(7), CodingSpec(8)):
         expected = Counter(code_orbit(sd, spec, 8, k, offsets) for k in ks + ks[:3])
-        assert list(count_words(sd, spec, 8, ks + ks[:3], offsets).items()) == list(expected.items())
+        counts = count_words(sd, spec, 8, ks + ks[:3], offsets)
+        assert list(decoded(counts, symbol_width(sd, spec)).items()) == list(expected.items())
     with pytest.raises(OrbitEscape, match=f"level {h} >= height {h}"):
         count_words(sd, CodingSpec(1), 8, [5, h - 12], offsets)
 
