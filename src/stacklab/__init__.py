@@ -10,6 +10,11 @@ experiment harness.
 
 __version__ = "0.1.0"
 
+from .bounds import (  # noqa: F401
+    bounded_spacer_word_bound,
+    tradeoff_upper_value,
+    trend_toward_zero,
+)
 from .entropy import (  # noqa: F401
     EntropyResult,
     WeightedPartition,
@@ -29,12 +34,10 @@ from .sequences import (  # noqa: F401
 )
 from .tower import (  # noqa: F401
     CodingSpec,
-    LevelLocator,
     OrbitEscape,
     Stage,
     StackingData,
     code_orbit,
     decode_symbol,
-    locate_level,
     valid_levels,
 )

@@ -180,17 +180,6 @@ class BalancingRow:
     diag_binom: float  # (1/n) log binom(n + c_n, n)
 
 
-@dataclass(frozen=True)
-class BalancingProfile:
-    rows: tuple[BalancingRow, ...]
-
-    def series(self, field: str) -> list[float]:
-        return [getattr(r, field) for r in self.rows]
-
-    def ns(self) -> list[int]:
-        return [r.n for r in self.rows]
-
-
 def _log_binom(a: int, b: int) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
@@ -200,8 +189,8 @@ def balancing_profile(
     phi: GrowthGauge,
     cuts: Callable[[int], int],
     horizon: int,
-) -> BalancingProfile:
-    """Per-n balancing diagnostics over [n0+1, horizon].
+) -> tuple[BalancingRow, ...]:
+    """Per-n balancing diagnostics over [n0+1, horizon], one row per n.
 
     Exponential-looking sequences are rejected (the slice-count balancing
     condition cannot hold for them regardless of the cut schedule): the
@@ -237,7 +226,7 @@ def balancing_profile(
                 diag_binom=diag_binom,
             )
         )
-    return BalancingProfile(rows=tuple(rows))
+    return tuple(rows)
 
 
 def trend_toward_zero(ns: Sequence[int], values: Sequence[float]) -> bool:

@@ -359,7 +359,7 @@ def _run_bounds(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     profile = bounds_mod.balancing_profile(cfg.sequence, phi, cuts, horizon)
     heights = cfg.stacking.heights() if cfg.stacking is not None else None
     rows = []
-    for r in profile.rows:
+    for r in profile:
         tau = ""
         if heights is not None:
             try:
@@ -367,7 +367,7 @@ def _run_bounds(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
             except bounds_mod.BoundsError:
                 tau = ""
         rows.append((r.n, r.c_n, r.diag_balance, r.diag_phi, r.diag_binom, tau))
-    first, last = profile.rows[0], profile.rows[-1]
+    first, last = profile[0], profile[-1]
     summary = [
         f"bounds: n={first.n}..{last.n} balance {fmt(first.diag_balance)} -> "
         f"{fmt(last.diag_balance)}, phi-diag {fmt(first.diag_phi)} -> {fmt(last.diag_phi)}"

@@ -57,10 +57,6 @@ class WeightedPartition:
         if self.labels is not None and len(self.labels) != len(self.weights):
             raise EntropyError("labels/weights length mismatch")
 
-    @property
-    def total_mass(self) -> float:
-        return sum(self.weights)
-
 
 def entropy(partition: WeightedPartition | Iterable[float]) -> float:
     """Shannon entropy sum of -w log w over the atom weights, in nats."""

@@ -14,13 +14,11 @@ from .markov import (  # noqa: F401
     MarkovModel,
     McEstimate,
     build_markov_matrix,
-    chain_limit_report,
     conditional_limit_chain,
     conditional_limits_mc,
     pattern_word,
     stationary_distribution,
     stationary_distribution_exact,
-    symbol_density_limit,
 )
 from .recipes import (  # noqa: F401
     FlexibilityBounds,

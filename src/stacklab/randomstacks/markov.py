@@ -3,11 +3,12 @@
 Random binary spacers between repeats of a fixed block w of length H
 drive the linear recursion p_s = (p_{s-H} + p_{s-H-1})/2 for conditional
 symbol probabilities, whose companion matrix is an irreducible aperiodic
-(H+1)-state chain.  Three independent routes to the limiting conditional
-probabilities are provided: the chain route (the stationary vector that
+(H+1)-state chain.  Two independent routes to the limiting conditional
+probabilities live here: the chain route (the stationary vector that
 `stationary_distribution_exact` computes by state reduction, contracted
-with an exactly enumerated initial window), a renewal-density closed form,
-and seeded Monte Carlo on the symbol stream itself.
+with an exactly enumerated initial window) and seeded Monte Carlo on the
+symbol stream itself.  A third, the renewal-density closed form, checks
+them from `tests/oracles.py`.
 
 Note on constants: the stationary vector of the companion chain is
 (2/(2H+1), ..., 2/(2H+1), 1/(2H+1)).  A commonly quoted variant with
@@ -230,30 +231,6 @@ def _default_position(word: tuple[int, ...], l0: int) -> int:
         ):
             return position
     raise MarkovError(f"symbol {l0} never occurs near the stream start")
-
-
-def symbol_density_limit(h: int, pattern: Sequence[int], l1: int) -> Fraction:
-    """Renewal closed form for the limiting symbol density.
-
-    Each segment (one copy of w plus its random trailing spacer) has
-    expected length H + 1/2 and contains g copies of every in-alphabet
-    symbol and b + 1/2 expected spacers, so the limits are 2g/(2H+1) and
-    (2b+1)/(2H+1).  Independent of the chain route; used to cross-check it.
-    """
-    word = pattern_word(h, pattern)
-    H = len(word)
-    g = len(pattern) + 1
-    b = sum(pattern)
-    if l1 == 0:
-        return Fraction(2 * b + 1, 2 * H + 1)
-    if 1 <= l1 <= h:
-        return Fraction(2 * g, 2 * H + 1)
-    raise MarkovError(f"symbol {l1} outside the alphabet")
-
-
-def chain_limit_report(h: int, pattern: Sequence[int], l0: int) -> dict[int, Fraction]:
-    """Chain-route limits for every target symbol, keyed by symbol."""
-    return {l1: conditional_limit_chain(h, pattern, l0, l1) for l1 in range(0, h + 1)}
 
 
 # -- Monte Carlo on the symbol stream -----------------------------------------

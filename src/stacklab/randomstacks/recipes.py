@@ -35,6 +35,12 @@ _MAX_CUT_DIGITS = 4300
 # double no longer holds every integer.
 _FLOAT_EXACT = 1 << 53
 
+# The most bits the exact flex power kappa^(h^beta) may build in its
+# numerator or denominator.  The digit check of q does not bound them: for
+# kappa just above 1, q is small while the power is not.  (3/2)^(2^19)
+# takes about 0.2 s.
+_MAX_POWER_BITS = 1 << 20
+
 
 class RecipeError(ValueError):
     """Parameters outside a recipe's stated range."""
@@ -177,7 +183,15 @@ def recipe_params(
         except OverflowError:
             raise ResourceGuard("h^beta is too large for a float") from None
         if hb_exact is not None and isinstance(kappa, (int, Fraction)):
-            q = math.floor(Fraction(kappa) ** hb_exact) + 1
+            kappa = Fraction(kappa)
+            size = max(kappa.numerator.bit_length(), kappa.denominator.bit_length())
+            if hb_exact * size > _MAX_POWER_BITS:
+                raise ResourceGuard(
+                    f"kappa = {kappa} has a {size}-bit numerator or denominator, and "
+                    f"raised to h^beta it would pass the bound of "
+                    f"2^{_MAX_POWER_BITS.bit_length() - 1} bits"
+                )
+            q = math.floor(kappa**hb_exact) + 1
         else:
             # Past 2^64 by logs q is over the bound, and the power may overflow.
             small = hb_f * math.log2(kappa_f) < 64.0

@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .intarith import as_fraction, floor_pow, is_int
+from .intarith import ResourceGuard, as_fraction, floor_pow, is_int
+
+# The most terms a sequence holds: every term up to the horizon is built and
+# kept at construction.  Admits 2^20, the default horizon of `linear`.
+MAX_TERMS = 1 << 22
 
 
 class SequenceError(ValueError):
@@ -89,6 +93,11 @@ class SamplingSequence:
             raise SequenceError("horizon must be an integer")
         if self.horizon < self.n0:
             raise SequenceError("horizon must be >= n0")
+        if self.horizon - self.n0 + 1 > MAX_TERMS:
+            raise ResourceGuard(
+                f"horizon {self.horizon} asks for {self.horizon - self.n0 + 1} terms, above "
+                f"the bound of 2^{MAX_TERMS.bit_length() - 1} (sequences.MAX_TERMS)"
+            )
         terms = tuple(self._raw_term(i) for i in range(self.n0, self.horizon + 1))
         n0 = self.n0
         if self.kind == "nlog":
@@ -211,16 +220,18 @@ def dilation_diagnostic(seq: SamplingSequence, horizon: int | None = None) -> Di
 def krug_K_estimate(seq: SamplingSequence, r: int, n: int) -> Fraction:
     """Finite (r, n) evaluation of the thickened-sequence density:
     (1/n)*#{ t_i + j : i <= n, -r <= j <= r }, counted exactly.
+
+    The windows [t_i - r, t_i + r] have one width and increasing centres,
+    so each adds min(2r + 1, t_i - t_{i-1}) points to those before it.
     """
     if r < 0:
         raise SequenceError("r must be nonnegative")
     if n < seq.n0:
         raise SequenceError("n precedes the sequence start")
-    points: set[int] = set()
-    for i in range(seq.n0, n + 1):
-        t = seq.generate(i)
-        points.update(range(t - r, t + r + 1))
-    return Fraction(len(points), n - seq.n0 + 1)
+    width = 2 * r + 1
+    terms = [seq.generate(i) for i in range(seq.n0, n + 1)]
+    count = width + sum(min(width, b - a) for a, b in zip(terms, terms[1:]))
+    return Fraction(count, len(terms))
 
 
 def lower_density_estimate(J: Iterable[int], n: int) -> Fraction:

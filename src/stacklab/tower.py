@@ -191,10 +191,6 @@ class StackingData:
             raise TowerError(f"tower index {n} out of range 1..{self.num_towers}")
         return self.heights()[n - 1]
 
-    def spacer_total(self, m: int) -> int:
-        """a_m, the number of spacer levels added by stage m."""
-        return sum(self.stage_spacers(m))
-
     def slice_starts(self, m: int) -> list[int]:
         """P_i = i*h_m + (a_{m,1}+...+a_{m,i}) for i = 0..q_m-1.
 
@@ -219,20 +215,6 @@ class StackingData:
         return StackingData(self.initial_height, self.stages + (stage,), self.spacer_cap)
 
     # -- serialization (exact field names of the document schema) ----------
-
-    def to_dict(self) -> dict:
-        doc: dict = {"initial_height": self.initial_height}
-        if self.spacer_cap is not None:
-            doc["spacer_cap"] = self.spacer_cap
-        doc["stages"] = []
-        for stage in self.stages:
-            if stage.spacers is not None:
-                doc["stages"].append({"q": stage.q, "spacers": list(stage.spacers)})
-            else:
-                doc["stages"].append(
-                    {"q": stage.q, "seed": stage.seed, "distribution": stage.distribution}
-                )
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StackingData":
@@ -291,84 +273,11 @@ class CodingSpec:
         return h_r + sd.spacer_cap
 
 
-@dataclass(frozen=True)
-class LocatorStep:
-    """One descent step: tower (stage+1) decomposed into copies of tower stage."""
-
-    stage: int
-    kind: str  # "slice" | "spacer"
-    index: int  # 1-based slice or spacer-block index
-    offset: int  # slice: level inside the inner tower; spacer: position in block
-
-
-@dataclass(frozen=True)
-class LevelLocator:
-    """Full resolution of a level of tower n down to tower 1 or a spacer block."""
-
-    n: int
-    level: int
-    chain: tuple[LocatorStep, ...]
-
-    @property
-    def is_spacer(self) -> bool:
-        return bool(self.chain) and self.chain[-1].kind == "spacer"
-
-    @property
-    def terminal_offset(self) -> int:
-        if not self.chain:
-            return self.level
-        return self.chain[-1].offset
-
-
 def _check_level(sd: StackingData, n: int, k: int) -> int:
     h_n = sd.height(n)
     if not 0 <= k < h_n:
         raise TowerError(f"level {k} out of range [0, {h_n}) for tower {n}")
     return h_n
-
-
-def _descend_once(sd: StackingData, m: int, k: int) -> tuple[str, int, int]:
-    """Resolve level k of tower m+1 against stage m.
-
-    Returns ("slice", i, inner_level) or ("spacer", i, position), i 1-based.
-    """
-    starts = sd.slice_starts(m)
-    h = sd.heights()[m - 1]
-    i = bisect_right(starts, k) - 1
-    off = k - starts[i]
-    if off < h:
-        return ("slice", i + 1, off)
-    return ("spacer", i + 1, off - h)
-
-
-def locate_level(sd: StackingData, n: int, k: int) -> LevelLocator:
-    """Descent chain for level k of tower n, down to tower 1 or the first
-    spacer block hit.  Cost is one binary search per stage.
-    """
-    _check_level(sd, n, k)
-    steps: list[LocatorStep] = []
-    cur, lvl = n, k
-    while cur > 1:
-        m = cur - 1
-        kind, idx, off = _descend_once(sd, m, lvl)
-        steps.append(LocatorStep(stage=m, kind=kind, index=idx, offset=off))
-        if kind == "spacer":
-            break
-        cur, lvl = m, off
-    return LevelLocator(n=n, level=k, chain=tuple(steps))
-
-
-def recompose_level(sd: StackingData, locator: LevelLocator) -> int:
-    """Inverse of locate_level: rebuild the level index from the chain."""
-    if not locator.chain:
-        return locator.level
-    last = locator.chain[-1]
-    k = last.offset
-    if last.kind == "spacer":
-        k += sd.heights()[last.stage - 1]  # past the slice below the block
-    for step in reversed(locator.chain):
-        k += sd.slice_starts(step.stage)[step.index - 1]
-    return k
 
 
 def decode_symbol(sd: StackingData, spec: CodingSpec, n: int, k: int) -> int:
@@ -426,12 +335,11 @@ def valid_levels(sd: StackingData, n: int, t_max: int) -> ValidLevels:
     bound = h_n - t_max - 1
     if bound < 0:
         return ValidLevels(sd=sd, n=n, t_max=t_max, count=0)
-    kind, i, off = _descend_once(sd, n - 1, bound)
-    h = sd.heights()[n - 2]
-    if kind == "slice":
-        count = (i - 1) * h + off + 1
-    else:
-        count = i * h
+    # Copy i of tower n-1 starts at P_i: the copies below it give i*h levels
+    # of K, and copy i those of its h levels at or below the bound.
+    starts, h = sd.slice_starts(n - 1), sd.heights()[n - 2]
+    i = bisect_right(starts, bound) - 1
+    count = i * h + min(bound - starts[i] + 1, h)
     return ValidLevels(sd=sd, n=n, t_max=t_max, count=count)
 
 

@@ -1,16 +1,22 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here recomputes quantities along a different route than the
-package: tower words by direct string recursion, chain properties by
-graph search, conditional limits by renewal densities.
+package: tower words by direct string recursion, levels by a descent that
+records its chain and its inverse, stacking documents field by field,
+chain properties by graph search, conditional limits by renewal densities.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import gcd
+from typing import Sequence
 
-from stacklab.tower import StackingData
+from stacklab.randomstacks.markov import MarkovError, pattern_word
+from stacklab.tower import StackingData, TowerError
 
 
 def materialize_word(sd: StackingData, r: int, n: int, mode: str = "base") -> list[int]:
@@ -55,10 +61,107 @@ def zero_symbol_count(sd: StackingData, n: int) -> int:
     total = 0
     for m in range(n - 1, 0, -1):
         # `copies` = number of copies of tower m+1 inside tower n
-        total += copies * sd.spacer_total(m)
+        total += copies * sum(sd.stage_spacers(m))
         copies *= sd.stages[m - 1].q
     assert total == heights[n - 1] - copies * heights[0]
     return total
+
+
+@dataclass(frozen=True)
+class LocatorStep:
+    """One descent step: tower (stage+1) decomposed into copies of tower stage."""
+
+    stage: int
+    kind: str  # "slice" | "spacer"
+    index: int  # 1-based slice or spacer-block index
+    offset: int  # slice: level inside the inner tower; spacer: position in block
+
+
+@dataclass(frozen=True)
+class LevelLocator:
+    """Full resolution of a level of tower n down to tower 1 or a spacer block."""
+
+    n: int
+    level: int
+    chain: tuple[LocatorStep, ...]
+
+    @property
+    def is_spacer(self) -> bool:
+        return bool(self.chain) and self.chain[-1].kind == "spacer"
+
+    @property
+    def terminal_offset(self) -> int:
+        if not self.chain:
+            return self.level
+        return self.chain[-1].offset
+
+
+def locate_level(sd: StackingData, n: int, k: int) -> LevelLocator:
+    """Descent chain for level k of tower n, down to tower 1 or the first
+    spacer block hit, one binary search per stage; exact at any height, so
+    the oracle of `decode_symbol` above 2^64 levels.
+    """
+    if not 0 <= k < sd.height(n):
+        raise TowerError(f"level {k} out of range [0, {sd.height(n)}) for tower {n}")
+    steps: list[LocatorStep] = []
+    cur, lvl = n, k
+    while cur > 1:
+        m = cur - 1
+        starts, h = sd.slice_starts(m), sd.heights()[m - 1]
+        i = bisect_right(starts, lvl) - 1
+        off = lvl - starts[i]
+        if off >= h:
+            steps.append(LocatorStep(m, "spacer", i + 1, off - h))
+            break
+        steps.append(LocatorStep(m, "slice", i + 1, off))
+        cur, lvl = m, off
+    return LevelLocator(n=n, level=k, chain=tuple(steps))
+
+
+def recompose_level(sd: StackingData, locator: LevelLocator) -> int:
+    """Inverse of locate_level: rebuild the level index from the chain."""
+    if not locator.chain:
+        return locator.level
+    last = locator.chain[-1]
+    k = last.offset
+    if last.kind == "spacer":
+        k += sd.heights()[last.stage - 1]  # past the slice below the block
+    for step in reversed(locator.chain):
+        k += sd.slice_starts(step.stage)[step.index - 1]
+    return k
+
+
+def stacking_doc(sd: StackingData) -> dict:
+    """The stacking document of `sd`, with the field names
+    `StackingData.from_dict` reads."""
+    doc: dict = {"initial_height": sd.initial_height}
+    if sd.spacer_cap is not None:
+        doc["spacer_cap"] = sd.spacer_cap
+    doc["stages"] = [
+        {"q": stage.q, "spacers": list(stage.spacers)}
+        if stage.spacers is not None
+        else {"q": stage.q, "seed": stage.seed, "distribution": stage.distribution}
+        for stage in sd.stages
+    ]
+    return doc
+
+
+def symbol_density_limit(h: int, pattern: Sequence[int], l1: int) -> Fraction:
+    """Renewal closed form for the limiting symbol density.
+
+    Each segment (one copy of w plus its random trailing spacer) has
+    expected length H + 1/2 and contains g copies of every in-alphabet
+    symbol and b + 1/2 expected spacers, so the limits are 2g/(2H+1) and
+    (2b+1)/(2H+1).  Independent of the chain route it cross-checks.
+    """
+    H = len(pattern_word(h, pattern))
+    g = len(pattern) + 1
+    b = sum(pattern)
+    if l1 == 0:
+        return Fraction(2 * b + 1, 2 * H + 1)
+    if 1 <= l1 <= h:
+        return Fraction(2 * g, 2 * H + 1)
+    raise MarkovError(f"symbol {l1} outside the alphabet")
 
 
 def is_irreducible_aperiodic(matrix) -> bool:

@@ -145,8 +145,8 @@ def test_bounded_spacer_word_form():
 def test_balancing_profile_case_i_trend():
     A = SamplingSequence.power(Fraction(3, 2), horizon=10_000)
     profile = balancing_profile(A, phi_log(), constant_cuts(1), 10_000)
-    ns = profile.ns()
-    by_n = {r.n: r for r in profile.rows}
+    ns = [r.n for r in profile]
+    by_n = {r.n: r for r in profile}
     # endpoint values sit below the values at 1% of the horizon
     for fieldname in ("diag_balance", "diag_phi", "diag_binom"):
         assert getattr(by_n[10_000], fieldname) < getattr(by_n[100], fieldname)
@@ -154,13 +154,13 @@ def test_balancing_profile_case_i_trend():
     # (the balance diagnostic starts at log(1) = 0, so its first-decade
     # minimum is degenerate)
     for fieldname in ("diag_phi", "diag_binom"):
-        assert trend_toward_zero(ns, profile.series(fieldname)), fieldname
+        assert trend_toward_zero(ns, [getattr(r, fieldname) for r in profile]), fieldname
 
 
 def test_balancing_profile_case_iii_values():
     A = SamplingSequence.nlog(1.0, 1.0, horizon=200)
     profile = balancing_profile(A, phi_exp_power(Fraction(1, 2)), loglog_cuts(), 200)
-    row = next(r for r in profile.rows if r.n == 100)
+    row = next(r for r in profile if r.n == 100)
     assert row.c_n == 42
 
 
@@ -173,7 +173,7 @@ def test_balancing_rejects_exponential():
 def test_balancing_diagnostics_nonnegative():
     A = SamplingSequence.power(2, horizon=500)
     profile = balancing_profile(A, phi_power(Fraction(1, 2)), power_cuts(2, 3), 500)
-    for r in profile.rows:
+    for r in profile:
         assert r.c_n >= 1
         assert r.diag_balance >= 0 and r.diag_phi >= 0 and r.diag_binom >= 0
 

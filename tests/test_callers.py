@@ -1,11 +1,19 @@
-"""Every function, class and method defined in src/ has a caller, and
-every defaulted parameter of one is passed by some call.
+"""Every function, class and method defined in src/ has a caller, every
+defaulted parameter of one is passed by some call, and every one serves a
+run or the declared library API.
 
 A name counts as used when it is read (as a name, an attribute or a
 string constant, e.g. a `__dict__` key) somewhere in src/, tests/ or
 perfbench/, outside its own definition.  An import, such as a package's
 re-export, is not a read.  Dunder methods are called by the language and
 are skipped.
+
+A definition serves a run or the API when the name-level call graph of
+src/ reaches it from a root: `cli.main` and the module-level code of src/
+(tables such as `cli._RUNNERS`), a name the two package `__init__.py`
+files re-export, or a name read by tests/test_acceptance.py or perfbench/.
+A definition only the other tests reach belongs in tests/, as an oracle
+in tests/oracles.py or inline in the test.
 """
 
 from __future__ import annotations
@@ -98,3 +106,65 @@ def test_every_defaulted_parameter_is_passed():
         if not passed.get(node.name, set()) & (keys | {_EVERY})
     ]
     assert not never, "defaulted parameters that no call passes:\n" + "\n".join(never)
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _nested(node: ast.AST):
+    """The definitions inside `node` that no other definition inside it holds."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _DEFS):
+            yield child
+        else:
+            yield from _nested(child)
+
+
+def _own_reads(node: ast.AST) -> Counter:
+    """The reads of `node` outside the definitions nested in it, which are
+    reached by name on their own; a dunder method's reads count as its
+    class's, since the language calls it."""
+    reads = _reads(node)
+    for child in _nested(node):
+        if not _dunder(child.name):
+            reads -= _reads(child)
+    return reads
+
+
+def test_src_serves_a_run_or_the_declared_api():
+    calls: dict[str, set] = {}  # name -> the reads of every src definition of that name
+    defs = []  # (path, node, dotted name)
+    roots = {"main"}
+
+    def collect(path: Path, node: ast.AST, owner: str) -> None:
+        for child in _nested(node):
+            defs.append((path, child, owner + child.name))
+            calls.setdefault(child.name, set()).update(_own_reads(child))
+            collect(path, child, f"{owner}{child.name}.")
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        roots.update(_own_reads(tree))
+        collect(path, tree, "")
+        if path.name == "__init__.py":
+            roots.update(
+                alias.asname or alias.name
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            )
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").rglob("*.py"))]:
+        roots.update(_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(calls.get(name, ()))
+    stray = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {dotted}"
+        for path, node, dotted in defs
+        if not _dunder(node.name) and node.name not in reached
+    ]
+    assert not stray, "reached by neither a run nor the declared API:\n" + "\n".join(stray)

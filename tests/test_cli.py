@@ -178,6 +178,21 @@ _PROBES = {
     "flex-h^beta-float": (["recipe", "--name", "flex", "--h", str(10**300), "--beta", "2",
                            "--kappa", "1.00000000000000000001", "--L", "3"],
                           EXIT_RESOURCE, "h^beta"),
+    # kappa just above 1 passes the digit check with a small q, while its
+    # numerator and denominator raised to h^beta = 10^12 or 10^200 do not fit.
+    "flex-power-bits-kappa-20-digits": (["recipe", "--name", "flex", "--h", "1000000", "--beta",
+                                         "2", "--kappa", "1.00000000000000000001", "--L", "3"],
+                                        EXIT_RESOURCE, "kappa"),
+    "flex-power-bits-kappa-12-digits": (["recipe", "--name", "flex", "--h", "1000000", "--beta",
+                                         "2", "--kappa", "1.000000000001", "--L", "3"],
+                                        EXIT_RESOURCE, "kappa"),
+    "flex-power-bits-h-10^100": (["recipe", "--name", "flex", "--h", str(10**100), "--beta", "2",
+                                  "--kappa", "1.00000000000000000001", "--L", "3"],
+                                 EXIT_RESOURCE, "kappa"),
+    "sequence-horizon": (["describe", {"sequence": {"kind": "linear", "a": 1,
+                                                    "horizon": 3000000000},
+                                       "operations": [{"op": "seq"}]}],
+                         EXIT_RESOURCE, "horizon"),
 }
 _PROBE_SECONDS = 2.0
 _PROBE_BYTES = 2 << 30
@@ -207,6 +222,7 @@ def _run_probe(tmp_path, argv, code, message, seconds):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
+    return proc
 
 
 @pytest.mark.parametrize("argv, code, message", _PROBES.values(), ids=_PROBES.keys())
@@ -223,6 +239,14 @@ def test_key_bytes_probe_exits_with_the_resource_code(tmp_path):
            "sequence": {"kind": "power", "alpha": "3/2", "horizon": 2048},
            "operations": [{"op": "entropy", "stage": 6, "reference": 5, "length": 2048}]}
     _run_probe(tmp_path, ["run", doc], EXIT_RESOURCE, "key bytes", 30.0)
+
+
+def test_kvalue_probe_counts_wide_windows(tmp_path):
+    # Windows of 2 * 10^9 + 1 points each, which once all went into one set.
+    argv = ["seq", "kvalue", "--config", str(FIXTURES / "entropy_tiny.json"),
+            "--r", "1000000000", "--n", "2"]
+    proc = _run_probe(tmp_path, argv, EXIT_OK, "", _PROBE_SECONDS)
+    assert proc.stdout.splitlines()[1] == "1000000000,2,1000000001/1,1000000001.000000000000"
 
 
 def test_run_golden_fixture(tmp_path):
@@ -694,6 +718,19 @@ def test_recipe_subcommand(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "q=32" in out and "N0=5" in out and "N=8" in out
+
+
+@pytest.mark.parametrize("argv, q", [
+    (["--h", "14000", "--beta", "1", "--kappa", "2"], 2**14000 + 1),
+    (["--h", "24000", "--beta", "1", "--kappa", "3/2"], 3**24000 // 2**24000 + 1),
+    (["--h", "10", "--beta", "2", "--kappa", "1.00000000000000000001"], 2),
+], ids=["kappa-2", "kappa-3/2", "kappa-near-1"])
+def test_recipe_flex_exact_cut_counts(capsys, argv, q):
+    # Exact powers kappa^(h^beta) inside the bound on their bits.
+    assert main(["recipe", "--name", "flex", *argv, "--L", "3"]) == EXIT_OK
+    assert f"\nq={q}\n" in capsys.readouterr().out
+
+
 
 
 def test_profile_op_via_config(tmp_path):

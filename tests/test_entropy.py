@@ -45,7 +45,7 @@ def test_weighted_partition_validation():
     with pytest.raises(EntropyError):
         WeightedPartition((-0.1,))
     p = WeightedPartition((0.25, 0.25), labels=("a", "b"))
-    assert p.total_mass == 0.5
+    assert sum(p.weights) == 0.5
 
 
 def test_conditional_entropy_examples():

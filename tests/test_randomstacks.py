@@ -10,7 +10,6 @@ from stacklab.rng import SpacerProcess, _digest64, _uniform_int_limbs, uniform_i
 from stacklab.randomstacks import (
     analytic_failure_bound,
     build_markov_matrix,
-    chain_limit_report,
     conditional_limit_chain,
     conditional_limits_mc,
     flexibility_bounds,
@@ -20,7 +19,6 @@ from stacklab.randomstacks import (
     recipe_params,
     stationary_distribution,
     stationary_distribution_exact,
-    symbol_density_limit,
 )
 from stacklab.randomstacks.generic import evaluate_candidate
 from stacklab.randomstacks.markov import MarkovError, MarkovModel
@@ -28,7 +26,7 @@ from stacklab.randomstacks.recipes import RecipeError
 from stacklab.sequences import SamplingSequence
 from stacklab.tower import StackingData
 
-from .oracles import exhaustive_generic_acceptors, is_irreducible_aperiodic
+from .oracles import exhaustive_generic_acceptors, is_irreducible_aperiodic, symbol_density_limit
 
 
 # -- spacer process -------------------------------------------------------------
@@ -187,12 +185,12 @@ def test_chain_limit_b0_special_case():
     # limits (2/9 + 4/9 + 4/9 = 1 requires 1/9).
     assert conditional_limit_chain(2, (0,), 1, 0) == Fraction(1, 9)
     assert conditional_limit_chain(2, (0,), 1, 1) == Fraction(4, 9)
-    assert sum(chain_limit_report(2, (0,), 1).values()) == 1
+    assert sum(conditional_limit_chain(2, (0,), 1, l1) for l1 in range(3)) == 1
 
 
 def test_chain_limits_shared_and_below_threshold():
     for h, pattern in [(2, (0,)), (2, (1,)), (3, (1, 1)), (4, (0, 1))]:
-        report = chain_limit_report(h, pattern, l0=1)
+        report = {l1: conditional_limit_chain(h, pattern, 1, l1) for l1 in range(h + 1)}
         in_alphabet = {report[l1] for l1 in range(1, h + 1)}
         assert len(in_alphabet) == 1  # shift identity: one shared limit
         assert all(v < Fraction(1, h) for v in in_alphabet)

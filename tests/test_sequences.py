@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stacklab.intarith import POW_WORK_BOUND, ResourceGuard, floor_pow, iroot
 from stacklab.sequences import (
@@ -132,6 +134,31 @@ def test_krug_linear_closed_form():
                 seq = SamplingSequence.linear(a, 3, horizon=n + 1)
                 expected = n * (2 * r + 1) - (n - 1) * max(0, 2 * r + 1 - a)
                 assert krug_K_estimate(seq, r, n) == Fraction(expected, n)
+
+
+@given(
+    kind=st.sampled_from(["power", "linear", "nlog", "explicit"]),
+    p=st.integers(1, 6),
+    q=st.integers(1, 4),
+    gaps=st.lists(st.integers(1, 30), min_size=1, max_size=40),
+    r=st.integers(0, 40),
+    pick=st.integers(0, 10**6),
+)
+def test_krug_matches_the_set_of_window_points(kind, p, q, gaps, r, pick):
+    if kind == "power":
+        seq = SamplingSequence.power(1 + Fraction(p, q), horizon=40)
+    elif kind == "linear":
+        seq = SamplingSequence.linear(p, q, horizon=40)
+    elif kind == "nlog":
+        seq = SamplingSequence.nlog(p / q, q / 2, horizon=40)
+    else:
+        seq = SamplingSequence.explicit(list(accumulate(gaps)))
+    n = seq.n0 + pick % (seq.horizon - seq.n0 + 1)
+    points: set[int] = set()
+    for i in range(seq.n0, n + 1):
+        t = seq.generate(i)
+        points.update(range(t - r, t + r + 1))
+    assert krug_K_estimate(seq, r, n) == Fraction(len(points), n - seq.n0 + 1)
 
 
 def test_lower_density_examples():

@@ -20,14 +20,19 @@ from stacklab.tower import (
     decode_symbol,
     decode_words,
     encode_word,
-    locate_level,
-    recompose_level,
     symbol_width,
     valid_levels,
 )
 
 from .conftest import decoded
-from .oracles import brute_valid_levels, materialize_word, zero_symbol_count
+from .oracles import (
+    brute_valid_levels,
+    locate_level,
+    materialize_word,
+    recompose_level,
+    stacking_doc,
+    zero_symbol_count,
+)
 
 
 def test_heights_examples():
@@ -38,7 +43,7 @@ def test_heights_examples():
 
 def test_compute_heights_tables(tiny_tower):
     assert tiny_tower.heights() == (2, 5)
-    assert tiny_tower.spacer_total(1) == 1
+    assert sum(tiny_tower.stage_spacers(1)) == 1
     assert tiny_tower.slice_starts(1) == [0, 3]  # slice 2 starts past slice 1 plus one spacer
 
 
@@ -408,13 +413,13 @@ def test_fixture_document_loads(tiny_tower):
 
 
 def test_serialization_roundtrip(tiny_tower):
-    doc = tiny_tower.to_dict()
+    doc = stacking_doc(tiny_tower)
     assert doc["initial_height"] == 2
     assert doc["stages"][0] == {"q": 2, "spacers": [1]}
     assert StackingData.from_dict(doc) == tiny_tower
     seeded = StackingData(
         2, (Stage(q=4, seed=3, distribution="uniform"),), spacer_cap=2
     )
-    doc = seeded.to_dict()
+    doc = stacking_doc(seeded)
     assert doc["stages"][0]["seed"] == 3
     assert StackingData.from_dict(doc).stage_spacers(1) == seeded.stage_spacers(1)
