@@ -8,7 +8,10 @@ probabilities live here: the chain route (the stationary vector that
 `stationary_distribution_exact` computes by state reduction, contracted
 with an exactly enumerated initial window) and seeded Monte Carlo on the
 symbol stream itself.  A third, the renewal-density closed form, checks
-them from `tests/oracles.py`.
+them from `tests/oracles.py`.  A Monte Carlo block finds the symbol at p
+from the segment ends j*H + S_j of its Philox bits, comparing with p only
+the band of ends that may fall either side of it (j*(H+1) >= p and
+j*H < p); the ends before the band come from one row sum.
 
 Note on constants: the stationary vector of the companion chain is
 (2/(2H+1), ..., 2/(2H+1), 1/(2H+1)).  A commonly quoted variant with
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..intarith import ResourceGuard
+from ..intarith import ResourceGuard, is_int
 from ..parallel import index_blocks, run_blocks
 from ..rng import BULK_RNG_ID, bulk_generator
 
@@ -237,6 +240,13 @@ def _default_position(word: tuple[int, ...], l0: int) -> int:
 
 _MC_BLOCK = 1 << 15
 
+# The most bytes of int32 spacer bits one Monte Carlo block may draw: rows
+# times (position + separation) // H + 2 columns.  A full block then has at
+# most 2048 columns (separation about 8000 at H = 4); the benchmark and the
+# tests draw 153.  Segment ends, below twice position + separation, are
+# int32 too, so that sum is bounded by 2^30.
+MAX_DRAW_BYTES = 1 << 28
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -250,25 +260,31 @@ class McEstimate:
 
 
 def _mc_block(args) -> tuple[int, tuple[int, ...]]:
-    """One sampling block: conditioning hits and joint hits for every target symbol."""
+    """One sampling block: conditioning hits and joint hits for every target symbol.
+
+    Segment j of a row ends at j*H + S_j, with S_j the sum of its first j
+    spacer bits, so 0 <= S_j <= j: every end with j*(H+1) < p lies before p,
+    no end with j*H >= p does, and only the band between is compared.
+    """
     h, pattern, l0, position, separation, seed, block, count = args
-    word = np.array(pattern_word(h, tuple(pattern)), dtype=np.int64)
+    word = pattern_word(h, tuple(pattern))
     H = len(word)
+    # Symbol by offset from the last segment end before p: w, then a spacer.
+    by_offset = np.array(word + (0,), dtype=np.int64)
     far = position + separation
     m = _window_bits_needed(H, far)
-    rng = bulk_generator(seed, block)
-    bits = rng.integers(0, 2, size=(count, m), dtype=np.int64)
-    ends = (np.arange(1, m + 1, dtype=np.int64) * H)[None, :] + np.cumsum(bits, axis=1)
+    bits = bulk_generator(seed, block).integers(0, 2, size=(count, m), dtype=np.int32)
 
     def symbols(p: int) -> np.ndarray:
-        seg = np.sum(ends < p, axis=1)
-        prev = np.where(
-            seg == 0,
-            0,
-            np.take_along_axis(ends, np.maximum(seg - 1, 0)[:, None], axis=1)[:, 0],
-        )
-        off = p - prev
-        return np.where(off <= H, word[np.minimum(off, H) - 1], 0)
+        lo, hi = (p - 1) // (H + 1), (p - 1) // H
+        # Column k holds the end of segment lo + k; segment 0 ends at 0.
+        ends = np.empty((count, hi - lo + 1), dtype=np.int32)
+        ends[:, 0] = lo * H + bits[:, :lo].sum(axis=1, dtype=np.int32)
+        np.cumsum(bits[:, lo:hi], axis=1, out=ends[:, 1:])
+        ends[:, 1:] += ends[:, :1] + np.arange(H, (hi - lo) * H + 1, H, dtype=np.int32)
+        below = np.sum(ends[:, 1:] < p, axis=1)
+        prev = np.take_along_axis(ends, below[:, None], axis=1)[:, 0]
+        return by_offset[p - 1 - prev]
 
     hit0 = symbols(position) == l0
     far_syms = symbols(far)[hit0]
@@ -292,7 +308,20 @@ def conditional_limits_mc(
     the limits; sampling is blocked so the result is identical for any
     worker count.
     """
-    position = _default_position(pattern_word(h, pattern), l0)
+    if not is_int(separation) or separation < 0:
+        raise MarkovError(f"separation must be an integer >= 0, got {separation!r}")
+    if not is_int(samples) or samples < 1:
+        raise MarkovError(f"samples must be an integer >= 1, got {samples!r}")
+    word = pattern_word(h, pattern)
+    position = _default_position(word, l0)
+    far = position + separation
+    draw_bytes = min(samples, _MC_BLOCK) * _window_bits_needed(len(word), far) * 4
+    if draw_bytes > MAX_DRAW_BYTES or far >= 1 << 30:
+        raise ResourceGuard(
+            f"separation {separation} would draw {draw_bytes} bytes per block and reach "
+            f"stream position {far}; the bounds are 2^28 bytes (MAX_DRAW_BYTES) and "
+            f"position 2^30"
+        )
     blocks = [
         (h, tuple(pattern), l0, position, separation, seed, lo // _MC_BLOCK, hi - lo)
         for lo, hi in index_blocks(samples, _MC_BLOCK)

@@ -3,7 +3,8 @@
 Everything here recomputes quantities along a different route than the
 package: tower words by direct string recursion, levels by a descent that
 records its chain and its inverse, stacking documents field by field,
-chain properties by graph search, conditional limits by renewal densities.
+chain properties by graph search, conditional limits by renewal densities,
+Monte Carlo blocks by comparing every segment end.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from itertools import product
 from math import gcd
 from typing import Sequence
 
-from stacklab.randomstacks.markov import MarkovError, pattern_word
+import numpy as np
+
+from stacklab.randomstacks.markov import MarkovError, _window_bits_needed, pattern_word
+from stacklab.rng import bulk_generator
 from stacklab.tower import StackingData, TowerError
 
 
@@ -162,6 +166,32 @@ def symbol_density_limit(h: int, pattern: Sequence[int], l1: int) -> Fraction:
     if 1 <= l1 <= h:
         return Fraction(2 * g, 2 * H + 1)
     raise MarkovError(f"symbol {l1} outside the alphabet")
+
+
+def mc_block_oracle(args) -> tuple[int, tuple[int, ...]]:
+    """`markov._mc_block` on the full array: the same int64 Philox bits,
+    every segment end from one cumsum, and each compared with p."""
+    h, pattern, l0, position, separation, seed, block, count = args
+    word = np.array(pattern_word(h, tuple(pattern)), dtype=np.int64)
+    H = len(word)
+    far = position + separation
+    m = _window_bits_needed(H, far)
+    bits = bulk_generator(seed, block).integers(0, 2, size=(count, m), dtype=np.int64)
+    ends = (np.arange(1, m + 1, dtype=np.int64) * H)[None, :] + np.cumsum(bits, axis=1)
+
+    def symbols(p: int) -> np.ndarray:
+        seg = np.sum(ends < p, axis=1)
+        prev = np.where(
+            seg == 0,
+            0,
+            np.take_along_axis(ends, np.maximum(seg - 1, 0)[:, None], axis=1)[:, 0],
+        )
+        off = p - prev
+        return np.where(off <= H, word[np.minimum(off, H) - 1], 0)
+
+    hit0 = symbols(position) == l0
+    joint = np.bincount(symbols(far)[hit0], minlength=h + 1)
+    return int(hit0.sum()), tuple(int(x) for x in joint[: h + 1])
 
 
 def is_irreducible_aperiodic(matrix) -> bool:

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from stacklab.rng import SpacerProcess, _digest64, _uniform_int_limbs, uniform_int
+from stacklab.intarith import ResourceGuard
+from stacklab.rng import SpacerProcess, _digest64, _uniform_int_limbs, bulk_generator, uniform_int
 from stacklab.randomstacks import (
     analytic_failure_bound,
     build_markov_matrix,
@@ -21,12 +23,18 @@ from stacklab.randomstacks import (
     stationary_distribution_exact,
 )
 from stacklab.randomstacks.generic import evaluate_candidate
-from stacklab.randomstacks.markov import MarkovError, MarkovModel
+from stacklab.randomstacks import markov
+from stacklab.randomstacks.markov import (
+    _MC_BLOCK, MarkovError, MarkovModel, _default_position, _mc_block, _symbol_at,
+    _window_bits_needed,
+)
 from stacklab.randomstacks.recipes import RecipeError
 from stacklab.sequences import SamplingSequence
 from stacklab.tower import StackingData
 
-from .oracles import exhaustive_generic_acceptors, is_irreducible_aperiodic, symbol_density_limit
+from .oracles import (
+    exhaustive_generic_acceptors, is_irreducible_aperiodic, mc_block_oracle, symbol_density_limit,
+)
 
 
 # -- spacer process -------------------------------------------------------------
@@ -246,6 +254,125 @@ def test_mc_worker_invariance():
     b = conditional_limits_mc(2, (0,), 1, separation=100, samples=70_000, seed=4, workers=3)
     assert a[0].estimate == b[0].estimate
     assert a[0].conditioning_hits == b[0].conditioning_hits
+
+
+# Every estimate of two seeded runs, as printed by the kernel that compared
+# all segment ends with p; a changed draw, band or count shows here.
+PINNED_MC = [
+    (
+        dict(h=2, pattern=(0,), l0=1, separation=100, samples=70_000, seed=4),
+        [
+            "McEstimate(estimate=0.11250071059064294, std_error=0.0016846177706969108, "
+            "conditioning_hits=35182, samples=70000, position=5, separation=100, "
+            "rng='philox4x64/numpy')",
+            "McEstimate(estimate=0.4444886589733386, std_error=0.002649210971488985, "
+            "conditioning_hits=35182, samples=70000, position=5, separation=100, "
+            "rng='philox4x64/numpy')",
+            "McEstimate(estimate=0.4430106304360184, std_error=0.002648318808600324, "
+            "conditioning_hits=35182, samples=70000, position=5, separation=100, "
+            "rng='philox4x64/numpy')",
+        ],
+    ),
+    (
+        dict(h=2, pattern=(1,), l0=2, separation=400, samples=120_000, seed=9),
+        [
+            "McEstimate(estimate=0.2724869044649538, std_error=0.0018156392705937691, "
+            "conditioning_hits=60135, samples=120000, position=7, separation=400, "
+            "rng='philox4x64/numpy')",
+            "McEstimate(estimate=0.3632493556165295, std_error=0.001961207137822055, "
+            "conditioning_hits=60135, samples=120000, position=7, separation=400, "
+            "rng='philox4x64/numpy')",
+            "McEstimate(estimate=0.3642637399185167, std_error=0.00196237862540471, "
+            "conditioning_hits=60135, samples=120000, position=7, separation=400, "
+            "rng='philox4x64/numpy')",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs, reprs", PINNED_MC)
+def test_mc_output_is_pinned(kwargs, reprs):
+    limits = conditional_limits_mc(**kwargs)
+    assert [repr(limits[l1]) for l1 in sorted(limits)] == reprs
+
+
+def test_int32_draw_equals_int64_draw():
+    # The block draws its bits as int32; numpy takes the same 32-bit path for
+    # int64 here, so the stream is the one the int64 draw gave.
+    for seed in (0, 29):
+        wide = bulk_generator(seed, 1).integers(0, 2, size=(_MC_BLOCK, 153), dtype=np.int64)
+        narrow = bulk_generator(seed, 1).integers(0, 2, size=(_MC_BLOCK, 153), dtype=np.int32)
+        assert np.array_equal(wide, narrow)
+
+
+@st.composite
+def mc_blocks(draw):
+    # Every l0 in 0..h occurs near the start of these streams, so
+    # _default_position rejects none of them.
+    h = draw(st.integers(2, 5))
+    pattern = tuple(draw(st.lists(st.integers(0, 1), max_size=3)))
+    l0 = draw(st.integers(0, h))
+    word = pattern_word(h, pattern)
+    position = _default_position(word, l0)
+    # Up to 3H + 2 past the position, far crosses several band edges
+    # lo = (p-1) // (H+1) and hi = (p-1) // H.
+    separation = draw(st.integers(0, 3 * len(word) + 2))
+    seed = draw(st.integers(0, 2**64 - 1))
+    block = draw(st.integers(0, 1 << 20))
+    count = draw(st.integers(1, 300))
+    return (h, pattern, l0, position, separation, seed, block, count)
+
+
+@given(mc_blocks())
+def test_mc_block_matches_full_array_oracle(args):
+    assert _mc_block(args) == mc_block_oracle(args)
+
+
+@pytest.mark.parametrize("seed", [0, 29])
+def test_mc_block_matches_oracle_at_full_block(seed):
+    # The search-chain block: H = 4, far = 605, 153 columns.
+    args = (2, (0,), 1, 5, 600, seed, 3, _MC_BLOCK)
+    assert _mc_block(args) == mc_block_oracle(args)
+
+
+def test_mc_block_rows_match_symbol_at():
+    # One-row blocks: the block's counts give that row's symbol at the
+    # position (which l0 hits) and at far (where the joint count lands).
+    h, pattern = 3, (1, 0)
+    word = pattern_word(h, pattern)
+    position, separation = 9, 23
+    m = _window_bits_needed(len(word), position + separation)
+    for block in range(12):
+        bits = tuple(bulk_generator(7, block).integers(0, 2, size=m, dtype=np.int64).tolist())
+        near = _symbol_at(word, bits, position)
+        far = _symbol_at(word, bits, position + separation)
+        for l0 in range(h + 1):
+            hits, joint = _mc_block((h, pattern, l0, position, separation, 7, block, 1))
+            assert hits == (l0 == near)
+            assert joint == tuple(int(hits and l1 == far) for l1 in range(h + 1))
+
+
+@pytest.mark.parametrize(
+    "separation, samples",
+    [(-5, 1000), (-100, 1000), (True, 1000), (2.0, 1000), ("3", 1000),
+     (10, 0), (10, -1), (10, True), (10, 1000.0)],
+)
+def test_mc_rejects_bad_arguments(separation, samples):
+    with pytest.raises(MarkovError, match="separation|samples"):
+        conditional_limits_mc(2, (0,), 1, separation=separation, samples=samples, seed=0)
+
+
+@pytest.mark.parametrize(
+    "h, separation, samples",
+    [(2, 10**9, 1000), (32, 2**30, 1)],  # a draw past 2^28 bytes; a position past 2^30
+)
+def test_mc_draw_guard_trips_before_drawing(monkeypatch, h, separation, samples):
+    def no_draw(seed, stream):
+        raise AssertionError("drew before the guard")
+
+    monkeypatch.setattr(markov, "bulk_generator", no_draw)
+    with pytest.raises(ResourceGuard, match="separation"):
+        conditional_limits_mc(h, (), 1, separation=separation, samples=samples, seed=0)
 
 
 # -- dependent-variable tail bound -------------------------------------------------
