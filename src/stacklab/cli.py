@@ -515,7 +515,8 @@ def describe(cfg: ExperimentConfig) -> None:
             if op.get("method", "exact") != "exact":
                 path, windows = "sampled", op["count"]
             else:
-                path, windows, _ = exact_plan(K, spec, offsets)
+                path, plan = exact_plan(K, spec, offsets)
+                windows = plan.count
             print(
                 f"    stage={op['stage']} reference={spec.reference} "
                 f"|K|={K.count} coverage={fmt(K.coverage)} "
@@ -735,8 +736,7 @@ def _dispatch_seq(args) -> int:
     if cfg.sequence is None:
         raise ConfigError("sequence: required for seq subcommands")
     seq = cfg.sequence
-    limit = args.limit or seq.horizon
-    limit = min(limit, seq.horizon)
+    limit = seq.horizon if args.limit is None else min(args.limit, seq.horizon)
     if args.seq_command == "describe":
         print(f"sequence: {seq.describe()}")
         if limit >= seq.n0 + 1:

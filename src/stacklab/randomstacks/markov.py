@@ -308,10 +308,14 @@ def conditional_limits_mc(
     the limits; sampling is blocked so the result is identical for any
     worker count.
     """
+    if not is_int(l0) or not 0 <= l0 <= h:
+        raise MarkovError(f"l0 must be an integer in 0..{h}, got {l0!r}")
     if not is_int(separation) or separation < 0:
         raise MarkovError(f"separation must be an integer >= 0, got {separation!r}")
     if not is_int(samples) or samples < 1:
         raise MarkovError(f"samples must be an integer >= 1, got {samples!r}")
+    if not is_int(seed):
+        raise MarkovError(f"seed must be an integer, got {seed!r}")
     word = pattern_word(h, pattern)
     position = _default_position(word, l0)
     far = position + separation

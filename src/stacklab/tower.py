@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -416,12 +415,14 @@ def decode_words(keys: Iterable[bytes], width: int) -> Iterator[tuple[int, ...]]
         yield tuple(int.from_bytes(key[i : i + width], "little") for i in range(0, len(key), width))
 
 
-def _starts64(sd: StackingData, m: int) -> np.ndarray:
-    """`slice_starts(m)` as an int64 array, cached beside it."""
-    key = ("pfx64", m)
+def _starts(sd: StackingData, m: int) -> np.ndarray:
+    """`slice_starts(m)` as an array, cached beside it: int64 when tower m+1
+    decodes as int64, object (Python ints) otherwise."""
+    key = ("pfx_array", m)
     cached = sd._cache.get(key)
     if cached is None:
-        cached = sd._cache[key] = np.array(sd.slice_starts(m), dtype=np.int64)
+        dtype = np.int64 if int64_decodes(sd, m + 1) else object
+        cached = sd._cache[key] = np.array(sd.slice_starts(m), dtype=dtype)
     return cached
 
 
@@ -462,7 +463,7 @@ def code_orbits(
         return [b""] * len(ks)
     lvl = np.add.outer(np.asarray(ks, dtype=np.int64), np.array(offsets, dtype=np.int64))
     for m in range(n - 1, spec.reference - 1, -1):
-        starts = _starts64(sd, m)
+        starts = _starts(sd, m)
         lvl -= starts[np.searchsorted(starts, lvl, side="right") - 1]
     if not refined:
         lvl[lvl >= h_r] = -1
@@ -483,47 +484,146 @@ DECODE_BATCH = 1024
 MAX_KEY_BYTES = 1 << 28
 
 
-def count_words(
-    sd: StackingData, spec: CodingSpec, n: int, levels: Iterable[int], offsets: Sequence[int]
-) -> Counter:
-    """Histogram of the word keys (`code_orbits`) of `levels`, keys in
-    first-seen order, decoded DECODE_BATCH levels at a time; `levels` may
-    be an iterable or a 1-d numpy array."""
-    counts: Counter = Counter()
-    if isinstance(levels, np.ndarray):
-        batches = (levels[j : j + DECODE_BATCH] for j in range(0, len(levels), DECODE_BATCH))
-    else:
-        it = iter(levels)
-        batches = iter(lambda: list(islice(it, DECODE_BATCH)), [])
-    for batch in batches:
-        counts.update(code_orbits(sd, spec, n, batch, offsets))
-    return counts
+@dataclass(frozen=True, eq=False)
+class Ranges:
+    """The `count` windows a lift decodes, laid end to end: position j,
+    with ends[i-1] <= j < ends[i], is the start base[i] + j of tower
+    towers[i] and stands for weights[i] levels of K.  `base` and `ends`
+    are int64 arrays when tower n decodes as int64 and object arrays
+    otherwise; `weights` holds Python ints."""
+
+    sd: StackingData
+    n: int
+    count: int
+    towers: np.ndarray
+    ends: np.ndarray
+    base: np.ndarray
+    weights: np.ndarray
+
+
+def exact_plan(
+    levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int]
+) -> tuple[str, ValidLevels | Ranges]:
+    """The cost guard of `exact_word_counts`: its path over K and the plan
+    it decodes, whose `count` is the windows decoded.  On the "enumerate"
+    path the plan is K itself; on the "compressed" path it is the lift's
+    `Ranges`: first the h_r - t_N windows inside tower r, then the starts
+    of tower m+1 for each stage m = r .. n-1.
+
+    The path is "enumerate" (|K| windows) when r = n, an offset lies
+    outside [0, t_N], the keys would read more than |K| spacers, or the
+    windows plus the distinct keys exceed |K|.  The reads (the sum over
+    j < q_m of min(j, t_N // h_m + 2)) are counted before any key is built;
+    their bound is one of memory, as it keeps at most one spacer reference
+    per level of K in the keys.  The keys check is one of speed, set when a
+    distinct key cost about one window's decode.  With levels decoded in
+    int64 batches into bytes keys, a distinct key costs about ten
+    enumerated levels (its tuple and dict entry, built in Python in this
+    process) and a lifted window about two (its weighted count), so the
+    lift is already slower than enumeration from about 0.25 |K| in
+    windows plus keys.
+
+    Tower m+1 is copies 0 .. q_m-1 of tower m at P_0 .. P_{q_m-1} with
+    spacer blocks between, so H_{m+1} = q_m * H_m + (the windows that leave
+    a copy).  The starts [P_i + max(0, h_m - t_N), P_{i+1}) whose windows
+    leave copy i see at most t_N // h_m + 1 more copies, so they depend
+    only on the key spacers[i : i + t_N // h_m + 2] and are decoded at its
+    first region, weighted by the regions that share it times the copies
+    q_{m+1} ... q_{n-1} of tower m+1 in tower n.  A key cut short by the
+    top of the tower is unique to its region and carries its clip
+    s + t_N < h_{m+1}; at the top stage K drops the starts inside spacer
+    blocks.
+    """
+    sd, n, t, r = levels.sd, levels.n, levels.t_max, spec.reference
+    heights, reads = sd.heights(), 0
+    for m in range(r, n):
+        q, width = sd.stages[m - 1].q, t // heights[m - 1] + 2
+        c = min(width, q - 1)
+        reads += c * (c + 1) // 2 + (q - 1 - c) * width
+    if r >= n or reads > levels.count or any(not 0 <= o <= t for o in offsets):
+        return "enumerate", levels
+    windows, keys = max(0, heights[r - 1] - t), 0
+    # (tower, end, base, weight) per range, as in `Ranges`; tower r's come first.
+    ranges = [(r, windows, 0, prod(stage.q for stage in sd.stages[r - 1 : n - 1]))]
+    for m in range(r, n):
+        h, width, top = heights[m - 1], t // heights[m - 1] + 2, m == n - 1
+        spacers, starts = sd.stage_spacers(m), sd.slice_starts(m)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i in range(len(spacers)):
+            group = groups.get(spacers[i : i + width])
+            if group is not None:
+                group[2] += 1
+                continue
+            lo = starts[i] + max(0, h - t)
+            hi = max(lo, min(starts[i] + h if top else starts[i + 1], heights[m] - t))
+            windows, keys = windows + hi - lo, keys + 1
+            groups[spacers[i : i + width]] = [windows, hi - windows, 1]
+            if windows + keys > levels.count:
+                return "enumerate", levels
+        above = prod(stage.q for stage in sd.stages[m : n - 1])
+        ranges.extend((m + 1, end, base, mult * above) for end, base, mult in groups.values())
+    towers, ends, base, weights = zip(*ranges)
+    dtype = np.int64 if int64_decodes(sd, n) else object
+    return "compressed", Ranges(
+        sd, n, windows, np.array(towers), np.array(ends, dtype=dtype),
+        np.array(base, dtype=dtype), np.array(weights, dtype=object),
+    )
 
 
 def _count_block(block) -> Counter:
-    """Word counts for the ranks [lo, hi) of a level set, or for the level
-    draws [lo, hi) of the counter RNG when a seed is given; top-level for
-    pickling.  On an int64 tower n the ranks map to levels as arrays: rank
-    u is level P_{u // h_{n-1}} + u % h_{n-1} (`ValidLevels.select`).
+    """Word counts at the positions [lo, hi) of a plan, or at the draws
+    [lo, hi) of the counter RNG from [0, plan.count) when a seed is given;
+    top-level for pickling.  On K, position u is the level
+    P_{u // h_{n-1}} + u % h_{n-1} (`ValidLevels.select`); on the lift's
+    `Ranges`, one `searchsorted` over the ends finds each position's range,
+    whose windows count `weights` times.  Positions are int64 when tower n
+    decodes as int64 and Python ints otherwise.  Each run of positions on
+    one tower is decoded DECODE_BATCH levels at a time."""
+    spec, plan, offsets, seed, lo, hi = block
+    sd = plan.sd
+    dtype = np.int64 if int64_decodes(sd, plan.n) else object
+    if seed is None:
+        pos = np.arange(lo, hi, dtype=dtype)
+    else:
+        draws = [uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, plan.count) for s in range(lo, hi)]
+        pos = np.array(draws, dtype=dtype)
+    if isinstance(plan, ValidLevels):
+        h = sd.heights()[plan.n - 2]
+        copies = pos // h
+        ks = _starts(sd, plan.n - 1)[copies.astype(np.int64, copy=False)] + pos % h
+        runs, weights = [(plan.n, 0, len(pos))], None
+    else:
+        i = np.searchsorted(plan.ends, pos, side="right")
+        ks, towers, weights = plan.base[i] + pos, plan.towers[i], plan.weights[i]
+        cuts = [0, *(np.flatnonzero(np.diff(towers)) + 1).tolist(), len(pos)]
+        runs = [(int(towers[a]), a, b) for a, b in zip(cuts, cuts[1:])]
+    part: Counter = Counter()
+    for m, a, b in runs:
+        for j in range(a, b, DECODE_BATCH):
+            k = min(j + DECODE_BATCH, b)
+            words = code_orbits(sd, spec, m, ks[j:k], offsets)
+            if weights is None:
+                part.update(words)
+            else:
+                for word, weight in zip(words, weights[j:k]):
+                    part[word] += weight
+    return part
+
+
+def blocked_word_counts(
+    spec: CodingSpec, plan: ValidLevels | Ranges, total: int, offsets: Sequence[int],
+    word_cap: int | None = None, workers: int = 1, seed: int | None = None,
+) -> Counter:
+    """Word counts (`_count_block`) at the positions [0, total) of `plan`,
+    or at `total` uniform draws from it when a seed is given, in blocks
+    that do not depend on the worker count, run on `workers` processes and
+    merged in block order.  `word_cap` and MAX_KEY_BYTES are checked after
+    each block (all keys of one histogram have one length); a tripped
+    check stops the blocks.
     """
-    spec, levels, offsets, seed, lo, hi = block
-    sd, n = levels.sd, levels.n
-    ranks = range(lo, hi)
-    if seed is not None:
-        ranks = [uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks]
-    if not int64_decodes(sd, n):
-        return count_words(sd, spec, n, map(levels.select, ranks), offsets)
-    ranks = np.arange(lo, hi) if seed is None else np.array(ranks, dtype=np.int64)
-    copy, pos = np.divmod(ranks, sd.heights()[n - 2])
-    return count_words(sd, spec, n, _starts64(sd, n - 1)[copy] + pos, offsets)
-
-
-def _merged(fn, blocks: list, word_cap: int | None, workers: int) -> Counter:
-    """The Counters `fn` gives for `blocks` on `workers` processes, merged in
-    block order, checking `word_cap` and MAX_KEY_BYTES after each (all keys
-    of one histogram have one length).  A tripped check stops the blocks."""
+    blocks = [(spec, plan, offsets, seed, lo, hi) for lo, hi in index_blocks(total)]
     counts: Counter = Counter()
-    results = run_blocks(fn, blocks, workers=workers)
+    results = run_blocks(_count_block, blocks, workers=workers)
     try:
         for part in results:
             counts.update(part)
@@ -545,111 +645,6 @@ def _merged(fn, blocks: list, word_cap: int | None, workers: int) -> Counter:
     return counts
 
 
-def blocked_word_counts(
-    spec: CodingSpec, levels: ValidLevels, total: int, offsets: Sequence[int],
-    word_cap: int | None = None, workers: int = 1, seed: int | None = None,
-) -> Counter:
-    """`count_words` over the ranks [0, total) of `levels`, or over `total`
-    uniform draws from K when a seed is given, in blocks that do not depend
-    on the worker count.
-    """
-    blocks = [(spec, levels, offsets, seed, lo, hi) for lo, hi in index_blocks(total)]
-    return _merged(_count_block, blocks, word_cap, workers)
-
-
-def exact_plan(
-    levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int]
-) -> tuple[str, int, list]:
-    """The cost guard of `exact_word_counts`: its path over K, the windows
-    it will decode and, on the compressed path, the (m, lo, hi, weight)
-    ranges it decodes, each window [lo, hi) of tower m standing for
-    `weight` levels of K.  The base (r, 0, h_r - t_N) comes first, then
-    the starts of tower m+1 for each stage m = r .. n-1.
-
-    The path is "enumerate" (|K| windows) when r = n, an offset lies
-    outside [0, t_N], the keys would read more than |K| spacers, or the
-    windows plus the distinct keys exceed |K|.  The reads (the sum over
-    j < q_m of min(j, t_N // h_m + 2)) are counted before any key is built;
-    their bound is one of memory, as it keeps at most one spacer reference
-    per level of K in the keys.  The keys check is one of speed, set when a
-    distinct key cost about one window's decode.  With windows decoded in
-    int64 batches into bytes keys a distinct key costs more than ten (it is
-    built in this process and its range unpacked in a block, both in
-    Python), so the lift is already slower than enumeration from about
-    0.25 |K| in windows plus keys.
-
-    Tower m+1 is copies 0 .. q_m-1 of tower m at P_0 .. P_{q_m-1} with
-    spacer blocks between, so H_{m+1} = q_m * H_m + (the windows that leave
-    a copy).  The starts [P_i + max(0, h_m - t_N), P_{i+1}) whose windows
-    leave copy i see at most t_N // h_m + 1 more copies, so they depend
-    only on the key spacers[i : i + t_N // h_m + 2] and are decoded at its
-    first region, weighted by the regions that share it times the copies
-    q_{m+1} ... q_{n-1} of tower m+1 in tower n.  A key cut short by the
-    top of the tower is unique to its region and carries its clip
-    s + t_N < h_{m+1}; at the top stage K drops the starts inside spacer
-    blocks.
-    """
-    sd, n, t, r = levels.sd, levels.n, levels.t_max, spec.reference
-    heights, reads = sd.heights(), 0
-    for m in range(r, n):
-        q, width = sd.stages[m - 1].q, t // heights[m - 1] + 2
-        c = min(width, q - 1)
-        reads += c * (c + 1) // 2 + (q - 1 - c) * width
-    if r >= n or reads > levels.count or any(not 0 <= o <= t for o in offsets):
-        return "enumerate", levels.count, []
-    base = max(0, heights[r - 1] - t)
-    windows, keys = base, 0
-    ranges = [(r, 0, base, prod(stage.q for stage in sd.stages[r - 1 : n - 1]))]
-    for m in range(r, n):
-        h, width, top = heights[m - 1], t // heights[m - 1] + 2, m == n - 1
-        spacers, starts = sd.stage_spacers(m), sd.slice_starts(m)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i in range(len(spacers)):
-            group = groups.get(spacers[i : i + width])
-            if group is not None:
-                group[2] += 1
-                continue
-            lo = starts[i] + max(0, h - t)
-            hi = max(lo, min(starts[i] + h if top else starts[i + 1], heights[m] - t))
-            groups[spacers[i : i + width]] = [lo, hi, 1]
-            windows, keys = windows + hi - lo, keys + 1
-            if windows + keys > levels.count:
-                return "enumerate", levels.count, []
-        above = prod(stage.q for stage in sd.stages[m : n - 1])
-        ranges.extend((m + 1, lo, hi, mult * above) for lo, hi, mult in groups.values())
-    return "compressed", windows, ranges
-
-
-def _window_block(block) -> Counter:
-    """Word counts of the windows at positions [lo, hi) of the plan's ranges
-    laid end to end, `ends` being their running sums: position j of range
-    i = (m, a, b, weight) is the start b - (ends[i] - j) of tower m, counted
-    `weight` times.  Each run of consecutive ranges of one tower is decoded
-    as one array of levels; top-level for pickling."""
-    sd, spec, offsets, ranges, ends, lo, hi = block
-    part: Counter = Counter()
-    i = bisect_right(ends, lo)
-    while lo < hi:
-        m, firsts, sizes, weights = ranges[i][0], [], [], []
-        while lo < hi and ranges[i][0] == m:
-            b, weight = ranges[i][2:]
-            firsts.append(b - (ends[i] - lo))
-            sizes.append(min(ends[i], hi) - lo)
-            weights.append(weight)
-            lo, i = ends[i], i + 1
-        # Level j of the run is firsts[s] + (j - the sizes before span s);
-        # object arrays keep levels and weights of any size exact.
-        dtype = np.int64 if int64_decodes(sd, m) else object
-        skips = np.cumsum([0] + sizes[:-1])
-        ks = np.repeat(np.array(firsts, dtype=dtype) - skips, sizes) + np.arange(sum(sizes))
-        weights = np.repeat(np.array(weights, dtype=object), sizes)
-        for j in range(0, len(ks), DECODE_BATCH):
-            words = code_orbits(sd, spec, m, ks[j : j + DECODE_BATCH], offsets)
-            for word, weight in zip(words, weights[j : j + DECODE_BATCH]):
-                part[word] += weight
-    return part
-
-
 def exact_word_counts(
     levels: ValidLevels,
     spec: CodingSpec,
@@ -658,28 +653,22 @@ def exact_word_counts(
     workers: int = 1,
     level_cap: int | None = None,
 ) -> tuple[Counter, str, int]:
-    """The histogram `count_words` gives over all of K, keys in the same
-    first-seen order, and the path and windows `exact_plan` picks.
+    """The histogram of the word keys of every level of K, in first-seen
+    order, and the path and windows (`plan.count`) of `exact_plan`.
 
-    enumerate runs `blocked_word_counts` over K; |K| above `level_cap`
-    raises ResourceGuard.  compressed decodes the weighted ranges of the
-    plan in blocks that do not depend on the worker count: first the
-    h_r - t_N windows inside tower r, which need no descent, then each
-    stage's keys in order of first region, each past every level already
-    seen, so the words come out in enumeration's order.  Every word seen
-    occurs in copy 0 of tower n, which lies in K, so checking `word_cap`
-    after every block trips exactly when enumeration's check would.
+    enumerate counts K itself; |K| above `level_cap` raises ResourceGuard.
+    compressed counts the plan's weighted ranges: first the h_r - t_N
+    windows inside tower r, which need no descent, then each stage's keys
+    in order of first region, each past every level already seen, so the
+    words come out in enumeration's order.  Both run in blocks that do not
+    depend on the worker count.  Every word seen occurs in copy 0 of tower
+    n, which lies in K, so checking `word_cap` after every block trips
+    exactly when enumeration's check would.
     """
-    path, windows, ranges = exact_plan(levels, spec, offsets)
-    if path == "compressed":
-        ends = list(accumulate(hi - lo for _, lo, hi, _ in ranges))
-        blocks = [
-            (levels.sd, spec, offsets, ranges, ends, lo, hi) for lo, hi in index_blocks(windows)
-        ]
-        return _merged(_window_block, blocks, word_cap, workers), path, windows
-    if level_cap is not None and levels.count > level_cap:
+    path, plan = exact_plan(levels, spec, offsets)
+    if path == "enumerate" and level_cap is not None and levels.count > level_cap:
         raise ResourceGuard(
             f"valid-level set has {levels.count} levels, above the cap {level_cap}"
         )
-    counts = blocked_word_counts(spec, levels, levels.count, offsets, word_cap, workers)
-    return counts, path, windows
+    counts = blocked_word_counts(spec, plan, plan.count, offsets, word_cap, workers)
+    return counts, path, plan.count

@@ -4,23 +4,25 @@ Everything here recomputes quantities along a different route than the
 package: tower words by direct string recursion, levels by a descent that
 records its chain and its inverse, stacking documents field by field,
 chain properties by graph search, conditional limits by renewal densities,
-Monte Carlo blocks by comparing every segment end.
+Monte Carlo blocks by comparing every segment end, word histograms by
+decoding every level given.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from stacklab.randomstacks.markov import MarkovError, _window_bits_needed, pattern_word
 from stacklab.rng import bulk_generator
-from stacklab.tower import StackingData, TowerError
+from stacklab.tower import DECODE_BATCH, CodingSpec, StackingData, TowerError, code_orbits
 
 
 def materialize_word(sd: StackingData, r: int, n: int, mode: str = "base") -> list[int]:
@@ -238,6 +240,24 @@ def oracle_word_counts(sd: StackingData, r: int, n: int, offsets, mode: str = "b
     for k in brute_valid_levels(sd, n, offsets[-1]):
         w = tuple(word[k + t] for t in offsets)
         counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+def count_words(
+    sd: StackingData, spec: CodingSpec, n: int, levels: Iterable[int], offsets: Sequence[int]
+) -> Counter:
+    """Histogram of the word keys (`code_orbits`) of `levels`, keys in
+    first-seen order, decoded DECODE_BATCH levels at a time; `levels` may
+    be an iterable or a 1-d numpy array.  The enumeration oracle of
+    `tower.exact_word_counts` and `tower.blocked_word_counts`."""
+    counts: Counter = Counter()
+    if isinstance(levels, np.ndarray):
+        batches = (levels[j : j + DECODE_BATCH] for j in range(0, len(levels), DECODE_BATCH))
+    else:
+        it = iter(levels)
+        batches = iter(lambda: list(islice(it, DECODE_BATCH)), [])
+    for batch in batches:
+        counts.update(code_orbits(sd, spec, n, batch, offsets))
     return counts
 
 

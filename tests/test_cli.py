@@ -703,6 +703,22 @@ def test_seq_subcommands(capsys, tmp_path):
     assert "dilating on horizon" in out
 
 
+def test_seq_limit_zero_or_negative_prints_no_terms(capsys, tmp_path):
+    # A limit below n0 = 1 covers no term, on the command line and in the op.
+    sequence = {"kind": "power", "alpha": "2", "horizon": 16}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequence": sequence, "operations": [{"op": "seq", "limit": 0}]}))
+    for limit in ("0", "-5"):
+        assert main(["seq", "gaps", "--config", str(path), "--limit", limit]) == EXIT_OK
+        assert capsys.readouterr().out == "index,value,gap\n"
+        assert main(["seq", "describe", "--config", str(path), "--limit", limit]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sequence: ")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert (out / "seq.csv").read_text().splitlines()[-1] == "index,value,gap"
+
+
 def test_markov_subcommand(capsys):
     assert main(["markov", "--period", "3"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()

@@ -7,6 +7,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from stacklab.tower import (
     CodingSpec,
     Stage,
     StackingData,
-    count_words,
     decode_symbol,
     exact_plan,
     exact_word_counts,
@@ -29,7 +29,7 @@ from stacklab.tower import (
 )
 
 from .conftest import decoded
-from .oracles import oracle_word_counts
+from .oracles import count_words, oracle_word_counts
 
 
 @st.composite
@@ -89,7 +89,8 @@ def test_exact_counts_match_enumeration_and_oracle(case):
     sd, n, spec, offsets = case
     levels = valid_levels(sd, n, offsets[-1])
     counts, path, windows = exact_word_counts(levels, spec, offsets)
-    assert (path, windows) == exact_plan(levels, spec, offsets)[:2]
+    planned, plan = exact_plan(levels, spec, offsets)
+    assert (path, windows) == (planned, plan.count)
     # Offsets lie in [0, t_N] here, so only r = n, the spacers read or the
     # windows plus keys can force enumeration.
     r = spec.reference
@@ -116,6 +117,21 @@ def test_exact_counts_match_enumeration_and_oracle(case):
     res = empirical_sequence_entropy(sd, spec, n, offsets, len(offsets), word_cap=distinct)
     assert res.histogram.path == path
     assert list(res.histogram.counts.items()) == list(enumerated.items())
+
+
+@given(cases())
+def test_exact_counts_in_python_ints_match_int64(case):
+    # Above 2^63 levels the plan's arrays, positions and levels hold Python
+    # ints and each level decodes through code_orbit.  Forced on a small
+    # tower (a fresh copy, so no int64 array is cached), both paths must
+    # give the int64 histogram.
+    sd, n, spec, offsets = case
+    expected = exact_word_counts(valid_levels(sd, n, offsets[-1]), spec, offsets)
+    big = StackingData(sd.initial_height, sd.stages, sd.spacer_cap)
+    with mock.patch.object(tower, "int64_decodes", lambda sd, n: False):
+        counts, path, windows = exact_word_counts(valid_levels(big, n, offsets[-1]), spec, offsets)
+    assert (path, windows) == expected[1:]
+    assert list(counts.items()) == list(expected[0].items())
 
 
 @pytest.mark.parametrize("reference, path", [(1, "compressed"), (3, "enumerate")])
@@ -150,7 +166,7 @@ def test_compressed_base_worker_invariance(monkeypatch):
     monkeypatch.setattr(tower, "run_blocks", spy)
     one = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=1)
     two = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=2)
-    assert calls == [("_window_block", True, 1), ("_window_block", True, 2)]
+    assert calls == [("_count_block", True, 1), ("_count_block", True, 2)]
     assert one.histogram.path == two.histogram.path == "compressed"
     assert list(one.histogram.counts.items()) == list(two.histogram.counts.items())
     enumerated = count_words(sd, spec, 3, valid_levels(sd, 3, A[-1]), A)
@@ -201,7 +217,8 @@ def test_guard_enumerates_random_spacers_far_below_the_horizon():
     sd = StackingData(2, (Stage(q=200, seed=11, distribution="uniform"),), spacer_cap=3)
     spec, offsets = CodingSpec(1, "refined"), (0, 1, 3, 6, 10, 15, 21, 28, 36, 45)
     levels = valid_levels(sd, 2, offsets[-1])
-    assert exact_plan(levels, spec, offsets)[:2] == ("enumerate", levels.count)
+    path, plan = exact_plan(levels, spec, offsets)
+    assert (path, plan.count) == ("enumerate", levels.count)
     counts, path, windows = exact_word_counts(levels, spec, offsets)
     assert (path, windows) == ("enumerate", levels.count)
     assert list(counts.items()) == list(count_words(sd, spec, 2, levels, offsets).items())

@@ -363,6 +363,17 @@ def test_mc_rejects_bad_arguments(separation, samples):
 
 
 @pytest.mark.parametrize(
+    "l0, seed",
+    [(True, 0), (1.0, 0), ("1", 0), (-1, 0), (3, 0), (1, True), (1, 1.0), (1, "0"), (1, None)],
+)
+def test_mc_rejects_bad_l0_and_seed(l0, seed):
+    # The same checks as test_mc_rejects_bad_arguments, for the conditioning
+    # symbol (0..h, h = 2 here) and the seed.
+    with pytest.raises(MarkovError, match="l0|seed"):
+        conditional_limits_mc(2, (0,), l0, separation=10, samples=1000, seed=seed)
+
+
+@pytest.mark.parametrize(
     "h, separation, samples",
     [(2, 10**9, 1000), (32, 2**30, 1)],  # a draw past 2^28 bytes; a position past 2^30
 )

@@ -5,9 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stacklab import tower
+from stacklab.rng import uniform_int
 from stacklab.tower import (
     CodingSpec,
     OrbitEscape,
@@ -16,7 +17,6 @@ from stacklab.tower import (
     TowerError,
     code_orbit,
     code_orbits,
-    count_words,
     decode_symbol,
     decode_words,
     encode_word,
@@ -27,6 +27,7 @@ from stacklab.tower import (
 from .conftest import decoded
 from .oracles import (
     brute_valid_levels,
+    count_words,
     locate_level,
     materialize_word,
     recompose_level,
@@ -334,6 +335,50 @@ def test_count_words_across_decode_batches():
     expected = Counter(code_orbit(sd, spec, 2, k, offsets) for k in ks)
     counts = count_words(sd, spec, 2, ks, offsets)
     assert list(decoded(counts, symbol_width(sd, spec)).items()) == list(expected.items())
+
+
+@st.composite
+def rank_blocks(draw):
+    """A block of the word-count kernel over K: a tower whose first height
+    is small, just below 2^62 (tower 2 or 3 passes 2^63) or above 2^64,
+    any tower n >= 2 and reference, offsets in [0, t_N], and positions
+    [lo, hi) that are ranks of K or, with a seed, indices of level draws;
+    a block may span more than one decode batch."""
+    cap = draw(st.integers(1, 4))
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.integers(2, 5))
+        if cap > 1 and draw(st.booleans()):
+            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16)), distribution="uniform"))
+        else:
+            spacers = draw(st.lists(st.integers(0, cap - 1), min_size=q - 1, max_size=q - 1))
+            stages.append(Stage(q=q, spacers=tuple(spacers)))
+    first = draw(st.sampled_from((0, (1 << 62) - 8, 1 << 64)))
+    sd = StackingData(first + draw(st.integers(1, 5)), tuple(stages), spacer_cap=cap)
+    n = draw(st.integers(2, sd.num_towers))
+    spec = CodingSpec(draw(st.integers(1, n)), draw(st.sampled_from(("base", "refined"))))
+    offsets = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=4)))
+    levels = valid_levels(sd, n, offsets[-1])
+    assume(levels.count > 0)
+    size = st.one_of(st.integers(1, 40), st.integers(tower.DECODE_BATCH - 5, 2 * tower.DECODE_BATCH + 5))
+    if draw(st.booleans()):
+        seed, lo = draw(st.integers(0, 1 << 32)), draw(st.integers(0, 1 << 40))
+        hi = lo + draw(size)
+    else:
+        seed, lo = None, draw(st.integers(0, levels.count - 1))
+        hi = min(levels.count, lo + draw(size))
+    return spec, levels, tuple(offsets), seed, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_blocks())
+def test_count_block_on_K_matches_select(block):
+    spec, levels, offsets, seed, lo, hi = block
+    ranks = range(lo, hi)
+    if seed is not None:
+        ranks = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks]
+    expected = count_words(levels.sd, spec, levels.n, map(levels.select, ranks), offsets)
+    assert list(tower._count_block(block).items()) == list(expected.items())
 
 
 def test_count_words_above_int64_matches_code_orbit():
