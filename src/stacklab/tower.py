@@ -24,7 +24,7 @@ import numpy as np
 
 from .intarith import ResourceGuard, is_int
 from .parallel import index_blocks, run_blocks
-from .rng import SpacerProcess, uniform_int
+from .rng import SpacerProcess, uniform_ints
 
 # Seeded stages regenerate their spacers on demand; expanding more than
 # this many is treated as a resource guard, not an error in the data.
@@ -585,8 +585,7 @@ def _count_block(block) -> Counter:
     if seed is None:
         pos = np.arange(lo, hi, dtype=dtype)
     else:
-        draws = [uniform_int(seed, _STREAM_LEVEL_SAMPLE, s, plan.count) for s in range(lo, hi)]
-        pos = np.array(draws, dtype=dtype)
+        pos = uniform_ints(seed, _STREAM_LEVEL_SAMPLE, lo, hi, plan.count).astype(dtype, copy=False)
     if isinstance(plan, ValidLevels):
         h = sd.heights()[plan.n - 2]
         copies = pos // h

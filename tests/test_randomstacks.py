@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stacklab.intarith import ResourceGuard
-from stacklab.rng import SpacerProcess, _digest64, _uniform_int_limbs, bulk_generator, uniform_int
+from stacklab.rng import (
+    BATCH_MIN, LANES, SpacerProcess, _digest64, _digest64_lanes, _uniform_int_limbs, bulk_generator,
+    uniform_int, uniform_ints,
+)
 from stacklab.randomstacks import (
     analytic_failure_bound,
     build_markov_matrix,
@@ -82,6 +85,100 @@ def test_uniform_int_above_64_bits():
         assert draws == [uniform_int(5, 1, i, bound) for i in range(64)]
         assert len(set(draws)) == 64
     assert max(uniform_int(5, 1, i, 1 << 79) for i in range(64)) >= 1 << 64
+
+
+# Bounds that reject about a third of the 64-bit draws, so that some draws
+# need a third attempt or more: 2^64 // 3 + 1 is batched, while
+# 2^64 // 3 * 2 + 1 lies above 2^63 and is drawn one index at a time.
+_HEAVY_BOUND = (1 << 64) // 3 + 1
+_HEAVY_WIDE_BOUND = (1 << 64) // 3 * 2 + 1
+_SEEDS = st.one_of(
+    st.integers(-(1 << 70), -1), st.integers(0, (1 << 64) - 1), st.integers(1 << 64, 1 << 70)
+)
+
+
+@st.composite
+def draw_ranges(draw):
+    """(start, stop) of a draw range: empty, one index, around BATCH_MIN or a
+    lane chunk, or spanning chunks; placed at 0, across 2^32 (the index's
+    high word changes inside a chunk), anywhere, at the top of [0, 2^64),
+    past it, or below 0."""
+    length = draw(st.one_of(
+        st.sampled_from((0, 1, BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1, LANES - 1, LANES, LANES + 1)),
+        st.integers(BATCH_MIN, 2 * LANES + 3),
+    ))
+    start = draw(st.one_of(
+        st.just(0),
+        st.integers((1 << 32) - max(1, length - 1), (1 << 32) - 1),
+        st.integers(0, (1 << 64) - length),
+        st.just((1 << 64) - length),
+        st.integers((1 << 64) - length + 1, 1 << 65),
+        st.integers(-(1 << 40), -1),
+    ))
+    return start, start + length
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    _SEEDS,
+    st.integers(-(1 << 66), 1 << 66),
+    draw_ranges(),
+    st.one_of(
+        st.sampled_from((1, 2, 3, (1 << 63) - 1, 1 << 63, _HEAVY_BOUND, _HEAVY_WIDE_BOUND,
+                         (1 << 63) + 1, (1 << 64) + 1)),
+        st.integers(1, 1 << 64),
+    ),
+)
+# Batched: across 2^32 and a chunk edge, at BATCH_MIN and LANES +- 1, with
+# lanes rejected several times in a row.
+@example(-5, 3, ((1 << 32) - 100, (1 << 32) + LANES + 1), _HEAVY_BOUND)
+@example(1 << 64, -1, (7, 7 + 2 * LANES + 3), _HEAVY_BOUND)
+@example(9, 0, (0, BATCH_MIN), _HEAVY_BOUND)
+@example(0, 0, (0, BATCH_MIN + 1), 3)
+@example(2, 1, (5, 5 + LANES - 1), 2)
+@example(3, 2, ((1 << 64) - LANES, 1 << 64), (1 << 63) - 1)
+@example(4, 3, (1 << 40, (1 << 40) + LANES), 1)
+# One index at a time: below BATCH_MIN, bounds above 2^63 and 2^64, indices
+# past 2^64 or below 0.
+@example(0, 0, (0, 0), 3)
+@example(0, 0, (1 << 32, (1 << 32) + 1), 3)
+@example(6, 0, (0, BATCH_MIN - 1), 3)
+@example(7, 0, (0, BATCH_MIN), (1 << 63) + 1)
+@example(7, 1, ((1 << 32) - 9, (1 << 32) + LANES), _HEAVY_WIDE_BOUND)
+@example(8, 0, (0, BATCH_MIN), 3 << 70)
+@example(9, 0, ((1 << 64) - BATCH_MIN + 1, (1 << 64) + 1), 3)
+@example(10, 0, (-1, BATCH_MIN - 1), 3)
+def test_uniform_ints_matches_uniform_int(seed, stream, span, bound):
+    start, stop = span
+    draws = uniform_ints(seed, stream, start, stop, bound)
+    assert draws.dtype == (np.int64 if bound <= 1 << 63 else object)
+    assert draws.tolist() == [uniform_int(seed, stream, i, bound) for i in range(start, stop)]
+
+
+def test_uniform_ints_rejects_a_bound_below_one():
+    for bound in (0, -1, -(1 << 64)):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            uniform_int(1, 0, 0, bound)
+        with pytest.raises(ValueError, match="bound must be positive"):
+            uniform_ints(1, 0, 0, LANES, bound)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(
+    _SEEDS,
+    st.integers(-(1 << 66), 1 << 66),
+    st.lists(st.one_of(st.integers(0, (1 << 64) - 1), st.sampled_from((0, (1 << 32) - 1, 1 << 32,
+                                                                        (1 << 64) - 1))),
+             min_size=1, max_size=40),
+    st.one_of(st.integers(0, 3), st.integers(0, 1 << 70)),
+)
+def test_digest_lanes_match_hashlib(seed, stream, indices, attempt):
+    index = np.array(indices, dtype=np.uint64)
+    digests = _digest64_lanes(seed, stream, index, attempt)
+    assert digests.dtype == np.uint64
+    assert digests.tolist() == [_digest64(seed, stream, i, attempt) for i in indices]
 
 
 # -- companion chain ------------------------------------------------------------

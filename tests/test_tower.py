@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from stacklab import tower
-from stacklab.rng import uniform_int
+from stacklab.parallel import BLOCK_SIZE
+from stacklab.rng import BATCH_MIN, LANES, SpacerProcess, uniform_int
 from stacklab.tower import (
     CodingSpec,
     OrbitEscape,
@@ -438,11 +439,44 @@ def test_seeded_stage_chunk_equals_singletons():
         (Stage(2, (1,)), Stage(q=9, seed=5, distribution="uniform")),
         spacer_cap=3,
     )
-    from stacklab.rng import SpacerProcess
-
     proc = SpacerProcess(3, 5)
     assert sd.stage_spacers(2) == tuple(proc.value(i) for i in range(8))
     assert all(0 <= a <= 2 for a in sd.stage_spacers(2))
+
+
+@pytest.mark.parametrize("spacers", [LANES + 1, LANES + BATCH_MIN])
+def test_seeded_stage_across_lane_chunks_equals_singletons(spacers):
+    # One full chunk of batched draws, then one index alone or one more batch.
+    sd = StackingData(2, (Stage(q=spacers + 1, seed=11, distribution="uniform"),), spacer_cap=3)
+    proc = SpacerProcess(3, 11)
+    assert sd.stage_spacers(1) == tuple(proc.value(i) for i in range(spacers))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "bigint"])
+def test_sampled_blocks_match_per_index_draws(big, workers):
+    # Full blocks draw their levels in one batch.  The bigint tower has
+    # h_2 = 2^63 + 2, so it decodes in Python ints while |K| < 2^63 keeps
+    # the batched draws.
+    if big:
+        sd = StackingData((1 << 62) + 1, (Stage(2, (0,)),), spacer_cap=1)
+        n, spec = 2, CodingSpec(1)
+    else:
+        sd = StackingData(
+            3, (Stage(3, (1, 2)), Stage(5, (0, 2, 1, 1)), Stage(q=1001, seed=4, distribution="uniform")),
+            spacer_cap=3,
+        )
+        n, spec = 4, CodingSpec(2, "refined")
+    offsets, seed, total = (0, 1, 3, 6), 17, 2 * BLOCK_SIZE
+    levels = valid_levels(sd, n, offsets[-1])
+    assert tower.int64_decodes(sd, n) != big and BATCH_MIN <= BLOCK_SIZE and levels.count < 1 << 63
+    draws = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in range(total)]
+    block = tower._count_block((spec, levels, offsets, seed, 0, BLOCK_SIZE))
+    expected = count_words(sd, spec, n, map(levels.select, draws[:BLOCK_SIZE]), offsets)
+    assert list(block.items()) == list(expected.items())
+    counts = tower.blocked_word_counts(spec, levels, total, offsets, workers=workers, seed=seed)
+    expected = count_words(sd, spec, n, map(levels.select, draws), offsets)
+    assert list(counts.items()) == list(expected.items())
 
 
 def test_fixture_document_loads(tiny_tower):
