@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .intarith import floor_pow
+from .intarith import InvalidInput, as_float, floor_pow
 from .sequences import SamplingSequence, max_gap, sampling_offsets
 from .tower import (
     CodingSpec, StackingData, decode_words, exact_word_counts, symbol_width, valid_levels,
 )
 
 
-class BoundsError(ValueError):
+class BoundsError(InvalidInput):
     """Invalid bound parameters or case pairing."""
 
 
@@ -141,10 +141,9 @@ class GrowthGauge:
             raise BoundsError("gauge argument must be positive")
         if self.kind == "log":
             return math.log(x)
-        if self.kind == "power":
-            return x**self.beta
         try:
-            return math.exp(x**self.beta)
+            power = x**self.beta
+            return power if self.kind == "power" else math.exp(power)
         except OverflowError:
             return math.inf
 
@@ -154,14 +153,14 @@ def phi_log() -> GrowthGauge:
 
 
 def phi_power(beta) -> GrowthGauge:
-    b = float(beta)
+    b = as_float(beta, "beta")
     if b <= 0:
         raise BoundsError("power gauge needs beta > 0")
     return GrowthGauge(kind="power", beta=b)
 
 
 def phi_exp_power(beta) -> GrowthGauge:
-    b = float(beta)
+    b = as_float(beta, "beta")
     if b <= 0:
         raise BoundsError("exp-power gauge needs beta > 0")
     return GrowthGauge(kind="exp_power", beta=b)

@@ -6,8 +6,8 @@ are byte-deterministic for a fixed effective config; timestamps live only
 in meta.json.  Every report embeds the config hash; `verify` rejects
 mixed-provenance output directories.
 
-Exit codes: 0 success, 2 validation error, 3 resource guard, 4 search
-exhausted.
+Exit codes: 0 success, 2 validation error (`InvalidInput`), 3 resource
+guard (`ResourceGuard`), 4 search exhausted (`SearchExhausted`).
 """
 
 from __future__ import annotations
@@ -30,12 +30,8 @@ from .config import (
     load_config,
     parse_rational,
 )
-from .entropy import (
-    EntropyError,
-    WordCapExceeded,
-    empirical_sequence_entropy,
-    seq_entropy_upper_profile,
-)
+from .entropy import empirical_sequence_entropy, seq_entropy_upper_profile
+from .intarith import InvalidInput, ResourceGuard
 from .randomstacks import (
     build_markov_matrix,
     genericness_search,
@@ -43,20 +39,14 @@ from .randomstacks import (
     stationary_distribution,
     stationary_distribution_exact,
 )
-from .randomstacks.generic import GenericSearchError
-from .randomstacks.markov import MarkovError
-from .randomstacks.recipes import RecipeError
 from .rng import BULK_RNG_ID, SPACER_RNG_ID
 from .sequences import (
-    SequenceError,
     dilation_diagnostic,
     krug_K_estimate,
     max_gap,
     sampling_offsets,
 )
-from .tower import (
-    CodingSpec, ResourceGuard, TowerError, exact_plan, int64_decodes, symbol_width, valid_levels,
-)
+from .tower import CodingSpec, exact_plan, int64_decodes, symbol_width, valid_levels
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -64,17 +54,6 @@ EXIT_RESOURCE = 3
 EXIT_EXHAUSTED = 4
 
 LN2 = math.log(2.0)
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    TowerError,
-    SequenceError,
-    EntropyError,
-    bounds_mod.BoundsError,
-    MarkovError,
-    GenericSearchError,
-    RecipeError,
-)
 
 
 class SearchExhausted(RuntimeError):
@@ -763,12 +742,14 @@ def _dispatch_seq(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
         return _dispatch(args)
-    except _VALIDATION_ERRORS as e:
+    except InvalidInput as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ResourceGuard, WordCapExceeded) as e:
+    except ResourceGuard as e:
         print(f"resource guard: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except SearchExhausted as e:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .entropy import DEFAULT_WORD_CAP
-from .intarith import as_fraction, is_int
+from .intarith import InvalidInput, as_float, as_fraction, is_int
 from .sequences import SamplingSequence, SequenceError
 from .tower import StackingData, TowerError
 
@@ -31,7 +31,7 @@ _CHOICE_FIELDS = {
 }
 
 
-class ConfigError(ValueError):
+class ConfigError(InvalidInput):
     """Invalid configuration; the message names the offending field."""
 
 
@@ -61,8 +61,8 @@ def build_sequence(doc: dict) -> SamplingSequence:
             )
         if kind == "nlog":
             return SamplingSequence.nlog(
-                float(parse_rational(doc.get("C", 1), "sequence.C")),
-                float(parse_rational(doc["alpha"], "sequence.alpha")),
+                as_float(parse_rational(doc.get("C", 1), "sequence.C"), "sequence.C"),
+                as_float(parse_rational(doc["alpha"], "sequence.alpha"), "sequence.alpha"),
                 horizon=doc["horizon"],
                 n0=n0,
             )

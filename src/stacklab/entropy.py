@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .intarith import InvalidInput
 from .sequences import sampling_offsets
 from .tower import (
     CodingSpec,
@@ -30,7 +31,7 @@ from .tower import (
 DEFAULT_WORD_CAP = 1 << 24
 
 
-class EntropyError(ValueError):
+class EntropyError(InvalidInput):
     """Invalid partition data or empty conditioning set."""
 
 

@@ -3,6 +3,10 @@
 Heights and orbit offsets routinely exceed 64 bits, so every quantity
 entering a comparison is kept as a Python integer or Fraction and powers
 like floor(n^(p/q)) are evaluated with exact integer root extraction.
+Where a float is needed, `as_float` turns a value past the float range
+into a ResourceGuard.  Every error class of the package but
+`cli.SearchExhausted` derives from InvalidInput or ResourceGuard, so its
+type carries its exit code.
 """
 
 from __future__ import annotations
@@ -17,8 +21,14 @@ from fractions import Fraction
 POW_WORK_BOUND = 1 << 14
 
 
+class InvalidInput(ValueError):
+    """Input that fails validation; the base of every module's error class.
+    The CLI exits 2 on it."""
+
+
 class ResourceGuard(RuntimeError):
-    """A configured memory/size guard tripped before any allocation."""
+    """A configured memory/size guard tripped before any allocation.  The
+    CLI exits 3 on it."""
 
 
 def is_int(value) -> bool:
@@ -39,6 +49,14 @@ def as_fraction(value, name: str, error: type[Exception]) -> Fraction:
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
     raise error(f"{name}: expected a number or 'p/q' rational, got {value!r}")
+
+
+def as_float(value, name: str) -> float:
+    """`value` as a float; past the float range, ResourceGuard naming `name`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ResourceGuard(f"{name} is too large for a float") from None
 
 
 def iroot(x: int, k: int) -> int:

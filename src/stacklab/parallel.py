@@ -59,12 +59,14 @@ def _run_block(index: int):
 def run_blocks(fn: Callable[[A], R], blocks: Sequence[A], workers: int = 1) -> Iterator[R]:
     """`fn` of each block, yielded in block order.
 
-    On a pool, at most two blocks per worker are submitted, counting the
-    one whose result is awaited, so finished results do not pile up.
+    The pool starts no more processes than there are blocks.  On it, at
+    most two blocks per worker are submitted, counting the one whose
+    result is awaited, so finished results do not pile up.
     Closing the generator (as a consumer that stops early should) shuts
     the pool down and cancels the blocks not yet started.
     """
-    if workers <= 1 or len(blocks) <= 1:
+    workers = min(workers, len(blocks))
+    if workers <= 1:
         yield from map(fn, blocks)
         return
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(fn, blocks))

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
+from ..intarith import InvalidInput, ResourceGuard
 from ..rng import SPACER_RNG_ID, SpacerProcess
 from ..sequences import sampling_offsets
 from ..tower import (
-    SEEDED_STAGE_GUARD, CodingSpec, ResourceGuard, Stage, StackingData, decode_words,
+    SEEDED_STAGE_GUARD, CodingSpec, Stage, StackingData, decode_words,
     exact_word_counts, symbol_width, valid_levels,
 )
 
 
-class GenericSearchError(ValueError):
+class GenericSearchError(InvalidInput):
     """Infeasible search configuration."""
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..intarith import ResourceGuard, is_int
+from ..intarith import InvalidInput, ResourceGuard, is_int
 from ..parallel import index_blocks, run_blocks
 from ..rng import BULK_RNG_ID, bulk_generator
 
@@ -40,7 +40,7 @@ from ..rng import BULK_RNG_ID, bulk_generator
 MAX_PERIOD = 1024
 
 
-class MarkovError(ValueError):
+class MarkovError(InvalidInput):
     """Invalid chain parameters or non-convergence."""
 
 

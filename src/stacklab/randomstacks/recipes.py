@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..intarith import ResourceGuard, as_fraction, floor_pow, is_int
+from ..intarith import InvalidInput, ResourceGuard, as_float, as_fraction, floor_pow, is_int
 
 # The most decimal digits a cut count q may have: Python's default limit for
 # turning an int into a string, which every report of q does.
@@ -42,7 +42,7 @@ _FLOAT_EXACT = 1 << 53
 _MAX_POWER_BITS = 1 << 20
 
 
-class RecipeError(ValueError):
+class RecipeError(InvalidInput):
     """Parameters outside a recipe's stated range."""
 
 
@@ -58,14 +58,6 @@ class RecipeBundle:
     p_fail_horizon_floor: float | None  # floor denominator t_N
     p_fail_range_floor: float | None  # floor denominator m
     notes: tuple[str, ...] = ()
-
-
-def _float(value, name: str) -> float:
-    """`value` as a float; past the float range, ResourceGuard naming `name`."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ResourceGuard(f"{name} is too large for a float") from None
 
 
 def _check_cut_digits(log_exponent: float, base: float, form: str) -> None:
@@ -149,9 +141,9 @@ def recipe_params(
         else:
             # ln N0 is about h^beta + 1 = e^(beta ln h) + 1: check it before
             # e^(h^beta + 1) can leave the float range.
-            beta_f = _float(beta, "beta")
+            beta_f = as_float(beta, "beta")
             _check_cut_digits(math.exp(min(beta_f * math.log(h), 709.0)) + 1.0, 2, "2^N0")
-            N0 = math.floor(math.exp(_float(h, "h") ** beta_f + 1.0)) + 1
+            N0 = math.floor(math.exp(as_float(h, "h") ** beta_f + 1.0)) + 1
         _check_cut_digits(math.log(N0), 2, "2^N0")
         q = 2**N0
         N = math.ceil(gamma * N0)
@@ -175,11 +167,11 @@ def recipe_params(
         if h <= L:
             notes.append("initial height at or below L; the construction wants h > L")
         eps = _check_eps(eps, Fraction(1, 2))
-        beta_f, kappa_f = _float(beta, "beta"), _float(kappa, "kappa")
+        beta_f, kappa_f = as_float(beta, "beta"), as_float(kappa, "kappa")
         _check_cut_digits(beta_f * math.log(h), kappa_f, "floor(kappa^(h^beta)) + 1")
         hb_exact = _exact_power(h, beta)
         try:
-            hb_f = _float(h, "h") ** beta_f
+            hb_f = as_float(h, "h") ** beta_f
         except OverflowError:
             raise ResourceGuard("h^beta is too large for a float") from None
         if hb_exact is not None and isinstance(kappa, (int, Fraction)):

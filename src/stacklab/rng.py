@@ -44,22 +44,6 @@ def uniform_int(seed: int, stream: int, index: int, bound: int) -> int:
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
-    # _uniform_int_limbs gives this same stream for every bound, but its
-    # per-call limb set-up makes a single-limb draw about 45% slower (1.5
-    # against 1.0 us on a 2-core machine).  Ranges shorter than BATCH_MIN,
-    # such as the 255-draw genericness candidates, still draw here.
-    if bound > _U64:
-        return _uniform_int_limbs(seed, stream, index, bound)
-    limit = _U64 - (_U64 % bound)
-    attempt = 0
-    while True:
-        x = _digest64(seed, stream, index, attempt)
-        if x < limit:
-            return x % bound
-        attempt += 1
-
-
-def _uniform_int_limbs(seed: int, stream: int, index: int, bound: int) -> int:
     limbs = max(1, -(-(bound - 1).bit_length() // 64))
     span = 1 << (64 * limbs)
     limit = span - (span % bound)

@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .intarith import ResourceGuard, as_fraction, floor_pow, is_int
+from .intarith import InvalidInput, ResourceGuard, as_fraction, floor_pow, is_int
 
 # The most terms a sequence holds: every term up to the horizon is built and
 # kept at construction.  Admits 2^20, the default horizon of `linear`.
 MAX_TERMS = 1 << 22
 
 
-class SequenceError(ValueError):
+class SequenceError(InvalidInput):
     """Invalid sampling-sequence definition or index."""
 
 
@@ -127,7 +127,10 @@ class SamplingSequence:
         if self.kind == "nlog":
             if i == 1:
                 return 0
-            return math.floor(self.coeff * i * math.log(i) ** self.alpha)
+            try:
+                return math.floor(self.coeff * i * math.log(i) ** self.alpha)
+            except OverflowError:
+                raise ResourceGuard(f"nlog term at index {i} is too large for a float") from None
         if self.kind == "linear":
             return self.a * i + self.b
         return self.values[i - self.n0]

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .intarith import ResourceGuard, is_int
+from .intarith import InvalidInput, ResourceGuard, is_int
 from .parallel import index_blocks, run_blocks
 from .rng import SpacerProcess, uniform_ints
 
@@ -34,11 +34,11 @@ SEEDED_STAGE_GUARD = 1 << 22
 _STREAM_LEVEL_SAMPLE = 1
 
 
-class TowerError(ValueError):
+class TowerError(InvalidInput):
     """Malformed stacking data or an out-of-range level query."""
 
 
-class WordCapExceeded(RuntimeError):
+class WordCapExceeded(ResourceGuard):
     """Histogram grew past the configured cap; a memory guard, not a bug."""
 
     def __init__(self, cap: int):
@@ -48,7 +48,7 @@ class WordCapExceeded(RuntimeError):
         )
 
 
-class OrbitEscape(Exception):
+class OrbitEscape(TowerError):
     """An orbit sample left the tower.
 
     Carries the 1-based index of the first offending sample.

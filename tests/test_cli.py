@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import stacklab
 from stacklab import cli
 from stacklab.cli import (
     EXIT_EXHAUSTED,
@@ -22,6 +25,7 @@ from stacklab.cli import (
     main,
 )
 from stacklab.config import KNOWN_OPS, ConfigError, config_hash, load_config, parse_rational
+from stacklab.intarith import InvalidInput, ResourceGuard
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -130,6 +134,17 @@ _TINY_OP = TINY_DOC["operations"][0]
 _GENERIC_OP = {"op": "generic", "length": 2, "floor_length": 0, "q": 10**12,
                "alphabet": 2, "trial_cap": 1}
 _HUGE_H = str(10**400)
+
+
+def _nlog_seq_doc(**sequence) -> dict:
+    return {"sequence": {"kind": "nlog", "horizon": 10, **sequence}, "operations": [{"op": "seq"}]}
+
+
+def _gauge_doc(phi: str, beta: str) -> dict:
+    op = {"op": "bounds", "phi": phi, "beta": beta, "cuts": 1, "horizon": 20}
+    return {"sequence": {"kind": "power", "alpha": "3/2", "horizon": 64}, "operations": [op]}
+
+
 # Each probe once hung, exhausted memory or ended in a traceback.
 _PROBES = {
     "power-root-order": (["describe", {"sequence": {"kind": "power", "alpha": "1e-400",
@@ -193,6 +208,23 @@ _PROBES = {
                                                     "horizon": 3000000000},
                                        "operations": [{"op": "seq"}]}],
                          EXIT_RESOURCE, "horizon"),
+    "nlog-alpha-float": (["describe", _nlog_seq_doc(alpha="1e400")],
+                         EXIT_RESOURCE, "sequence.alpha is too large for a float"),
+    "nlog-C-float": (["describe", _nlog_seq_doc(C="1e400", alpha=1)],
+                     EXIT_RESOURCE, "sequence.C is too large for a float"),
+    # C * n leaves the float range at n = 2, log(n)^1000 at n = 8.
+    "nlog-term-C-float": (["describe", _nlog_seq_doc(C="1e308", alpha=1)],
+                          EXIT_RESOURCE, "nlog term at index 2 is too large for a float"),
+    "nlog-term-alpha-float": (["describe", _nlog_seq_doc(C=1, alpha="1000")],
+                              EXIT_RESOURCE, "nlog term at index 8 is too large for a float"),
+    # n^1000 leaves the float range from n = 3 on; the gauge reads inf there.
+    "power-gauge-inf": (["run", _gauge_doc("power", "1000")], EXIT_OK, ""),
+    "power-gauge-beta-float": (["run", _gauge_doc("power", "1e400")],
+                               EXIT_RESOURCE, "beta is too large for a float"),
+    "exp-power-gauge-beta-float": (["run", _gauge_doc("exp_power", "1e400")],
+                                   EXIT_RESOURCE, "beta is too large for a float"),
+    "workers-zero": (["run", TINY_DOC, "--workers", "0"], EXIT_VALIDATION,
+                     "argument --workers: must be at least 1, got 0"),
 }
 _PROBE_SECONDS = 2.0
 _PROBE_BYTES = 2 << 30
@@ -228,6 +260,24 @@ def _run_probe(tmp_path, argv, code, message, seconds):
 @pytest.mark.parametrize("argv, code, message", _PROBES.values(), ids=_PROBES.keys())
 def test_probes_exit_with_documented_codes(tmp_path, argv, code, message):
     _run_probe(tmp_path, argv, code, message, _PROBE_SECONDS)
+
+
+def test_every_error_class_maps_to_an_exit_code():
+    # main maps InvalidInput to exit 2 and ResourceGuard to exit 3; an error
+    # class under neither base would end in a traceback and exit 1.
+    errors = [
+        cls
+        for info in pkgutil.walk_packages(stacklab.__path__, "stacklab.")
+        for _, cls in inspect.getmembers(importlib.import_module(info.name), inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == info.name
+    ]
+    assert len(errors) >= 13  # the scan reached every module
+    stray = [
+        f"{cls.__module__}.{cls.__qualname__}"
+        for cls in errors
+        if not issubclass(cls, (InvalidInput, ResourceGuard)) and cls is not cli.SearchExhausted
+    ]
+    assert not stray
 
 
 def test_key_bytes_probe_exits_with_the_resource_code(tmp_path):

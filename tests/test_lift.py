@@ -6,13 +6,14 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from concurrent.futures import Future
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stacklab import tower
+from stacklab import parallel, tower
 from stacklab.entropy import WordCapExceeded, empirical_sequence_entropy
 from stacklab.intarith import ResourceGuard
 from stacklab.parallel import BLOCK_SIZE, run_blocks
@@ -172,6 +173,31 @@ def test_compressed_base_worker_invariance(monkeypatch):
     enumerated = count_words(sd, spec, 3, valid_levels(sd, 3, A[-1]), A)
     assert list(one.histogram.counts.items()) == list(enumerated.items())
     assert one.h_nats == two.h_nats
+
+
+def test_pool_starts_no_more_processes_than_blocks(monkeypatch):
+    # A stand-in pool records its size and runs each block in this process
+    # as it is submitted, so a large worker count starts no process.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            self.fn, self.blocks = initargs
+
+        def submit(self, fn, index):
+            future = Future()
+            future.set_result(self.fn(self.blocks[index]))
+            return future
+
+        def shutdown(self, wait, cancel_futures):
+            pass
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Pool)
+    for workers, count in ((1000, 3), (2, 5), (1000, 1)):
+        blocks = range(-count, 0)
+        assert list(run_blocks(abs, blocks, workers)) == [abs(b) for b in blocks]
+    assert sizes == [3, 2]
 
 
 def _squaring_tower() -> StackingData:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stacklab.intarith import ResourceGuard
 from stacklab.rng import (
-    BATCH_MIN, LANES, SpacerProcess, _digest64, _digest64_lanes, _uniform_int_limbs, bulk_generator,
+    BATCH_MIN, LANES, SpacerProcess, _digest64, _digest64_lanes, bulk_generator,
     uniform_int, uniform_ints,
 )
 from stacklab.randomstacks import (
@@ -72,10 +72,6 @@ def test_uniform_int_reads_one_digest_per_attempt_up_to_64_bits():
     assert [uniform_int(5, 1, i, 3) for i in range(16)] == [
         _digest64(5, 1, i, 0) % 3 for i in range(16)
     ]
-    # The multi-limb loop, used above 2**64 only, reads the same stream here.
-    for bound in (1, 3, (1 << 63) + 1, 1 << 64):
-        draws = [uniform_int(5, 1, i, bound) for i in range(32)]
-        assert draws == [_uniform_int_limbs(5, 1, i, bound) for i in range(32)]
 
 
 def test_uniform_int_above_64_bits():
