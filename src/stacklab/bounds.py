@@ -213,7 +213,10 @@ def balancing_profile(
         prev = t_n
         c_n = cuts(n)
         diag_balance = (c_n / n) * math.log(s_n) if s_n > 0 else 0.0
-        diag_phi = phi(t_n / c_n) / n if t_n > 0 else 0.0
+        try:
+            diag_phi = phi(t_n / c_n) / n if t_n > 0 else 0.0
+        except OverflowError:  # t_n / c_n past the float range
+            diag_phi = (math.log(t_n) - math.log(c_n) if phi.kind == "log" else math.inf) / n
         diag_binom = _log_binom(n + c_n, n) / n
         rows.append(
             BalancingRow(

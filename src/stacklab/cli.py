@@ -31,7 +31,7 @@ from .config import (
     parse_rational,
 )
 from .entropy import empirical_sequence_entropy, seq_entropy_upper_profile
-from .intarith import InvalidInput, ResourceGuard
+from .intarith import InvalidInput, ResourceGuard, as_float
 from .randomstacks import (
     build_markov_matrix,
     genericness_search,
@@ -733,8 +733,9 @@ def _dispatch_seq(args) -> int:
         return EXIT_OK
     if args.seq_command == "kvalue":
         value = krug_K_estimate(seq, args.r, args.n)
+        approx = fmt(as_float(value, "kvalue"))
         print("r,n,kvalue_exact,kvalue")
-        print(f"{args.r},{args.n},{value.numerator}/{value.denominator},{fmt(float(value))}")
+        print(f"{args.r},{args.n},{value.numerator}/{value.denominator},{approx}")
         return EXIT_OK
     raise ConfigError(f"unknown seq subcommand {args.seq_command!r}")
 

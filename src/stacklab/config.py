@@ -184,6 +184,8 @@ def _validate_op(i: int, op: dict, docs: dict) -> None:
         raise ConfigError(
             f"operations[{i}].cuts: must be an integer or one of {', '.join(_CUT_SCHEDULES)}"
         )
+    if kind == "generic" and not isinstance(op.get("evaluate_all", False), bool):
+        raise ConfigError(f"operations[{i}].evaluate_all: must be a boolean")
     if "phi" in op and op["phi"] not in _GAUGES:
         raise ConfigError(f"operations[{i}].phi: must be one of {', '.join(_GAUGES)}")
     for (name, choice), fields in _CHOICE_FIELDS.items():

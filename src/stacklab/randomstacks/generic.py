@@ -10,6 +10,7 @@ tower decoder; comparisons against the cap are exact rationals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -46,7 +47,10 @@ def analytic_failure_bound(heights: Sequence[int], N: int) -> float:
     h_n = heights[-1]
     total = 0.0
     for h_r in heights:
-        exponent = N * math.log(h_r + 1) - 2.0 * float(h_r) ** N
+        try:
+            exponent = N * math.log(h_r + 1) - 2.0 * float(h_r) ** N
+        except OverflowError:  # h_r^N past the float range: the term is 0
+            continue
         total += math.exp(exponent) if exponent > -745.0 else 0.0
     return (h_n + 1) * total
 
@@ -138,7 +142,7 @@ def evaluate_candidate(
         valid_count=levels.count,
         worst_count=worst[0],
         worst_cap=worst[1],
-        worst_ratio=float(worst_ratio),
+        worst_ratio=float(worst_ratio) if worst_ratio <= sys.float_info.max else math.inf,
         worst_reference=worst[2],
         worst_word=worst[3],
     )

@@ -190,23 +190,22 @@ class StackingData:
             raise TowerError(f"tower index {n} out of range 1..{self.num_towers}")
         return self.heights()[n - 1]
 
-    def slice_starts(self, m: int) -> list[int]:
-        """P_i = i*h_m + (a_{m,1}+...+a_{m,i}) for i = 0..q_m-1.
+    def slice_starts(self, m: int) -> np.ndarray:
+        """P_i = i*h_m + (a_{m,1}+...+a_{m,i}) for i = 0..q_m-1, as one
+        cached array: int64 when tower m+1 decodes as int64
+        (`int64_decodes`), object (Python ints) otherwise.
 
         P_i is the start of slice i+1 inside tower m+1; spacer block i+1
         occupies [P_i + h_m, P_{i+1}).
         """
         key = ("pfx", m)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        h = self.heights()[m - 1]
-        starts = [0]
-        acc = 0
-        for a in self.stage_spacers(m)[: self.stages[m - 1].q - 1]:
-            acc += h + a
-            starts.append(acc)
-        self._cache[key] = starts
+        starts = self._cache.get(key)
+        if starts is None:
+            dtype = np.int64 if int64_decodes(self, m + 1) else object
+            steps = np.zeros(self.stages[m - 1].q, dtype=dtype)
+            steps[1:] = self.stage_spacers(m)
+            steps[1:] += self.heights()[m - 1]
+            starts = self._cache[key] = np.cumsum(steps)
         return starts
 
     def extended(self, stage: Stage) -> "StackingData":
@@ -310,7 +309,7 @@ class ValidLevels:
         if not 0 <= u < self.count:
             raise TowerError(f"rank {u} out of range [0, {self.count})")
         h = self.sd.heights()[self.n - 2]
-        return self.sd.slice_starts(self.n - 1)[u // h] + (u % h)
+        return int(self.sd.slice_starts(self.n - 1)[u // h]) + u % h
 
     def __iter__(self) -> Iterator[int]:
         return map(self.select, range(self.count))
@@ -338,7 +337,7 @@ def valid_levels(sd: StackingData, n: int, t_max: int) -> ValidLevels:
     # of K, and copy i those of its h levels at or below the bound.
     starts, h = sd.slice_starts(n - 1), sd.heights()[n - 2]
     i = bisect_right(starts, bound) - 1
-    count = i * h + min(bound - starts[i] + 1, h)
+    count = i * h + min(bound - int(starts[i]) + 1, h)
     return ValidLevels(sd=sd, n=n, t_max=t_max, count=count)
 
 
@@ -380,7 +379,7 @@ def code_orbit(
         if lvl < 0:
             raise TowerError(f"level {lvl} out of range [0, {h_n}) for tower {n}")
         for starts, h in descent:
-            lvl -= starts[bisect_right(starts, lvl) - 1]
+            lvl -= int(starts[bisect_right(starts, lvl) - 1])
             if lvl >= h:
                 word.append(h_r + lvl - h + 1 if refined else 0)
                 break
@@ -413,17 +412,6 @@ def decode_words(keys: Iterable[bytes], width: int) -> Iterator[tuple[int, ...]]
     """The coded words of `keys`, in order; the inverse of `encode_word`."""
     for key in keys:
         yield tuple(int.from_bytes(key[i : i + width], "little") for i in range(0, len(key), width))
-
-
-def _starts(sd: StackingData, m: int) -> np.ndarray:
-    """`slice_starts(m)` as an array, cached beside it: int64 when tower m+1
-    decodes as int64, object (Python ints) otherwise."""
-    key = ("pfx_array", m)
-    cached = sd._cache.get(key)
-    if cached is None:
-        dtype = np.int64 if int64_decodes(sd, m + 1) else object
-        cached = sd._cache[key] = np.array(sd.slice_starts(m), dtype=dtype)
-    return cached
 
 
 def code_orbits(
@@ -463,7 +451,7 @@ def code_orbits(
         return [b""] * len(ks)
     lvl = np.add.outer(np.asarray(ks, dtype=np.int64), np.array(offsets, dtype=np.int64))
     for m in range(n - 1, spec.reference - 1, -1):
-        starts = _starts(sd, m)
+        starts = sd.slice_starts(m)
         lvl -= starts[np.searchsorted(starts, lvl, side="right") - 1]
     if not refined:
         lvl[lvl >= h_r] = -1
@@ -554,8 +542,9 @@ def exact_plan(
             if group is not None:
                 group[2] += 1
                 continue
-            lo = starts[i] + max(0, h - t)
-            hi = max(lo, min(starts[i] + h if top else starts[i + 1], heights[m] - t))
+            start = int(starts[i])
+            lo = start + max(0, h - t)
+            hi = max(lo, min(start + h if top else int(starts[i + 1]), heights[m] - t))
             windows, keys = windows + hi - lo, keys + 1
             groups[spacers[i : i + width]] = [windows, hi - windows, 1]
             if windows + keys > levels.count:
@@ -589,7 +578,7 @@ def _count_block(block) -> Counter:
     if isinstance(plan, ValidLevels):
         h = sd.heights()[plan.n - 2]
         copies = pos // h
-        ks = _starts(sd, plan.n - 1)[copies.astype(np.int64, copy=False)] + pos % h
+        ks = sd.slice_starts(plan.n - 1)[copies.astype(np.int64, copy=False)] + pos % h
         runs, weights = [(plan.n, 0, len(pos))], None
     else:
         i = np.searchsorted(plan.ends, pos, side="right")

@@ -115,7 +115,7 @@ def locate_level(sd: StackingData, n: int, k: int) -> LevelLocator:
         m = cur - 1
         starts, h = sd.slice_starts(m), sd.heights()[m - 1]
         i = bisect_right(starts, lvl) - 1
-        off = lvl - starts[i]
+        off = lvl - int(starts[i])
         if off >= h:
             steps.append(LocatorStep(m, "spacer", i + 1, off - h))
             break
@@ -133,7 +133,7 @@ def recompose_level(sd: StackingData, locator: LevelLocator) -> int:
     if last.kind == "spacer":
         k += sd.heights()[last.stage - 1]  # past the slice below the block
     for step in reversed(locator.chain):
-        k += sd.slice_starts(step.stage)[step.index - 1]
+        k += int(sd.slice_starts(step.stage)[step.index - 1])
     return k
 
 

@@ -145,6 +145,11 @@ def _gauge_doc(phi: str, beta: str) -> dict:
     return {"sequence": {"kind": "power", "alpha": "3/2", "horizon": 64}, "operations": [op]}
 
 
+def _power300_doc(**op) -> dict:
+    op = {"op": "bounds", "cuts": 1, "horizon": 1000, **op}
+    return {"sequence": {"kind": "power", "alpha": 300, "horizon": 1000}, "operations": [op]}
+
+
 # Each probe once hung, exhausted memory or ended in a traceback.
 _PROBES = {
     "power-root-order": (["describe", {"sequence": {"kind": "power", "alpha": "1e-400",
@@ -225,6 +230,14 @@ _PROBES = {
                                    EXIT_RESOURCE, "beta is too large for a float"),
     "workers-zero": (["run", TINY_DOC, "--workers", "0"], EXIT_VALIDATION,
                      "argument --workers: must be at least 1, got 0"),
+    # h_r^N reaches 5^500 ~ 1e349: the bound's terms read 0 there, the worst ratio inf.
+    "generic-float-power": (["run", {**TINY_DOC, "sequence": {"kind": "linear", "a": 1,
+                                                              "horizon": 1000},
+                                     "operations": [dict(_GENERIC_OP, length=500, q=200)]}],
+                            EXIT_EXHAUSTED, "search exhausted"),
+    # t_n = n^300 passes the float range from n = 12 on.
+    "bounds-log-quotient-float": (["run", _power300_doc(phi="log")], EXIT_OK, ""),
+    "bounds-power-quotient-float": (["run", _power300_doc(phi="power", beta=1)], EXIT_OK, ""),
 }
 _PROBE_SECONDS = 2.0
 _PROBE_BYTES = 2 << 30
@@ -260,6 +273,13 @@ def _run_probe(tmp_path, argv, code, message, seconds):
 @pytest.mark.parametrize("argv, code, message", _PROBES.values(), ids=_PROBES.keys())
 def test_probes_exit_with_documented_codes(tmp_path, argv, code, message):
     _run_probe(tmp_path, argv, code, message, _PROBE_SECONDS)
+
+
+def test_seq_kvalue_past_the_float_range_exits_3(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequence": {"kind": "linear", "a": 1, "horizon": 100}}))
+    argv = ["seq", "kvalue", "--config", str(path), "--r", _HUGE_H, "--n", "2"]
+    _run_probe(tmp_path, argv, EXIT_RESOURCE, "kvalue is too large for a float", _PROBE_SECONDS)
 
 
 def test_every_error_class_maps_to_an_exit_code():
@@ -413,6 +433,7 @@ _BOUNDS = {"op": "bounds", "phi": "log", "cuts": "constant", "horizon": 10}
         ("beta", dict(_BOUNDS, phi="power", beta="x")),
         ("phi", dict(_BOUNDS, phi="cubic")),
         ("lam", {"op": "profile", "lengths": [1], "rule": "lambda", "lam": "x"}),
+        ("evaluate_all", dict(_GENERIC, evaluate_all="no")),
     ],
 )
 def test_op_schema_field_types_exit_code(tmp_path, capsys, field, op):

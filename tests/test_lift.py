@@ -65,7 +65,7 @@ def _lift_cost(sd, n, r, t):
     heights, reads, keys = sd.heights(), 0, 0
     windows = max(0, heights[r - 1] - t)
     for m in range(r, n):
-        h, spacers, starts = heights[m - 1], sd.stage_spacers(m), sd.slice_starts(m)
+        h, spacers, starts = heights[m - 1], sd.stage_spacers(m), sd.slice_starts(m).tolist()
         width = t // h + 2
         reads += sum(len(spacers[i : i + width]) for i in range(len(spacers)))
         seen = set()

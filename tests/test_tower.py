@@ -46,7 +46,32 @@ def test_heights_examples():
 def test_compute_heights_tables(tiny_tower):
     assert tiny_tower.heights() == (2, 5)
     assert sum(tiny_tower.stage_spacers(1)) == 1
-    assert tiny_tower.slice_starts(1) == [0, 3]  # slice 2 starts past slice 1 plus one spacer
+    assert tiny_tower.slice_starts(1).tolist() == [0, 3]  # slice 2 starts past slice 1 plus one spacer
+
+
+def test_slice_starts_is_one_array_per_stage():
+    # Towers 2^62, 2^63 and 3 * 2^63 + 6 straddle 2^63: stage 1's starts are
+    # int64, those of the stages above hold Python ints.
+    sd = StackingData(1 << 61, (Stage(2, (0,)), Stage(2, (0,)), Stage(3, (1, 5))))
+    heights = sd.heights()
+    for m, stage in enumerate(sd.stages, start=1):
+        starts = sd.slice_starts(m)
+        assert tower.int64_decodes(sd, m + 1) == (m == 1)
+        assert starts.dtype == (np.int64 if m == 1 else object)
+        assert starts.tolist() == [
+            i * heights[m - 1] + sum(stage.spacers[:i]) for i in range(stage.q)
+        ]
+        assert sd.slice_starts(m) is starts
+    # Readers in Python-int arithmetic see ints on both sides of 2^63.
+    for n, r in ((2, 1), (4, 3)):
+        levels = valid_levels(sd, n, 10)
+        assert type(levels.count) is int
+        ks = [levels.select(u) for u in (0, heights[n - 2], levels.count - 1)]
+        assert all(type(k) is int for k in ks)
+        for k in ks:
+            assert all(type(x) is int for x in code_orbit(sd, CodingSpec(1), n, k, (0, 5, 10)))
+        path, plan = tower.exact_plan(levels, CodingSpec(r), (0, 5, 10))
+        assert path == "compressed" and type(plan.count) is int
 
 
 def test_heights_strictly_increasing():
