@@ -173,8 +173,8 @@ def _validate_op(i: int, op: dict, docs: dict) -> None:
             raise ConfigError(f"operations[{i}]: {kind} needs a {name!r} document")
     if kind == "entropy" and op.get("method", "exact") not in ("exact", "sampled"):
         raise ConfigError(f"operations[{i}].method: must be 'exact' or 'sampled'")
-    if kind == "entropy" and op.get("method") == "sampled" and "count" not in op:
-        raise ConfigError(f"operations[{i}].count: required for sampled mode")
+    if kind == "entropy" and op.get("method") == "sampled" and op.get("count", 0) < 1:
+        raise ConfigError(f"operations[{i}].count: required for sampled mode as an integer >= 1")
     lengths = op.get("lengths")
     if kind == "profile" and not (
         isinstance(lengths, list) and lengths and all(map(is_int, lengths))

@@ -177,6 +177,8 @@ def genericness_search(
         raise GenericSearchError("trial cap must be positive")
     if N < 1:
         raise GenericSearchError("word length must be positive")
+    if not 0 <= N0 <= N:
+        raise GenericSearchError(f"floor length {N0} must lie in [0, {N}] (the word length)")
     offsets = sampling_offsets(A, N)
     h_n = base.heights()[-1]
     if offsets[-1] >= q * h_n:

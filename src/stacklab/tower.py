@@ -111,7 +111,7 @@ class StackingData:
 
     def _validate_stage(self, m: int, stage: Stage) -> None:
         if not is_int(stage.q) or stage.q < 2:
-            raise TowerError(f"stage {m}: cut count q must be an integer >= 2, got {stage.q}")
+            raise TowerError(f"stage {m}: cut count q must be an integer >= 2, got {stage.q!r}")
         explicit = stage.spacers is not None
         seeded = stage.seed is not None
         if explicit == seeded:
@@ -389,8 +389,8 @@ def code_orbit(
 
 
 def int64_decodes(sd: StackingData, n: int) -> bool:
-    """Whether `code_orbits` decodes the levels of tower n as int64 arrays
-    (h_n < 2^63) rather than through `code_orbit`."""
+    """Whether `code_orbits` decodes the levels of tower n in int64 arrays
+    (h_n < 2^63) rather than in object arrays of Python ints."""
     return sd.height(n) < 1 << 63
 
 
@@ -420,46 +420,44 @@ def code_orbits(
     """`[encode_word(code_orbit(sd, spec, n, k, offsets), w) for k in ks]`
     with w = `symbol_width(sd, spec)`, decoded at once.
 
-    `ks` may be a list or a 1-d numpy array.  When `int64_decodes(sd, n)`
-    holds, w is at most 8 and every k and k + o lies in [0, h_n), the
-    levels form one len(ks) x len(offsets) int64 array that descends a
-    stage at a time: one `searchsorted` over the slice starts, then the
-    slice start is subtracted.  A level that lands in a spacer block lies
-    above every slice start of the stages below, so it keeps its excess
-    over the height down to tower r and ends at h_r + (its position in the
-    block): refined mode codes it, like a level inside a copy, as its final
-    value + 1, and base mode codes every final value >= h_r as 0.  The
-    rows are then cast to w-byte little-endian integers and cut into keys.
-    Otherwise each level goes through `code_orbit`, which raises its exact
-    error at the first offending level.
+    `ks` may be a list or a 1-d numpy array.  The levels form one
+    len(ks) x len(offsets) array, int64 if `int64_decodes(sd, n)` and
+    object otherwise, that descends a stage at a time: one `searchsorted`
+    over the slice starts, then the slice start is subtracted.  A level in
+    a spacer block lies above every slice start of the stages below, so it
+    keeps its excess over the height down to tower r and ends at h_r + (its
+    position in the block): refined mode codes it, like a level inside a
+    copy, as its final value + 1, and base mode codes every final value
+    >= h_r as 0.  The rows are cast to w-byte little-endian integers and
+    cut into keys (`encode_word` above 8 bytes).  A level outside [0, h_n)
+    raises `code_orbit`'s error at the first offending level.
     """
     if len(ks) == 0:
         return []
-    array = isinstance(ks, np.ndarray)
-    k_min, k_max = (int(ks.min()), int(ks.max())) if array else (min(ks), max(ks))
-    lowest = k_min + min(0, min(offsets, default=0))
-    highest = k_max + max(0, max(offsets, default=0))
-    fast = int64_decodes(sd, n) and 0 <= lowest and highest < sd.height(n)
-    if fast:
-        h_r, refined = _coding(sd, spec, n)
-        width = symbol_width(sd, spec)
-    if not fast or width > 8:
-        words = [code_orbit(sd, spec, n, k, offsets) for k in (ks.tolist() if array else ks)]
-        width = symbol_width(sd, spec)
-        return [encode_word(word, width) for word in words]
+    lowest = int(np.min(ks)) + min((0, *offsets))
+    highest = int(np.max(ks)) + max((0, *offsets))
+    if not (0 <= lowest and highest < sd.height(n)):
+        # lowest and highest are each a level or sample code_orbit checks: some k raises.
+        for k in ks:
+            code_orbit(sd, spec, n, int(k), offsets)
+    h_r, refined = _coding(sd, spec, n)
+    width = symbol_width(sd, spec)
     if not offsets:
         return [b""] * len(ks)
-    lvl = np.add.outer(np.asarray(ks, dtype=np.int64), np.array(offsets, dtype=np.int64))
+    dtype = np.int64 if int64_decodes(sd, n) else object
+    lvl = np.add.outer(np.asarray(ks, dtype=dtype), np.array(offsets, dtype=dtype))
     for m in range(n - 1, spec.reference - 1, -1):
         starts = sd.slice_starts(m)
         lvl -= starts[np.searchsorted(starts, lvl, side="right") - 1]
     if not refined:
         lvl[lvl >= h_r] = -1
     lvl += 1
+    if width > 8:
+        return [encode_word(row, width) for row in lvl.tolist()]
     return lvl.astype(f"<u{width}").view(f"V{width * len(offsets)}").ravel().tolist()
 
 
-# Levels per `code_orbits` call: bounds the int64 arrays and the lists
+# Levels per `code_orbits` call: bounds its level arrays and the lists
 # built from them, whatever the size of a block.
 DECODE_BATCH = 1024
 

@@ -238,6 +238,11 @@ _PROBES = {
     # t_n = n^300 passes the float range from n = 12 on.
     "bounds-log-quotient-float": (["run", _power300_doc(phi="log")], EXIT_OK, ""),
     "bounds-power-quotient-float": (["run", _power300_doc(phi="power", beta=1)], EXIT_OK, ""),
+    # The word caps 2 h_r^(N0 - N) |K| grow past the float range for N0 >> N.
+    "generic-floor-above-length": (["run", {**TINY_DOC, "operations": [
+        dict(_GENERIC_OP, floor_length=2000, q=3)]}], EXIT_VALIDATION, "floor length 2000"),
+    "generic-floor-negative": (["run", {**TINY_DOC, "operations": [
+        dict(_GENERIC_OP, floor_length=-1, q=3)]}], EXIT_VALIDATION, "floor length -1"),
 }
 _PROBE_SECONDS = 2.0
 _PROBE_BYTES = 2 << 30
@@ -434,6 +439,7 @@ _BOUNDS = {"op": "bounds", "phi": "log", "cuts": "constant", "horizon": 10}
         ("phi", dict(_BOUNDS, phi="cubic")),
         ("lam", {"op": "profile", "lengths": [1], "rule": "lambda", "lam": "x"}),
         ("evaluate_all", dict(_GENERIC, evaluate_all="no")),
+        ("count", dict(_TINY_OP, method="sampled", count=0)),
     ],
 )
 def test_op_schema_field_types_exit_code(tmp_path, capsys, field, op):
@@ -442,6 +448,8 @@ def test_op_schema_field_types_exit_code(tmp_path, capsys, field, op):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"operations[0].{field}:" in err and "Traceback" not in err
+    assert main(["describe", "--config", str(path)]) == EXIT_VALIDATION
+    assert f"operations[0].{field}:" in capsys.readouterr().err
 
 
 def test_json_booleans_are_not_integers(tmp_path, capsys):

@@ -123,9 +123,9 @@ def test_exact_counts_match_enumeration_and_oracle(case):
 @given(cases())
 def test_exact_counts_in_python_ints_match_int64(case):
     # Above 2^63 levels the plan's arrays, positions and levels hold Python
-    # ints and each level decodes through code_orbit.  Forced on a small
-    # tower (a fresh copy, so no int64 array is cached), both paths must
-    # give the int64 histogram.
+    # ints and decode in object arrays.  Forced on a small tower (a fresh
+    # copy, so no int64 array is cached), both paths must give the int64
+    # histogram.
     sd, n, spec, offsets = case
     expected = exact_word_counts(valid_levels(sd, n, offsets[-1]), spec, offsets)
     big = StackingData(sd.initial_height, sd.stages, sd.spacer_cap)

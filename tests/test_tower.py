@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stacklab import tower
 from stacklab.parallel import BLOCK_SIZE
@@ -91,6 +92,8 @@ def test_malformed_stage_reports_index():
         StackingData(2, (Stage(2, (1,)), Stage(2, (5,))), spacer_cap=3)
     with pytest.raises(TowerError, match="q must be an integer >= 2"):
         StackingData(2, (Stage(1, ()),))
+    with pytest.raises(TowerError, match="q must be an integer >= 2, got '2'"):
+        StackingData(2, (Stage("2", (0,)),))
     # A uniform spacer stream needs at least two values to draw from.
     with pytest.raises(TowerError, match="spacer_cap of at least 2"):
         StackingData(2, (Stage(3, seed=4, distribution="uniform"),), spacer_cap=1)
@@ -253,17 +256,25 @@ def test_code_orbit_examples(tiny_tower):
 def orbit_batches(draw):
     """Explicit and seeded stages (unbounded spacers included), any tower
     and reference up to it, and unsorted levels with repeats; one draw in
-    four may put a level or orbit sample outside the tower."""
-    cap = draw(st.sampled_from((None, 1, 2, 3, 4)))
+    four may put a level or orbit sample outside the tower.  One draw in
+    four inserts a stage of q = 2 whose spacer block of 2^63 or more sits
+    over an int64 tower: the levels above it hold Python ints that descend
+    through int64 slice starts, some with excesses above 2^63, and refined
+    symbols under a spacer cap of 2^64 take 16 bytes."""
+    big = draw(st.integers(0, 3)) == 0
+    cap = draw(st.sampled_from((None, 1 << 64) if big else (None, 1, 2, 3, 4)))
     stages = []
     for _ in range(draw(st.integers(1, 4))):
         q = draw(st.integers(2, 5))
-        if cap is not None and cap > 1 and draw(st.booleans()):
+        if cap is not None and 1 < cap <= 4 and draw(st.booleans()):
             stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16)), distribution="uniform"))
         else:
-            top = 3 if cap is None else cap - 1
+            top = 3 if cap is None else min(cap - 1, 3)
             spacers = draw(st.lists(st.integers(0, top), min_size=q - 1, max_size=q - 1))
             stages.append(Stage(q=q, spacers=tuple(spacers)))
+    if big:
+        spacer = draw(st.integers(1 << 63, (1 << 63) + 40))
+        stages.insert(draw(st.integers(0, len(stages))), Stage(q=2, spacers=(spacer,)))
     sd = StackingData(draw(st.integers(1, 5)), tuple(stages), spacer_cap=cap)
     n = sd.num_towers - draw(st.integers(0, sd.num_towers - 1))  # mostly the top tower
     spec = CodingSpec(draw(st.integers(1, n)), draw(st.sampled_from(("base", "refined"))))
@@ -285,9 +296,18 @@ def _outcome(decode):
         return type(e), str(e)
 
 
+# Heights 3, 10, 20 and 2^63 + 40: stage 3's spacer block is [20, 2^63 + 20).
+_CROSSING = StackingData(3, (Stage(3, (1, 0)), Stage(2, (0,)), Stage(2, (1 << 63,))),
+                         spacer_cap=1 << 64)
+_CROSSING_KS = [0, 19, 20, 21, (1 << 63) + 5, (1 << 63) + 19, 3]
+
+
 # About a third of the draws code at the tower itself or leave it, so more
 # examples keep the descent through the stage tables well covered.
 @settings(max_examples=1000)
+@example((_CROSSING, 4, CodingSpec(1, "refined"), _CROSSING_KS, [0, 1, 20]))
+@example((_CROSSING, 4, CodingSpec(2), _CROSSING_KS, [0, 1, 20]))
+@example((_CROSSING, 4, CodingSpec(3, "refined"), _CROSSING_KS, [20, 1, 0]))
 @given(orbit_batches())
 def test_code_orbits_matches_code_orbit(case):
     sd, n, spec, ks, offsets = case
@@ -351,6 +371,20 @@ def test_code_orbits_checks_each_level_before_its_samples(tiny_tower):
         assert str(batch.value) == str(single.value)
 
 
+def test_code_orbits_decodes_above_int64_without_code_orbit():
+    # The 79-bit tower of h_1 = 2 and 7 stages of q = 2048: in-range levels
+    # of every height decode by the array descent alone.
+    sd = StackingData(2, tuple(Stage(2048, (0,) * 2047) for _ in range(7)), spacer_cap=2)
+    h, offsets, rng = sd.height(8), (0, 1, 5, 2049), random.Random(8)
+    ks = [0, 7, (1 << 70) + 3, h - 2050] + [rng.randrange(h - 2049) for _ in range(20)]
+    for spec in (CodingSpec(1), CodingSpec(1, "refined"), CodingSpec(5), CodingSpec(8)):
+        expected = [encode_word(code_orbit(sd, spec, 8, k, offsets), symbol_width(sd, spec))
+                    for k in ks]
+        with mock.patch.object(tower, "code_orbit", side_effect=AssertionError("code_orbit")):
+            assert code_orbits(sd, spec, 8, ks, offsets) == expected
+            assert code_orbits(sd, spec, 8, np.array(ks, dtype=object), offsets) == expected
+
+
 def test_count_words_across_decode_batches():
     # More levels than one batch, in decreasing order, so every batch
     # boundary falls inside the first-seen order.
@@ -409,7 +443,7 @@ def test_count_block_on_K_matches_select(block):
 
 def test_count_words_above_int64_matches_code_orbit():
     # h_1 = 2 and 7 stages of q = 2048: h_8 is about 2^78, so tower 8 (and
-    # tower 7, about 2^67) decodes through code_orbit while tower 6 fits int64.
+    # tower 7, about 2^67) decodes in Python ints while tower 6 fits int64.
     sd = StackingData(
         2, tuple(Stage(q=2048, spacers=tuple(j % 2 for j in range(2047))) for _ in range(7)),
         spacer_cap=2,
