@@ -71,7 +71,7 @@ def select_tau(
     rule "strict": min n with h_n > t_N / c_N; rule "lambda": min n with
     h_n >= t_N / (lam * N).  Comparisons are exact rationals.
     """
-    t_N = A.generate(N) if hasattr(A, "generate") else tuple(A)[N - 1]
+    t_N = A.generate(N)
     if rule == "strict":
         c_N = cuts(N) if callable(cuts) else int(cuts)
         if c_N < 1:
@@ -173,7 +173,6 @@ def phi_exp_power(beta) -> GrowthGauge:
 class BalancingRow:
     n: int
     c_n: int
-    max_gap: int
     diag_balance: float  # (c_n/n) log s_n
     diag_phi: float  # (1/n) phi(t_n / c_n)
     diag_binom: float  # (1/n) log binom(n + c_n, n)
@@ -222,7 +221,6 @@ def balancing_profile(
             BalancingRow(
                 n=n,
                 c_n=c_n,
-                max_gap=s_n,
                 diag_balance=diag_balance,
                 diag_phi=diag_phi,
                 diag_binom=diag_binom,

@@ -175,6 +175,8 @@ def _validate_op(i: int, op: dict, docs: dict) -> None:
         raise ConfigError(f"operations[{i}].method: must be 'exact' or 'sampled'")
     if kind == "entropy" and op.get("method") == "sampled" and op.get("count", 0) < 1:
         raise ConfigError(f"operations[{i}].count: required for sampled mode as an integer >= 1")
+    if kind == "entropy" and "reference" in op and op["reference"] > op["stage"]:
+        raise ConfigError(f"operations[{i}].reference: must be at most stage {op['stage']}")
     lengths = op.get("lengths")
     if kind == "profile" and not (
         isinstance(lengths, list) and lengths and all(map(is_int, lengths))

@@ -42,10 +42,9 @@ def plogp(x: float) -> float:
 
 @dataclass(frozen=True)
 class WeightedPartition:
-    """Atom labels with nonnegative weights; total mass may be below 1."""
+    """Nonnegative atom weights; total mass may be below 1."""
 
     weights: tuple[float, ...]
-    labels: tuple | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.weights, tuple):
@@ -55,8 +54,6 @@ class WeightedPartition:
                 raise EntropyError(f"negative weight {w}")
         if sum(self.weights) > 1.0 + 1e-9:
             raise EntropyError("partition mass exceeds 1")
-        if self.labels is not None and len(self.labels) != len(self.weights):
-            raise EntropyError("labels/weights length mismatch")
 
 
 def entropy(partition: WeightedPartition | Iterable[float]) -> float:
@@ -113,14 +110,7 @@ class WordHistogram:
 
     counts: Mapping[bytes, int]
     total: int
-    stage: int
-    reference: int
-    coding_mode: str
     word_length: int
-    offsets: tuple[int, ...]
-    method: str  # "exact" | "sampled"
-    seed: int | None
-    valid_count: int
     coverage: float
     path: str
     windows: int
@@ -196,14 +186,7 @@ def empirical_sequence_entropy(
     hist = WordHistogram(
         counts=counts,
         total=total,
-        stage=n,
-        reference=spec.reference,
-        coding_mode=spec.mode,
         word_length=length,
-        offsets=offsets,
-        method=method,
-        seed=seed if method == "sampled" else None,
-        valid_count=levels.count,
         coverage=levels.coverage,
         path=path,
         windows=windows,

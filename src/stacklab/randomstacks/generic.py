@@ -19,8 +19,7 @@ from ..intarith import InvalidInput, ResourceGuard
 from ..rng import SPACER_RNG_ID, SpacerProcess
 from ..sequences import sampling_offsets
 from ..tower import (
-    SEEDED_STAGE_GUARD, CodingSpec, Stage, StackingData, decode_words,
-    exact_word_counts, symbol_width, valid_levels,
+    SEEDED_STAGE_GUARD, CodingSpec, Stage, StackingData, exact_word_counts, valid_levels,
 )
 
 
@@ -63,8 +62,6 @@ class TrialRecord:
     worst_count: int
     worst_cap: float
     worst_ratio: float
-    worst_reference: int
-    worst_word: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,6 @@ class GenericnessReport:
     trials_used: int
     failures: int
     analytic_bound: float
-    word_length: int
-    floor_length: int
-    seed: int
     rng: str = SPACER_RNG_ID
     records: tuple[TrialRecord, ...] = field(default=())
 
@@ -112,7 +106,8 @@ def evaluate_candidate(
     offsets: Sequence[int],
     N0: int,
 ) -> TrialRecord:
-    """Exact per-word level counts for one candidate stage, worst case first.
+    """The worst exact word count of one candidate stage against its cap,
+    over every reference.
 
     The record's `trial` field is left at -1; the caller rewrites it.
     """
@@ -126,25 +121,21 @@ def evaluate_candidate(
     base_heights = base.heights()
     caps = _word_caps(base_heights, levels.count, N, N0)
     worst_ratio = Fraction(0)
-    worst = (0, 1.0, 1, None)  # count, cap, reference, word
+    worst_count, worst_cap = 0, 1.0
     for r in range(1, base.num_towers + 1):
         spec = CodingSpec(reference=r, mode="base")
-        counts = exact_word_counts(levels, spec, offsets)[0]
-        key, count = max(counts.items(), key=lambda kv: kv[1])
+        count = max(exact_word_counts(levels, spec, offsets)[0].values())
         ratio = Fraction(count) / caps[r]
         if ratio > worst_ratio:
             worst_ratio = ratio
-            word = next(decode_words([key], symbol_width(candidate, spec)))
-            worst = (count, float(caps[r]), r, word)
+            worst_count, worst_cap = count, float(caps[r])
     return TrialRecord(
         trial=-1,
         accepted=worst_ratio <= 1,
         valid_count=levels.count,
-        worst_count=worst[0],
-        worst_cap=worst[1],
+        worst_count=worst_count,
+        worst_cap=worst_cap,
         worst_ratio=float(worst_ratio) if worst_ratio <= sys.float_info.max else math.inf,
-        worst_reference=worst[2],
-        worst_word=worst[3],
     )
 
 
@@ -213,8 +204,5 @@ def genericness_search(
         trials_used=trials_used,
         failures=failures,
         analytic_bound=bound,
-        word_length=N,
-        floor_length=N0,
-        seed=seed,
         records=tuple(records),
     )

@@ -210,12 +210,7 @@ def recipe_params(
     m = None
     p_horizon = None
     p_range = None
-    if (
-        A is not None
-        and N is not None
-        and N >= getattr(A, "n0", 1)
-        and N <= getattr(A, "horizon", 0)
-    ):
+    if A is not None and N is not None and A.n0 <= N <= A.horizon:
         t_N = A.generate(N)
         m = t_N // h + 2
         p_horizon = _p_fail(alphabet, N, q, t_N, delta) if t_N >= 1 else None

@@ -1,6 +1,7 @@
 """Every function, class and method defined in src/ has a caller, every
-defaulted parameter of one is passed by some call, and every one serves a
-run or the declared library API.
+defaulted parameter of one is passed by some call, every one serves a
+run or the declared library API, and every field of a dataclass there is
+read.
 
 A name counts as used when it is read (as a name, an attribute or a
 string constant, e.g. a `__dict__` key) somewhere in src/, tests/ or
@@ -168,3 +169,53 @@ def test_src_serves_a_run_or_the_declared_api():
         if not _dunder(node.name) and node.name not in reached
     ]
     assert not stray, "reached by neither a run nor the declared API:\n" + "\n".join(stray)
+
+
+def _loads(tree: ast.AST) -> set:
+    """The names `tree` loads, as a name or an attribute, and its string
+    constants."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether `node` is decorated by `dataclass`, called or not."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """Each field annotated in a dataclass of src/ is read somewhere in
+    src/, tests/ or perfbench/, as a loaded attribute, a loaded name or a
+    string constant.  Passing a field to the constructor is not a read; a
+    field is matched by name alone."""
+    reads: set = set()
+    fields = []
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            reads |= _loads(tree)
+            if top == "src":
+                fields += [
+                    (path, stmt, f"{node.name}.{stmt.target.id}")
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    unread = [
+        f"{path.relative_to(ROOT)}:{stmt.lineno} {dotted}"
+        for path, stmt, dotted in fields
+        if stmt.target.id not in reads
+    ]
+    assert not unread, "dataclass fields that nothing reads:\n" + "\n".join(unread)

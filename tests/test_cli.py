@@ -134,6 +134,12 @@ _TINY_OP = TINY_DOC["operations"][0]
 _GENERIC_OP = {"op": "generic", "length": 2, "floor_length": 0, "q": 10**12,
                "alphabet": 2, "trial_cap": 1}
 _HUGE_H = str(10**400)
+_ABOVE_STAGE_DOC = {
+    **TINY_DOC,
+    "stacking": {"initial_height": 2, "spacer_cap": 2,
+                 "stages": [{"q": 3, "spacers": [1, 0]}, {"q": 3, "spacers": [1, 1]}]},
+    "operations": [dict(_TINY_OP, stage=2, reference=3)],
+}
 
 
 def _nlog_seq_doc(**sequence) -> dict:
@@ -243,6 +249,11 @@ _PROBES = {
         dict(_GENERIC_OP, floor_length=2000, q=3)]}], EXIT_VALIDATION, "floor length 2000"),
     "generic-floor-negative": (["run", {**TINY_DOC, "operations": [
         dict(_GENERIC_OP, floor_length=-1, q=3)]}], EXIT_VALIDATION, "floor length -1"),
+    # Heights 2, 7, 23: `describe` plans the op, so it must reject it as `run` does.
+    "entropy-reference-above-stage-describe": (["describe", _ABOVE_STAGE_DOC], EXIT_VALIDATION,
+                                               "operations[0].reference: must be at most stage 2"),
+    "entropy-reference-above-stage-run": (["run", _ABOVE_STAGE_DOC], EXIT_VALIDATION,
+                                          "operations[0].reference: must be at most stage 2"),
 }
 _PROBE_SECONDS = 2.0
 _PROBE_BYTES = 2 << 30

@@ -44,7 +44,7 @@ def test_weighted_partition_validation():
         WeightedPartition((0.5, 0.7))
     with pytest.raises(EntropyError):
         WeightedPartition((-0.1,))
-    p = WeightedPartition((0.25, 0.25), labels=("a", "b"))
+    p = WeightedPartition((0.25, 0.25))
     assert sum(p.weights) == 0.5
 
 

@@ -260,7 +260,9 @@ def orbit_batches(draw):
     four inserts a stage of q = 2 whose spacer block of 2^63 or more sits
     over an int64 tower: the levels above it hold Python ints that descend
     through int64 slice starts, some with excesses above 2^63, and refined
-    symbols under a spacer cap of 2^64 take 16 bytes."""
+    symbols under a spacer cap of 2^64 take 16 bytes.  Where tower n holds
+    that block, some levels and offsets lie within 3 of its ends, since
+    uniform draws almost never reach the excesses above 2^63 at its top."""
     big = draw(st.integers(0, 3)) == 0
     cap = draw(st.sampled_from((None, 1 << 64) if big else (None, 1, 2, 3, 4)))
     stages = []
@@ -274,17 +276,24 @@ def orbit_batches(draw):
             stages.append(Stage(q=q, spacers=tuple(spacers)))
     if big:
         spacer = draw(st.integers(1 << 63, (1 << 63) + 40))
-        stages.insert(draw(st.integers(0, len(stages))), Stage(q=2, spacers=(spacer,)))
+        at = draw(st.integers(0, len(stages)))
+        stages.insert(at, Stage(q=2, spacers=(spacer,)))
     sd = StackingData(draw(st.integers(1, 5)), tuple(stages), spacer_cap=cap)
     n = sd.num_towers - draw(st.integers(0, sd.num_towers - 1))  # mostly the top tower
     spec = CodingSpec(draw(st.integers(1, n)), draw(st.sampled_from(("base", "refined"))))
     h = sd.height(n)
+    near_ends = st.nothing()
+    if big and n >= at + 2:  # the block is [h_m, h_m + spacer) of tower m + 1 = at + 2
+        h_m = sd.height(at + 1)
+        near_ends = st.sampled_from((h_m, h_m + spacer)).flatmap(
+            lambda e: st.integers(max(e - 3, 0), min(e + 3, h - 1)))
     if draw(st.integers(0, 3)):
-        offsets = draw(st.lists(st.integers(0, h - 1), min_size=1, max_size=6))
-        levels = st.integers(0, h - 1 - max(offsets))
+        offsets = draw(st.lists(st.integers(0, h - 1) | near_ends, min_size=1, max_size=6))
+        last = h - 1 - max(offsets)
+        levels = st.integers(0, last) | near_ends.map(lambda k: min(k, last))
     else:
-        offsets = draw(st.lists(st.integers(-2, h + 2), max_size=6))
-        levels = st.integers(-2, h + 2)
+        offsets = draw(st.lists(st.integers(-2, h + 2) | near_ends, max_size=6))
+        levels = st.integers(-2, h + 2) | near_ends
     ks = draw(st.lists(levels, min_size=1, max_size=12))
     return sd, n, spec, ks + ks[: draw(st.integers(0, 3))], offsets
 
