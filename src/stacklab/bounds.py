@@ -61,7 +61,7 @@ def brute_force_words(
 def select_tau(
     heights: Sequence[int],
     A,
-    cuts: Callable[[int], int] | int,
+    cuts: Callable[[int], int] | None,
     N: int,
     rule: str = "strict",
     lam=None,
@@ -73,7 +73,7 @@ def select_tau(
     """
     t_N = A.generate(N)
     if rule == "strict":
-        c_N = cuts(N) if callable(cuts) else int(cuts)
+        c_N = cuts(N)
         if c_N < 1:
             raise BoundsError("cut schedule must be >= 1")
         threshold = Fraction(t_N, c_N)
@@ -81,9 +81,9 @@ def select_tau(
     elif rule == "lambda":
         if lam is None:
             raise BoundsError("lambda rule needs lam")
-        lam = Fraction(lam) if not isinstance(lam, Fraction) else lam
-        if lam <= 0:
-            raise BoundsError("lam must be positive")
+        lam = Fraction(lam)
+        if lam <= 0 or N < 1:
+            raise BoundsError("lambda rule needs lam > 0 and N >= 1")
         threshold = Fraction(t_N) / (lam * N)
         ok = lambda h: h >= threshold
     else:

@@ -27,26 +27,24 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     canonical_json,
+    coding_spec,
+    cuts_from_op,
     load_config,
-    parse_rational,
+    phi_from_op,
+    recipe_bundle,
+    tau_from_op,
 )
-from .entropy import empirical_sequence_entropy, seq_entropy_upper_profile
+from .entropy import empirical_sequence_entropy, orbit_levels, seq_entropy_upper_profile
 from .intarith import InvalidInput, ResourceGuard, as_float
 from .randomstacks import (
     build_markov_matrix,
     genericness_search,
-    recipe_params,
     stationary_distribution,
     stationary_distribution_exact,
 )
 from .rng import BULK_RNG_ID, SPACER_RNG_ID
-from .sequences import (
-    dilation_diagnostic,
-    krug_K_estimate,
-    max_gap,
-    sampling_offsets,
-)
-from .tower import CodingSpec, exact_plan, int64_decodes, symbol_width, valid_levels
+from .sequences import dilation_diagnostic, krug_K_estimate, max_gap
+from .tower import exact_plan, int64_decodes, symbol_width
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,7 +83,6 @@ def fmt(x) -> str:
 class Report:
     """One operation's tabular output plus its summary lines."""
 
-    name: str
     header: tuple[str, ...]
     rows: list[tuple]
     summary: list[str]
@@ -98,12 +95,8 @@ class Report:
 # -- operation runners ---------------------------------------------------------
 
 
-def _coding_spec(op: dict) -> CodingSpec:
-    return CodingSpec(reference=op.get("reference", 1), mode=op.get("mode", "base"))
-
-
 def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    spec = _coding_spec(op)
+    spec = coding_spec(op)
     stage = op["stage"]
     length = op["length"]
     method = op.get("method", "exact")
@@ -150,7 +143,6 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"coverage={fmt(hist.coverage)}"
     ]
     return Report(
-        name="entropy",
         header=header,
         rows=[row],
         summary=summary,
@@ -161,33 +153,8 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     )
 
 
-def _tau_from_op(cfg: ExperimentConfig, op: dict):
-    heights = cfg.stacking.heights()
-    rule = op.get("rule", "strict")
-    cuts = _cuts_from_op(op)
-    lam = parse_rational(op["lam"], "lam") if "lam" in op else None
-
-    def tau(N: int) -> int:
-        return bounds_mod.select_tau(heights, cfg.sequence, cuts, N, rule=rule, lam=lam)
-
-    return tau
-
-
-def _cuts_from_op(op: dict):
-    """The op's cut schedule; `load_config` has checked its fields."""
-    cuts = op.get("cuts", 1)
-    if cuts == "power":
-        return bounds_mod.power_cuts(
-            parse_rational(op["alpha"], "cuts.alpha"),
-            parse_rational(op["beta"], "cuts.beta"),
-        )
-    if cuts == "loglog":
-        return bounds_mod.loglog_cuts()
-    return bounds_mod.constant_cuts(op.get("c", 1) if cuts == "constant" else cuts)
-
-
 def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    tau = _tau_from_op(cfg, op)
+    tau = tau_from_op(op, cfg.stacking, cfg.sequence)
     points = seq_entropy_upper_profile(
         cfg.stacking,
         cfg.sequence,
@@ -223,7 +190,6 @@ def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"H_per_N {fmt(points[0].h_per_sample)} -> {fmt(points[-1].h_per_sample)}"
     ]
     return Report(
-        name="profile",
         header=header,
         rows=rows,
         summary=summary,
@@ -248,7 +214,7 @@ def _run_seq(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         summary.append(
             f"seq: dilation verdict (finite-horizon heuristic) = {report.dilating}"
         )
-    return Report(name="seq", header=("index", "value", "gap"), rows=rows, summary=summary)
+    return Report(header=("index", "value", "gap"), rows=rows, summary=summary)
 
 
 def _run_markov(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -269,7 +235,6 @@ def _run_markov(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"tail={fmt(float(pi[-1]))} residual={residual:.3e}"
     ]
     return Report(
-        name="markov",
         header=("state", "stationary", "exact_num", "exact_den"),
         rows=rows,
         summary=summary,
@@ -314,7 +279,6 @@ def _run_generic(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"vs analytic bound {fmt(report.analytic_bound)} (rng={report.rng})"
     )
     return Report(
-        name="generic",
         header=header,
         rows=rows,
         summary=summary,
@@ -322,18 +286,9 @@ def _run_generic(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     )
 
 
-def _phi_from_op(op: dict):
-    """The op's growth gauge; `load_config` has checked its fields."""
-    phi = op["phi"]
-    if phi == "log":
-        return bounds_mod.phi_log()
-    gauge = bounds_mod.phi_power if phi == "power" else bounds_mod.phi_exp_power
-    return gauge(parse_rational(op["beta"], "phi.beta"))
-
-
 def _run_bounds(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    phi = _phi_from_op(op)
-    cuts = _cuts_from_op(op)
+    phi = phi_from_op(op)
+    cuts = cuts_from_op(op)
     horizon = op["horizon"]
     profile = bounds_mod.balancing_profile(cfg.sequence, phi, cuts, horizon)
     heights = cfg.stacking.heights() if cfg.stacking is not None else None
@@ -352,25 +307,14 @@ def _run_bounds(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"{fmt(last.diag_balance)}, phi-diag {fmt(first.diag_phi)} -> {fmt(last.diag_phi)}"
     ]
     return Report(
-        name="bounds",
         header=("n", "c_n", "diag_balance", "diag_phi", "diag_binom", "tau"),
         rows=rows,
         summary=summary,
     )
 
 
-def _recipe_bundle(op: dict, sequence):
-    """`recipe_params` on the op's fields; those it lacks take its defaults."""
-    rationals = {
-        name: parse_rational(op[name], name)
-        for name in ("beta", "alpha", "gamma", "eps", "kappa")
-        if name in op
-    }
-    return recipe_params(op["name"], h=op["h"], L=op.get("L"), A=sequence, **rationals)
-
-
 def _run_recipe(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    bundle = _recipe_bundle(op, cfg.sequence)
+    bundle = recipe_bundle(op, cfg.sequence)
     header = (
         "name",
         "N0",
@@ -398,7 +342,7 @@ def _run_recipe(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"N0={bundle.floor_length}"
     ]
     summary.extend(f"recipe note: {note}" for note in bundle.notes)
-    return Report(name="recipe", header=header, rows=[row], summary=summary)
+    return Report(header=header, rows=[row], summary=summary)
 
 
 _RUNNERS = {
@@ -439,10 +383,10 @@ def execute(
     for op in cfg.operations:
         if op_filter is not None and op["op"] not in op_filter:
             continue
-        report = _RUNNERS[op["op"]](cfg, op, workers)
-        seen[report.name] = seen.get(report.name, 0) + 1
-        suffix = "" if seen[report.name] == 1 else f"_{seen[report.name]}"
-        filename = f"{report.name}{suffix}.csv"
+        kind = op["op"]
+        report = _RUNNERS[kind](cfg, op, workers)
+        seen[kind] = seen.get(kind, 0) + 1
+        filename = f"{kind}.csv" if seen[kind] == 1 else f"{kind}_{seen[kind]}.csv"
         _write_csv(outdir / filename, report.header, report.rows, cfg_hash)
         filenames.append(filename)
         summary_lines.extend(report.summary)
@@ -487,10 +431,9 @@ def describe(cfg: ExperimentConfig) -> None:
     for i, op in enumerate(cfg.operations):
         kind = op["op"]
         print(f"[{i}] op={kind}")
-        if kind == "entropy" and cfg.stacking is not None:
-            offsets = sampling_offsets(cfg.sequence, op["length"])
-            K = valid_levels(cfg.stacking, op["stage"], offsets[-1] if offsets else 0)
-            spec = _coding_spec(op)
+        if kind == "entropy":
+            offsets, K = orbit_levels(cfg.stacking, op["stage"], cfg.sequence, op["length"])
+            spec = coding_spec(op)
             if op.get("method", "exact") != "exact":
                 path, windows = "sampled", op["count"]
             else:
@@ -691,7 +634,7 @@ def _dispatch(args) -> int:
             sequence = cfg.sequence
         fields = ("name", "h", "beta", "alpha", "kappa", "L", "gamma", "eps")
         op = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
-        bundle = _recipe_bundle(op, sequence)
+        bundle = recipe_bundle(op, sequence)
         print(f"recipe={bundle.name}")
         print(f"q={bundle.cuts}")
         print(f"N0={bundle.floor_length}")

@@ -15,20 +15,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .entropy import DEFAULT_WORD_CAP
+from .bounds import (
+    constant_cuts, loglog_cuts, phi_exp_power, phi_log, phi_power, power_cuts, select_tau,
+)
+from .entropy import DEFAULT_WORD_CAP, orbit_levels
 from .intarith import InvalidInput, as_float, as_fraction, is_int
+from .randomstacks import recipe_params
+from .randomstacks.generic import search_offsets
 from .sequences import SamplingSequence, SequenceError
-from .tower import StackingData, TowerError
-
-_CUT_SCHEDULES = ("constant", "power", "loglog")
-_GAUGES = ("log", "power", "exp_power")
-_RATIONALS = ("alpha", "beta", "gamma", "eps", "kappa", "lam")
-# The fields that a `cuts` schedule or a `phi` gauge reads from its op.
-_CHOICE_FIELDS = {
-    ("cuts", "power"): ("alpha", "beta"),
-    ("phi", "power"): ("beta",),
-    ("phi", "exp_power"): ("beta",),
-}
+from .tower import CodingSpec, StackingData, TowerError
 
 
 class ConfigError(InvalidInput):
@@ -124,7 +119,7 @@ def load_config(
                 f"operations[{i}].op: unknown operation {op['op']!r} "
                 f"(known: {', '.join(KNOWN_OPS)})"
             )
-        _validate_op(i, op, {"stacking": stacking, "sequence": sequence})
+        _validate_op(i, op, stacking, sequence)
     caps = doc.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps: must be an object")
@@ -141,7 +136,7 @@ def load_config(
     )
 
 
-_GENERIC_FIELDS = ("length", "floor_length", "q", "alphabet", "trial_cap")
+_GENERIC_FIELDS = ("length", "floor_length", "q", "alphabet", "trial_cap")  # search_offsets order
 # Per op: the fields it requires, the fields that must be integers when
 # present, each with its minimum (None for none), and the documents it needs.
 _OP_SCHEMA = {
@@ -158,42 +153,109 @@ _OP_SCHEMA = {
 KNOWN_OPS = tuple(_OP_SCHEMA)
 
 
-def _validate_op(i: int, op: dict, docs: dict) -> None:
+# -- op builders: the one reader of their fields.  A field error is a
+# ConfigError "<field>: ..."; a library error keeps its own type and text.
+
+
+def _required_rational(op: dict, name: str, reader: str) -> Fraction:
+    if name not in op:
+        raise ConfigError(f"{name}: required for {reader}")
+    return parse_rational(op[name], name)
+
+
+def coding_spec(op: dict) -> CodingSpec:
+    """Coding against stage `reference` (default 1) in `mode` (default base)."""
+    return CodingSpec(reference=op.get("reference", 1), mode=op.get("mode", "base"))
+
+
+def cuts_from_op(op: dict):
+    """The cut schedule `cuts` names: an integer, or constant (at `c`),
+    power (at `alpha`, `beta`) or loglog."""
+    cuts = op.get("cuts", 1)
+    if cuts == "power":
+        alpha, beta = (_required_rational(op, name, "cuts 'power'") for name in ("alpha", "beta"))
+        return power_cuts(alpha, beta)
+    if cuts == "loglog":
+        return loglog_cuts()
+    if cuts == "constant" or is_int(cuts):
+        return constant_cuts(op.get("c", 1) if cuts == "constant" else cuts)
+    raise ConfigError("cuts: must be an integer or one of constant, power, loglog")
+
+
+def phi_from_op(op: dict):
+    """The growth gauge `phi` names: log, or power or exp_power at `beta`."""
+    phi = op["phi"]
+    if phi == "log":
+        return phi_log()
+    if phi in ("power", "exp_power"):
+        gauge = phi_power if phi == "power" else phi_exp_power
+        return gauge(_required_rational(op, "beta", f"phi {phi!r}"))
+    raise ConfigError("phi: must be one of log, power, exp_power")
+
+
+def tau_from_op(op: dict, stacking: StackingData, sequence: SamplingSequence):
+    """N -> tau(N), the stage that `select_tau` picks under the op's `rule`:
+    strict, at its cut schedule, or lambda, at `lam`."""
+    heights = stacking.heights()
+    rule = op.get("rule", "strict")
+    cuts = None if rule == "lambda" else cuts_from_op(op)
+    lam = parse_rational(op["lam"], "lam") if rule == "lambda" and "lam" in op else None
+
+    def tau(N: int) -> int:
+        return select_tau(heights, sequence, cuts, N, rule=rule, lam=lam)
+
+    return tau
+
+
+def recipe_bundle(op: dict, sequence):
+    """`recipe_params` on the op's fields; those it lacks take its defaults."""
+    names = ("beta", "alpha", "gamma", "eps", "kappa")
+    rationals = {name: parse_rational(op[name], name) for name in names if name in op}
+    return recipe_params(op["name"], h=op["h"], L=op.get("L"), A=sequence, **rationals)
+
+
+def _validate_op(i: int, op: dict, stacking, sequence) -> None:
+    """Reject op i at load wherever `run` would reject it before sizing its
+    work: its fields, then the arguments its runner builds from them."""
     kind = op["op"]
     required, integers, needs = _OP_SCHEMA[kind]
-    for name in required:
-        if name not in op:
-            raise ConfigError(f"operations[{i}].{name}: required for op {kind!r}")
-    for name, low in integers.items():
-        if name in op and not (is_int(op[name]) and (low is None or op[name] >= low)):
-            at_least = "" if low is None else f" >= {low}"
-            raise ConfigError(f"operations[{i}].{name}: must be an integer{at_least}")
-    for name in needs:
-        if docs[name] is None:
+    for name, doc in (("stacking", stacking), ("sequence", sequence)):
+        if name in needs and doc is None:
             raise ConfigError(f"operations[{i}]: {kind} needs a {name!r} document")
-    if kind == "entropy" and op.get("method", "exact") not in ("exact", "sampled"):
-        raise ConfigError(f"operations[{i}].method: must be 'exact' or 'sampled'")
-    if kind == "entropy" and op.get("method") == "sampled" and op.get("count", 0) < 1:
-        raise ConfigError(f"operations[{i}].count: required for sampled mode as an integer >= 1")
-    if kind == "entropy" and "reference" in op and op["reference"] > op["stage"]:
-        raise ConfigError(f"operations[{i}].reference: must be at most stage {op['stage']}")
-    lengths = op.get("lengths")
-    if kind == "profile" and not (
-        isinstance(lengths, list) and lengths and all(map(is_int, lengths))
-    ):
-        raise ConfigError(f"operations[{i}].lengths: must be a non-empty list of integers")
-    if "cuts" in op and not (is_int(op["cuts"]) or op["cuts"] in _CUT_SCHEDULES):
-        raise ConfigError(
-            f"operations[{i}].cuts: must be an integer or one of {', '.join(_CUT_SCHEDULES)}"
-        )
-    if kind == "generic" and not isinstance(op.get("evaluate_all", False), bool):
-        raise ConfigError(f"operations[{i}].evaluate_all: must be a boolean")
-    if "phi" in op and op["phi"] not in _GAUGES:
-        raise ConfigError(f"operations[{i}].phi: must be one of {', '.join(_GAUGES)}")
-    for (name, choice), fields in _CHOICE_FIELDS.items():
-        for field_name in fields:
-            if op.get(name) == choice and field_name not in op:
-                raise ConfigError(f"operations[{i}].{field_name}: required for {name} {choice!r}")
-    for name in _RATIONALS:
-        if name in op:
-            parse_rational(op[name], f"operations[{i}].{name}")
+    try:
+        for name in required:
+            if name not in op:
+                raise ConfigError(f"{name}: required for op {kind!r}")
+        for name, low in integers.items():
+            if name in op and not (is_int(op[name]) and (low is None or op[name] >= low)):
+                at_least = "" if low is None else f" >= {low}"
+                raise ConfigError(f"{name}: must be an integer{at_least}")
+        if kind == "entropy":
+            if op.get("method", "exact") not in ("exact", "sampled"):
+                raise ConfigError("method: must be 'exact' or 'sampled'")
+            if op.get("method") == "sampled" and op.get("count", 0) < 1:
+                raise ConfigError("count: required for sampled mode as an integer >= 1")
+            if "reference" in op and op["reference"] > op["stage"]:
+                raise ConfigError(f"reference: must be at most stage {op['stage']}")
+            coding_spec(op)
+            orbit_levels(stacking, op["stage"], sequence, op["length"])
+        elif kind == "profile":
+            lengths = op["lengths"]
+            if not (isinstance(lengths, list) and lengths and all(map(is_int, lengths))):
+                raise ConfigError("lengths: must be a non-empty list of integers")
+            tau = tau_from_op(op, stacking, sequence)
+            for N in lengths:
+                CodingSpec(reference=tau(N), mode=op.get("mode", "base"))
+        elif kind == "generic":
+            if not isinstance(op.get("evaluate_all", False), bool):
+                raise ConfigError("evaluate_all: must be a boolean")
+            search_offsets(stacking, sequence, *(op[name] for name in _GENERIC_FIELDS))
+        elif kind == "bounds":
+            cuts_from_op(op)
+            phi_from_op(op)
+            if not sequence.n0 < op["horizon"] <= sequence.horizon:
+                raise ConfigError(f"horizon: must lie in ({sequence.n0}, {sequence.horizon}]")
+        elif kind == "recipe":
+            recipe_bundle(op, sequence)
+    except ConfigError as e:
+        raise ConfigError(f"operations[{i}].{e}") from None

@@ -20,6 +20,7 @@ from .sequences import sampling_offsets
 from .tower import (
     CodingSpec,
     StackingData,
+    ValidLevels,
     WordCapExceeded,
     blocked_word_counts,
     decode_words,
@@ -146,6 +147,19 @@ class EntropyResult:
     histogram: WordHistogram
 
 
+def orbit_levels(sd: StackingData, n: int, A, length: int) -> tuple[tuple, ValidLevels]:
+    """The offsets of length-N orbit words and the valid-level set K of
+    tower n at their horizon t_N; an empty K is an error."""
+    if length < 0:
+        raise EntropyError("word length must be nonnegative")
+    offsets = sampling_offsets(A, length)
+    t_max = offsets[-1] if offsets else 0
+    levels = valid_levels(sd, n, t_max)
+    if levels.count == 0:
+        raise EntropyError(f"empty valid-level set for tower {n} at horizon t_N={t_max}")
+    return offsets, levels
+
+
 def empirical_sequence_entropy(
     sd: StackingData,
     spec: CodingSpec,
@@ -164,15 +178,7 @@ def empirical_sequence_entropy(
     Sampled mode draws `sample_count` levels uniformly from K with the
     counter RNG.  Both are bit-identical for any worker count.
     """
-    if length < 0:
-        raise EntropyError("word length must be nonnegative")
-    offsets = sampling_offsets(A, length)
-    t_max = offsets[-1] if offsets else 0
-    levels = valid_levels(sd, n, t_max)
-    if levels.count == 0:
-        raise EntropyError(
-            f"empty valid-level set for tower {n} at horizon t_N={t_max}"
-        )
+    offsets, levels = orbit_levels(sd, n, A, length)
     if method == "exact":
         total = levels.count
         counts, path, windows = exact_word_counts(levels, spec, offsets, word_cap, workers)

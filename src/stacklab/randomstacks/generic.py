@@ -139,24 +139,10 @@ def evaluate_candidate(
     )
 
 
-def genericness_search(
-    base: StackingData,
-    A,
-    N: int,
-    N0: int,
-    q: int,
-    alphabet: int,
-    trial_cap: int,
-    seed: int,
-    evaluate_all: bool = False,
-) -> GenericnessReport:
-    """Sample spacer sequences until one meets the word-frequency cap.
-
-    Stage candidates are drawn from SpacerProcess(alphabet, seed, stream=trial),
-    so the accepted sequence is exactly reproducible from (seed, config).
-    With `evaluate_all` the search does not stop at the first acceptance,
-    which gives an unbiased empirical failure rate over the full trial cap.
-    """
+def search_offsets(
+    base: StackingData, A, N: int, N0: int, q: int, alphabet: int, trial_cap: int
+) -> tuple[int, ...]:
+    """Check a genericness search's arguments; the orbit offsets of its words."""
     if q < 2:
         raise GenericSearchError("candidate cut count q must be >= 2")
     if q - 1 > SEEDED_STAGE_GUARD:
@@ -179,6 +165,28 @@ def genericness_search(
         )
     if base.spacer_cap is not None and alphabet > base.spacer_cap:
         raise GenericSearchError("alphabet exceeds the construction's spacer cap")
+    return offsets
+
+
+def genericness_search(
+    base: StackingData,
+    A,
+    N: int,
+    N0: int,
+    q: int,
+    alphabet: int,
+    trial_cap: int,
+    seed: int,
+    evaluate_all: bool = False,
+) -> GenericnessReport:
+    """Sample spacer sequences until one meets the word-frequency cap.
+
+    Stage candidates are drawn from SpacerProcess(alphabet, seed, stream=trial),
+    so the accepted sequence is exactly reproducible from (seed, config).
+    With `evaluate_all` the search does not stop at the first acceptance,
+    which gives an unbiased empirical failure rate over the full trial cap.
+    """
+    offsets = search_offsets(base, A, N, N0, q, alphabet, trial_cap)
     bound = analytic_failure_bound(base.heights(), N)
     records: list[TrialRecord] = []
     accepted: tuple[int, ...] | None = None

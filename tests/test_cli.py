@@ -622,6 +622,48 @@ def test_verify_rejects_invalid_json(tmp_path, capsys, name):
     assert f"REJECTED: {name} is not valid JSON" in capsys.readouterr().out
 
 
+_PROFILE = {"op": "profile", "lengths": [2]}
+_G = {"op": "generic", "length": 2, "floor_length": 1, "q": 4, "alphabet": 2, "trial_cap": 1}
+_LOG_BOUNDS = {"op": "bounds", "phi": "log", "cuts": 1}
+_LATE_T2 = {"kind": "explicit", "values": [1, 50]}
+# Ops that `run` rejects before any work, as changes to entropy_tiny.json
+# (heights 2, 5, spacer cap 2, sequence 1, 2); `describe` must reject them too.
+_REJECTED_OPS = {
+    "profile-rule": {"operations": [dict(_PROFILE, rule="bogus")]},
+    "profile-mode": {"operations": [dict(_PROFILE, mode="bogus")]},
+    "profile-lambda-without-lam": {"operations": [dict(_PROFILE, rule="lambda")]},
+    "profile-cuts-0": {"operations": [dict(_PROFILE, cuts=0)]},
+    "profile-no-stage-qualifies": {"operations": [_PROFILE], "sequence": _LATE_T2},
+    "profile-past-horizon": {"operations": [dict(_PROFILE, lengths=[9])]},
+    # t_N / (lam N) at N = 0 once ended in a ZeroDivisionError.
+    "profile-lambda-N-0": {"operations": [dict(_PROFILE, lengths=[0], rule="lambda", lam=1)],
+                           "sequence": {"kind": "linear", "a": 1, "b": 1, "n0": 0, "horizon": 4}},
+    "generic-q-1": {"operations": [dict(_G, q=1)]},
+    "generic-trial-cap-0": {"operations": [dict(_G, trial_cap=0)]},
+    "generic-length-0": {"operations": [dict(_G, length=0, floor_length=0)]},
+    "generic-t_N-past-q-h_n": {"operations": [dict(_G, q=2)],
+                               "sequence": {"kind": "explicit", "values": [1, 500]}},
+    "generic-alphabet-above-cap": {"operations": [dict(_G, alphabet=3)]},
+    "bounds-horizon-0": {"operations": [dict(_LOG_BOUNDS, horizon=0)]},
+    "bounds-horizon-past-sequence": {"operations": [dict(_LOG_BOUNDS, horizon=50)]},
+    "bounds-cuts-0": {"operations": [dict(_LOG_BOUNDS, cuts=0, horizon=2)]},
+    "bounds-beta-0": {"operations": [dict(_LOG_BOUNDS, phi="power", beta=0, horizon=2)]},
+    "entropy-empty-K": {"operations": [_TINY_OP], "sequence": _LATE_T2},
+}
+
+
+@pytest.mark.parametrize("change", _REJECTED_OPS.values(), ids=_REJECTED_OPS.keys())
+def test_describe_and_run_reject_the_same_ops(tmp_path, capsys, change):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY_DOC, **change)))
+    outcomes = []
+    for argv in (["describe"], ["run", "--out", str(tmp_path / "o")]):
+        code = main([*argv, "--config", str(path)])
+        outcomes.append((code, capsys.readouterr().err.splitlines()[-1:]))
+    assert outcomes[0][0] == EXIT_VALIDATION
+    assert outcomes[0] == outcomes[1]
+
+
 def test_describe_and_run_agree_on_an_empty_word(tmp_path, capsys):
     doc = json.loads(json.dumps(TINY_DOC))
     doc["operations"][0]["length"] = 0
