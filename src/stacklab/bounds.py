@@ -182,6 +182,19 @@ def _log_binom(a: int, b: int) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
 
+def check_balancing_horizon(A: SamplingSequence, horizon: int) -> None:
+    """Reject a horizon outside (n0, A.horizon], and a sequence in the
+    exponential regime: its maximal gap reaches half the term at horizon."""
+    if not A.n0 < horizon <= A.horizon:
+        raise BoundsError(f"horizon: must lie in ({A.n0}, {A.horizon}]")
+    t_H = A.generate(horizon)
+    if t_H >= 2 and max_gap(A, horizon) * 2 >= t_H:
+        raise BoundsError(
+            "sequence gaps grow like the terms themselves (exponential regime); "
+            "the slice-count balancing condition cannot hold for any cut schedule"
+        )
+
+
 def balancing_profile(
     A: SamplingSequence,
     phi: GrowthGauge,
@@ -190,19 +203,11 @@ def balancing_profile(
 ) -> tuple[BalancingRow, ...]:
     """Per-n balancing diagnostics over [n0+1, horizon], one row per n.
 
-    Exponential-looking sequences are rejected (the slice-count balancing
-    condition cannot hold for them regardless of the cut schedule): the
-    heuristic trips when the maximal gap reaches half the final term.
+    Exponential-looking sequences are rejected by `check_balancing_horizon`
+    (the slice-count balancing condition cannot hold for them regardless of
+    the cut schedule).
     """
-    if horizon < A.n0 + 1:
-        raise BoundsError("horizon leaves no gaps to diagnose")
-    t_H = A.generate(horizon)
-    s_H = max_gap(A, horizon)
-    if t_H >= 2 and s_H * 2 >= t_H:
-        raise BoundsError(
-            "sequence gaps grow like the terms themselves (exponential regime); "
-            "the slice-count balancing condition cannot hold for any cut schedule"
-        )
+    check_balancing_horizon(A, horizon)
     rows = []
     s_n = 0
     prev = A.generate(A.n0)

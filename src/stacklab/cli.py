@@ -31,6 +31,7 @@ from .config import (
     cuts_from_op,
     load_config,
     phi_from_op,
+    profile_from_op,
     recipe_bundle,
     tau_from_op,
 )
@@ -89,10 +90,31 @@ class Report:
     accepted: bool | None = None  # searches only
     paths: tuple[str, ...] = ()  # entropy paths taken, for meta.json only
     windows: tuple[int, ...] = ()  # windows decoded per entropy point, meta.json only
-    keys: tuple[dict, ...] = ()  # distinct words and key bytes per entropy op, meta.json only
+    keys: tuple[dict, ...] = ()  # distinct words and key bytes per entropy point, meta.json only
 
 
 # -- operation runners ---------------------------------------------------------
+
+
+# The columns that close the row of every word histogram, from an
+# EntropyResult or a ProfilePoint.
+_H_COLUMNS = ("H_nats", "H_per_N", "H_per_N_bits", "distinct_words", "coverage")
+
+
+def _h_columns(res) -> tuple:
+    hist = res.histogram
+    return (res.h_nats, res.h_per_sample, res.h_per_sample / LN2, hist.distinct_words,
+            hist.coverage)
+
+
+def _telemetry(hists) -> dict:
+    """The `paths`, `windows` and `keys` of a Report, one entry per histogram."""
+    return {
+        "paths": tuple(h.path for h in hists),
+        "windows": tuple(h.windows for h in hists),
+        "keys": tuple({"distinct_words": h.distinct_words,
+                       "key_bytes": h.distinct_words * h.key_bytes} for h in hists),
+    }
 
 
 def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -113,44 +135,14 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         workers=workers,
     )
     hist = res.histogram
-    row = (
-        length,
-        stage,
-        spec.reference,
-        f"{method}/{spec.mode}",
-        res.h_nats,
-        res.h_per_sample,
-        res.h_per_sample / LN2,
-        hist.distinct_words,
-        hist.coverage,
-        cfg.seed,
-    )
-    header = (
-        "N",
-        "stage",
-        "reference",
-        "mode",
-        "H_nats",
-        "H_per_N",
-        "H_per_N_bits",
-        "distinct_words",
-        "coverage",
-        "seed",
-    )
+    row = (length, stage, spec.reference, f"{method}/{spec.mode}", *_h_columns(res), cfg.seed)
+    header = ("N", "stage", "reference", "mode", *_H_COLUMNS, "seed")
     summary = [
         f"entropy: stage={stage} reference={spec.reference} mode={method}/{spec.mode} "
         f"N={length} H_per_N={fmt(res.h_per_sample)} distinct={hist.distinct_words} "
         f"coverage={fmt(hist.coverage)}"
     ]
-    return Report(
-        header=header,
-        rows=[row],
-        summary=summary,
-        paths=(hist.path,),
-        windows=(hist.windows,),
-        keys=({"distinct_words": hist.distinct_words,
-               "key_bytes": hist.distinct_words * hist.key_bytes},),
-    )
+    return Report(header=header, rows=[row], summary=summary, **_telemetry([hist]))
 
 
 def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -164,37 +156,15 @@ def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         workers=workers,
         word_cap=cfg.word_cap,
     )
-    header = (
-        "N",
-        "stage",
-        "H_nats",
-        "H_per_N",
-        "H_per_N_bits",
-        "distinct_words",
-        "coverage",
-    )
-    rows = [
-        (
-            p.length,
-            p.stage,
-            p.h_nats,
-            p.h_per_sample,
-            p.h_per_sample / LN2,
-            p.distinct_words,
-            p.coverage,
-        )
-        for p in points
-    ]
     summary = [
         f"profile: N={points[0].length}..{points[-1].length} "
         f"H_per_N {fmt(points[0].h_per_sample)} -> {fmt(points[-1].h_per_sample)}"
     ]
     return Report(
-        header=header,
-        rows=rows,
+        header=("N", "stage", *_H_COLUMNS),
+        rows=[(p.length, p.stage, *_h_columns(p)) for p in points],
         summary=summary,
-        paths=tuple(p.path for p in points),
-        windows=tuple(p.windows for p in points),
+        **_telemetry([p.histogram for p in points]),
     )
 
 
@@ -416,6 +386,24 @@ def execute(
     return reports
 
 
+def _describe_histogram(cfg: ExperimentConfig, spec, n: int, length: int, count=None) -> str:
+    """The plan of one word histogram on tower n: its valid levels, alphabet,
+    path and windows (sampled when `count` is given), decoder and key bytes."""
+    offsets, K = orbit_levels(cfg.stacking, spec, n, cfg.sequence, length)
+    if count is not None:
+        path, windows = "sampled", count
+    else:
+        path, plan = exact_plan(K, spec, offsets)
+        windows = plan.count
+    return (
+        f"stage={n} reference={spec.reference} "
+        f"|K|={K.count} coverage={fmt(K.coverage)} "
+        f"alphabet={spec.alphabet_size(cfg.stacking)} path={path} windows={windows} "
+        f"decoder={'int64' if int64_decodes(cfg.stacking, n) else 'bigint'} "
+        f"key_bytes={symbol_width(cfg.stacking, spec) * length}"
+    )
+
+
 def describe(cfg: ExperimentConfig) -> None:
     """Print derived quantities without executing heavy work."""
     print(f"config hash: {cfg.hash}")
@@ -432,20 +420,13 @@ def describe(cfg: ExperimentConfig) -> None:
         kind = op["op"]
         print(f"[{i}] op={kind}")
         if kind == "entropy":
-            offsets, K = orbit_levels(cfg.stacking, op["stage"], cfg.sequence, op["length"])
-            spec = coding_spec(op)
-            if op.get("method", "exact") != "exact":
-                path, windows = "sampled", op["count"]
-            else:
-                path, plan = exact_plan(K, spec, offsets)
-                windows = plan.count
-            print(
-                f"    stage={op['stage']} reference={spec.reference} "
-                f"|K|={K.count} coverage={fmt(K.coverage)} "
-                f"alphabet={spec.alphabet_size(cfg.stacking)} path={path} windows={windows} "
-                f"decoder={'int64' if int64_decodes(cfg.stacking, op['stage']) else 'bigint'} "
-                f"key_bytes={symbol_width(cfg.stacking, spec) * op['length']}"
-            )
+            sampled = op.get("method", "exact") != "exact"
+            line = _describe_histogram(cfg, coding_spec(op), op["stage"], op["length"],
+                                       op["count"] if sampled else None)
+            print(f"    {line}")
+        elif kind == "profile":
+            for N, spec, n in profile_from_op(op, cfg.stacking, cfg.sequence):
+                print(f"    N={N} {_describe_histogram(cfg, spec, n, N)}")
         elif kind == "generic":
             h_n = cfg.stacking.heights()[-1]
             print(

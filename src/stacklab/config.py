@@ -16,12 +16,14 @@ from fractions import Fraction
 from typing import Any
 
 from .bounds import (
-    constant_cuts, loglog_cuts, phi_exp_power, phi_log, phi_power, power_cuts, select_tau,
+    check_balancing_horizon, constant_cuts, loglog_cuts, phi_exp_power, phi_log, phi_power,
+    power_cuts, select_tau,
 )
-from .entropy import DEFAULT_WORD_CAP, orbit_levels
-from .intarith import InvalidInput, as_float, as_fraction, is_int
+from .entropy import DEFAULT_WORD_CAP, orbit_levels, profile_points
+from .intarith import InvalidInput, ResourceGuard, as_float, as_fraction, is_int
 from .randomstacks import recipe_params
 from .randomstacks.generic import search_offsets
+from .randomstacks.markov import check_period
 from .sequences import SamplingSequence, SequenceError
 from .tower import CodingSpec, StackingData, TowerError
 
@@ -214,9 +216,16 @@ def recipe_bundle(op: dict, sequence):
     return recipe_params(op["name"], h=op["h"], L=op.get("L"), A=sequence, **rationals)
 
 
+def profile_from_op(op: dict, stacking: StackingData, sequence: SamplingSequence):
+    """The checked points of a profile op, by `entropy.profile_points`."""
+    tau = tau_from_op(op, stacking, sequence)
+    return profile_points(stacking, sequence, tau, op["lengths"], op.get("mode", "base"))
+
+
 def _validate_op(i: int, op: dict, stacking, sequence) -> None:
     """Reject op i at load wherever `run` would reject it before sizing its
-    work: its fields, then the arguments its runner builds from them."""
+    work: its fields, then the arguments its runner builds from them.  A
+    library error keeps its type, and its message gains ` (operations[i])`."""
     kind = op["op"]
     required, integers, needs = _OP_SCHEMA[kind]
     for name, doc in (("stacking", stacking), ("sequence", sequence)):
@@ -237,15 +246,14 @@ def _validate_op(i: int, op: dict, stacking, sequence) -> None:
                 raise ConfigError("count: required for sampled mode as an integer >= 1")
             if "reference" in op and op["reference"] > op["stage"]:
                 raise ConfigError(f"reference: must be at most stage {op['stage']}")
-            coding_spec(op)
-            orbit_levels(stacking, op["stage"], sequence, op["length"])
+            orbit_levels(stacking, coding_spec(op), op["stage"], sequence, op["length"])
         elif kind == "profile":
             lengths = op["lengths"]
             if not (isinstance(lengths, list) and lengths and all(map(is_int, lengths))):
                 raise ConfigError("lengths: must be a non-empty list of integers")
-            tau = tau_from_op(op, stacking, sequence)
-            for N in lengths:
-                CodingSpec(reference=tau(N), mode=op.get("mode", "base"))
+            profile_from_op(op, stacking, sequence)
+        elif kind == "markov":
+            check_period(op["period"])
         elif kind == "generic":
             if not isinstance(op.get("evaluate_all", False), bool):
                 raise ConfigError("evaluate_all: must be a boolean")
@@ -253,9 +261,11 @@ def _validate_op(i: int, op: dict, stacking, sequence) -> None:
         elif kind == "bounds":
             cuts_from_op(op)
             phi_from_op(op)
-            if not sequence.n0 < op["horizon"] <= sequence.horizon:
-                raise ConfigError(f"horizon: must lie in ({sequence.n0}, {sequence.horizon}]")
+            check_balancing_horizon(sequence, op["horizon"])
         elif kind == "recipe":
             recipe_bundle(op, sequence)
     except ConfigError as e:
         raise ConfigError(f"operations[{i}].{e}") from None
+    except (InvalidInput, ResourceGuard) as e:
+        e.args = (f"{e} (operations[{i}])",)
+        raise

@@ -22,6 +22,7 @@ from .tower import (
     StackingData,
     ValidLevels,
     WordCapExceeded,
+    _coding,
     blocked_word_counts,
     decode_words,
     exact_word_counts,
@@ -147,9 +148,13 @@ class EntropyResult:
     histogram: WordHistogram
 
 
-def orbit_levels(sd: StackingData, n: int, A, length: int) -> tuple[tuple, ValidLevels]:
+def orbit_levels(
+    sd: StackingData, spec: CodingSpec, n: int, A, length: int
+) -> tuple[tuple, ValidLevels]:
     """The offsets of length-N orbit words and the valid-level set K of
-    tower n at their horizon t_N; an empty K is an error."""
+    tower n at their horizon t_N, once spec is checked against tower n;
+    an empty K is an error."""
+    _coding(sd, spec, n)
     if length < 0:
         raise EntropyError("word length must be nonnegative")
     offsets = sampling_offsets(A, length)
@@ -178,7 +183,7 @@ def empirical_sequence_entropy(
     Sampled mode draws `sample_count` levels uniformly from K with the
     counter RNG.  Both are bit-identical for any worker count.
     """
-    offsets, levels = orbit_levels(sd, n, A, length)
+    offsets, levels = orbit_levels(sd, spec, n, A, length)
     if method == "exact":
         total = levels.count
         counts, path, windows = exact_word_counts(levels, spec, offsets, word_cap, workers)
@@ -288,10 +293,27 @@ class ProfilePoint:
     stage: int
     h_nats: float
     h_per_sample: float
-    distinct_words: int
-    coverage: float
-    path: str
-    windows: int
+    histogram: WordHistogram
+
+
+def profile_points(
+    sd: StackingData, A, tau: Callable[[int], int], lengths: Sequence[int], mode: str = "base"
+) -> list[tuple[int, CodingSpec, int]]:
+    """(N, coding at reference tau(N), evaluation tower) per profile point,
+    checked before any work: tau must be non-decreasing over the lengths
+    and every point's valid-level set nonempty.  The evaluation tower is
+    tau(N) itself, except that the degenerate schedule tau = 1 is
+    evaluated on tower 2 (the first tower with a valid-level set), still
+    coding against reference 1."""
+    points: list[tuple[int, CodingSpec, int]] = []
+    for N in lengths:
+        spec = CodingSpec(reference=tau(N), mode=mode)
+        if points and spec.reference < points[-1][1].reference:
+            raise EntropyError("tau must be non-decreasing over the profile range")
+        n = max(spec.reference, 2)
+        orbit_levels(sd, spec, n, A, N)
+        points.append((N, spec, n))
+    return points
 
 
 def seq_entropy_upper_profile(
@@ -303,37 +325,19 @@ def seq_entropy_upper_profile(
     workers: int = 1,
     word_cap: int = DEFAULT_WORD_CAP,
 ) -> list[ProfilePoint]:
-    """Per-N values of (1/N) H at reference stage tau(N).
+    """Per-N values of (1/N) H at reference stage tau(N), on the points of
+    `profile_points`.
 
-    tau must be non-decreasing over the given lengths; the limsup of this
-    profile is what upper-bounds the sequence entropy, so downward trends
-    here are the finite-horizon stand-in for vanishing entropy.  The
-    evaluation tower is tau(N) itself, except that the degenerate schedule
-    tau = 1 is evaluated on tower 2 (the first tower with a valid-level
-    set), still coding against reference 1.
+    The limsup of this profile is what upper-bounds the sequence entropy,
+    so downward trends here are the finite-horizon stand-in for vanishing
+    entropy.
     """
-    stages = [tau(N) for N in lengths]
-    for a, b in zip(stages, stages[1:]):
-        if b < a:
-            raise EntropyError("tau must be non-decreasing over the profile range")
     out = []
-    for N, stage in zip(lengths, stages):
-        spec = CodingSpec(reference=stage, mode=coding_mode)
+    for N, spec, n in profile_points(sd, A, tau, lengths, coding_mode):
         res = empirical_sequence_entropy(
-            sd, spec, max(stage, 2), A, N, method="exact", workers=workers, word_cap=word_cap
+            sd, spec, n, A, N, method="exact", workers=workers, word_cap=word_cap
         )
-        out.append(
-            ProfilePoint(
-                length=N,
-                stage=stage,
-                h_nats=res.h_nats,
-                h_per_sample=res.h_per_sample,
-                distinct_words=res.histogram.distinct_words,
-                coverage=res.histogram.coverage,
-                path=res.histogram.path,
-                windows=res.histogram.windows,
-            )
-        )
+        out.append(ProfilePoint(N, spec.reference, res.h_nats, res.h_per_sample, res.histogram))
     return out
 
 

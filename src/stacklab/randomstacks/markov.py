@@ -66,16 +66,21 @@ class MarkovModel:
         return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
 
 
+def check_period(H: int) -> None:
+    """Reject a period below 2, and one above MAX_PERIOD as a resource guard."""
+    if H < 2:
+        raise MarkovError("period H must be >= 2")
+    if H > MAX_PERIOD:
+        raise ResourceGuard(f"period {H} is above the bound of {MAX_PERIOD}")
+
+
 def build_markov_matrix(H: int) -> MarkovModel:
     """Companion chain of p_s = (p_{s-H} + p_{s-H-1})/2.
 
     First row has 1/2 in columns H and H+1; row i (i >= 2) has 1 in
     column i-1.
     """
-    if H < 2:
-        raise MarkovError("period H must be >= 2")
-    if H > MAX_PERIOD:
-        raise ResourceGuard(f"period {H} is above the bound of {MAX_PERIOD}")
+    check_period(H)
     size = H + 1
     half = Fraction(1, 2)
     rows = []

@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import resource
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 
 import stacklab
 from stacklab import cli
+from stacklab.bounds import BoundsError
 from stacklab.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -626,42 +628,75 @@ _PROFILE = {"op": "profile", "lengths": [2]}
 _G = {"op": "generic", "length": 2, "floor_length": 1, "q": 4, "alphabet": 2, "trial_cap": 1}
 _LOG_BOUNDS = {"op": "bounds", "phi": "log", "cuts": 1}
 _LATE_T2 = {"kind": "explicit", "values": [1, 50]}
+# Heights 2, 7, 23, 70 and t_N = N^2: the tower a profile point evaluates
+# on depends on its N and its cut schedule.
+_H70 = {"initial_height": 2, "spacer_cap": 2, "stages": [
+    {"q": 3, "spacers": [1, 0]}, {"q": 3, "spacers": [1, 1]}, {"q": 3, "spacers": [0, 1]}]}
+_SQUARES = {"kind": "power", "alpha": "2", "horizon": 50}
+_H70_DOC = {"stacking": _H70, "sequence": _SQUARES}
 # Ops that `run` rejects before any work, as changes to entropy_tiny.json
-# (heights 2, 5, spacer cap 2, sequence 1, 2); `describe` must reject them too.
+# (heights 2, 5, spacer cap 2, sequence 1, 2), each with run's exit code;
+# `describe` must reject them too.
 _REJECTED_OPS = {
-    "profile-rule": {"operations": [dict(_PROFILE, rule="bogus")]},
-    "profile-mode": {"operations": [dict(_PROFILE, mode="bogus")]},
-    "profile-lambda-without-lam": {"operations": [dict(_PROFILE, rule="lambda")]},
-    "profile-cuts-0": {"operations": [dict(_PROFILE, cuts=0)]},
-    "profile-no-stage-qualifies": {"operations": [_PROFILE], "sequence": _LATE_T2},
-    "profile-past-horizon": {"operations": [dict(_PROFILE, lengths=[9])]},
+    "profile-rule": (EXIT_VALIDATION, {"operations": [dict(_PROFILE, rule="bogus")]}),
+    "profile-mode": (EXIT_VALIDATION, {"operations": [dict(_PROFILE, mode="bogus")]}),
+    "profile-lambda-without-lam": (EXIT_VALIDATION,
+                                   {"operations": [dict(_PROFILE, rule="lambda")]}),
+    "profile-cuts-0": (EXIT_VALIDATION, {"operations": [dict(_PROFILE, cuts=0)]}),
+    "profile-no-stage-qualifies": (EXIT_VALIDATION,
+                                   {"operations": [_PROFILE], "sequence": _LATE_T2}),
+    "profile-past-horizon": (EXIT_VALIDATION, {"operations": [dict(_PROFILE, lengths=[9])]}),
     # t_N / (lam N) at N = 0 once ended in a ZeroDivisionError.
-    "profile-lambda-N-0": {"operations": [dict(_PROFILE, lengths=[0], rule="lambda", lam=1)],
-                           "sequence": {"kind": "linear", "a": 1, "b": 1, "n0": 0, "horizon": 4}},
-    "generic-q-1": {"operations": [dict(_G, q=1)]},
-    "generic-trial-cap-0": {"operations": [dict(_G, trial_cap=0)]},
-    "generic-length-0": {"operations": [dict(_G, length=0, floor_length=0)]},
-    "generic-t_N-past-q-h_n": {"operations": [dict(_G, q=2)],
-                               "sequence": {"kind": "explicit", "values": [1, 500]}},
-    "generic-alphabet-above-cap": {"operations": [dict(_G, alphabet=3)]},
-    "bounds-horizon-0": {"operations": [dict(_LOG_BOUNDS, horizon=0)]},
-    "bounds-horizon-past-sequence": {"operations": [dict(_LOG_BOUNDS, horizon=50)]},
-    "bounds-cuts-0": {"operations": [dict(_LOG_BOUNDS, cuts=0, horizon=2)]},
-    "bounds-beta-0": {"operations": [dict(_LOG_BOUNDS, phi="power", beta=0, horizon=2)]},
-    "entropy-empty-K": {"operations": [_TINY_OP], "sequence": _LATE_T2},
+    "profile-lambda-N-0": (EXIT_VALIDATION, {
+        "operations": [dict(_PROFILE, lengths=[0], rule="lambda", lam=1)],
+        "sequence": {"kind": "linear", "a": 1, "b": 1, "n0": 0, "horizon": 4}}),
+    # Four cuts keep tau at 1, so N = 3 evaluates on tower 2 at t_N = 9 >= h_2.
+    "profile-empty-K": (EXIT_VALIDATION, dict(_H70_DOC, operations=[
+        dict(_PROFILE, lengths=[3, 4, 5], cuts=4)])),
+    "profile-tau-decreases": (EXIT_VALIDATION, dict(_H70_DOC, operations=[
+        dict(_PROFILE, lengths=[4, 2])])),
+    "profile-refined-without-cap": (EXIT_VALIDATION, dict(_H70_DOC, stacking={
+        k: v for k, v in _H70.items() if k != "spacer_cap"}, operations=[
+        dict(_PROFILE, lengths=[2, 3], mode="refined")])),
+    "generic-q-1": (EXIT_VALIDATION, {"operations": [dict(_G, q=1)]}),
+    "generic-trial-cap-0": (EXIT_VALIDATION, {"operations": [dict(_G, trial_cap=0)]}),
+    "generic-length-0": (EXIT_VALIDATION, {"operations": [dict(_G, length=0, floor_length=0)]}),
+    "generic-t_N-past-q-h_n": (EXIT_VALIDATION, {
+        "operations": [dict(_G, q=2)], "sequence": {"kind": "explicit", "values": [1, 500]}}),
+    "generic-alphabet-above-cap": (EXIT_VALIDATION, {"operations": [dict(_G, alphabet=3)]}),
+    "bounds-horizon-0": (EXIT_VALIDATION, {"operations": [dict(_LOG_BOUNDS, horizon=0)]}),
+    "bounds-horizon-past-sequence": (EXIT_VALIDATION,
+                                     {"operations": [dict(_LOG_BOUNDS, horizon=50)]}),
+    "bounds-cuts-0": (EXIT_VALIDATION, {"operations": [dict(_LOG_BOUNDS, cuts=0, horizon=2)]}),
+    "bounds-beta-0": (EXIT_VALIDATION,
+                      {"operations": [dict(_LOG_BOUNDS, phi="power", beta=0, horizon=2)]}),
+    "bounds-exponential": (EXIT_VALIDATION, {
+        "operations": [dict(_LOG_BOUNDS, horizon=7)],
+        "sequence": {"kind": "explicit", "values": [1, 2, 4, 8, 16, 32, 64]}}),
+    "entropy-empty-K": (EXIT_VALIDATION, {"operations": [_TINY_OP], "sequence": _LATE_T2}),
+    "markov-period-above-bound": (EXIT_RESOURCE,
+                                  {"operations": [{"op": "markov", "period": 5000}]}),
 }
 
 
-@pytest.mark.parametrize("change", _REJECTED_OPS.values(), ids=_REJECTED_OPS.keys())
-def test_describe_and_run_reject_the_same_ops(tmp_path, capsys, change):
+@pytest.mark.parametrize("code, change", _REJECTED_OPS.values(), ids=_REJECTED_OPS.keys())
+def test_describe_and_run_reject_the_same_ops(tmp_path, capsys, code, change):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(TINY_DOC, **change)))
     outcomes = []
     for argv in (["describe"], ["run", "--out", str(tmp_path / "o")]):
-        code = main([*argv, "--config", str(path)])
-        outcomes.append((code, capsys.readouterr().err.splitlines()[-1:]))
-    assert outcomes[0][0] == EXIT_VALIDATION
+        exit_code = main([*argv, "--config", str(path)])
+        outcomes.append((exit_code, capsys.readouterr().err.splitlines()[-1:]))
+    assert outcomes[0][0] == code
     assert outcomes[0] == outcomes[1]
+
+
+def test_load_errors_name_their_op():
+    # A library error keeps its type (and so its exit code) and names the op.
+    doc = dict(TINY_DOC, operations=[_TINY_OP, dict(_PROFILE, rule="bogus")])
+    with pytest.raises(BoundsError) as excinfo:
+        load_config(doc)
+    assert str(excinfo.value) == "unknown tau rule 'bogus' (operations[1])"
 
 
 def test_describe_and_run_agree_on_an_empty_word(tmp_path, capsys):
@@ -881,7 +916,7 @@ def test_recipe_flex_exact_cut_counts(capsys, argv, q):
 
 
 
-def test_profile_op_via_config(tmp_path):
+def test_profile_op_via_config(tmp_path, capsys):
     doc = {
         "stacking": {"initial_height": 2, "spacer_cap": 2, "stages": [{"q": 2, "spacers": [1]}]},
         "sequence": {"kind": "explicit", "values": [1, 2]},
@@ -901,6 +936,17 @@ def test_profile_op_via_config(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["paths"] == {"profile.csv": ["compressed", "enumerate"]}
     assert meta["windows"]["profile.csv"] == [2, 2]
+    assert [k["distinct_words"] for k in meta["keys"]["profile.csv"]] == [
+        int(row.split(",")[5]) for row in body[2:]]
+    # `describe` plans each point as `run` then takes it.  Point lines are
+    # matched by their start, since recipe lines hold `N=` further in.
+    assert main(["describe", "--config", str(path)]) == EXIT_OK
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if re.match(r"\s*N=\d+ stage=", line)]
+    assert [line[:2] for line in lines] == [["N=1", "stage=2"], ["N=2", "stage=2"]]
+    assert [line[6:8] for line in lines] == [
+        [f"path={p}", f"windows={w}"]
+        for p, w in zip(meta["paths"]["profile.csv"], meta["windows"]["profile.csv"])]
     # lambda-form selection rule
     doc["operations"] = [{"op": "profile", "lengths": [2], "rule": "lambda", "lam": "5"}]
     path.write_text(json.dumps(doc))
@@ -968,20 +1014,50 @@ def _mutated(doc, path, value):
     return doc
 
 
-def test_config_fuzz_exits_with_documented_codes(tmp_path):
-    # Every single-field mutation of the fixture configs ends in a
-    # documented exit code, never in an exception out of `main`.
+# One op of every kind, on heights 2, 7, 23 and t_n = n^2; it runs clean.
+_EVERY_OP_DOC = {
+    "stacking": {"initial_height": 2, "spacer_cap": 2,
+                 "stages": [{"q": 3, "spacers": [1, 0]}, {"q": 3, "spacers": [1, 1]}]},
+    "sequence": {"kind": "power", "alpha": "2", "horizon": 6},
+    "seed": 3,
+    "operations": [
+        {"op": "entropy", "stage": 3, "reference": 1, "length": 2},
+        {"op": "profile", "lengths": [1, 2], "mode": "refined"},
+        {"op": "seq", "limit": 3},
+        {"op": "markov", "period": 3},
+        {"op": "generic", "length": 2, "floor_length": 1, "q": 5, "alphabet": 2,
+         "trial_cap": 16},
+        {"op": "bounds", "phi": "log", "cuts": 1, "horizon": 4},
+        {"op": "recipe", "name": "poly", "h": 2, "alpha": 2, "beta": 1},
+    ],
+}
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except Exception as e:  # any escape from main is a finding
+        return f"{type(e).__name__}: {e}"
+
+
+def test_config_fuzz_exits_with_documented_codes(tmp_path, capsys):
+    # Every single-field mutation of these configs ends in a documented
+    # exit code, never in an exception out of `main`, and `describe` exits
+    # with run's code, save that only the search itself can exhaust (exit 4).
     path, failures = tmp_path / "cfg.json", []
-    for name in ("entropy_tiny.json", "acceptance_determinism.json"):
-        doc = json.loads((FIXTURES / name).read_text())
+    docs = {name: json.loads((FIXTURES / name).read_text())
+            for name in ("entropy_tiny.json", "acceptance_determinism.json")}
+    docs["every-op"] = _EVERY_OP_DOC
+    for name, doc in docs.items():
         for field in _json_paths(doc):
             for value in _MUTATIONS:
                 path.write_text(json.dumps(_mutated(doc, field, value)))
-                argv = ["run", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", "1"]
-                try:
-                    code = main(argv)
-                except Exception as e:  # any escape from main is a finding
-                    code = f"{type(e).__name__}: {e}"
-                if code not in (EXIT_OK, EXIT_VALIDATION, EXIT_RESOURCE, EXIT_EXHAUSTED):
-                    failures.append((name, field, "missing" if value is _MISSING else value, code))
-    assert not failures, f"{len(failures)} mutations escaped:\n" + "\n".join(map(repr, failures))
+                argv = ["--config", str(path), "--workers", "1"]
+                code = _exit_code(["run", *argv, "--out", str(tmp_path / "o")])
+                described = _exit_code(["describe", *argv])
+                capsys.readouterr()
+                documented = code in (EXIT_OK, EXIT_VALIDATION, EXIT_RESOURCE, EXIT_EXHAUSTED)
+                if not documented or described != (EXIT_OK if code == EXIT_EXHAUSTED else code):
+                    value = "missing" if value is _MISSING else value
+                    failures.append((name, field, value, code, described))
+    assert not failures, f"{len(failures)} mutations failed:\n" + "\n".join(map(repr, failures))
