@@ -96,13 +96,13 @@ class Report:
 # -- operation runners ---------------------------------------------------------
 
 
-# The columns that close the row of every word histogram, from an
-# EntropyResult or a ProfilePoint.
+# The columns that close the row of every word histogram.  `_h_columns` and
+# `_telemetry` read a histogram's scalars by name, from a WordHistogram or
+# from a ProfilePoint, which keeps them without the counts.
 _H_COLUMNS = ("H_nats", "H_per_N", "H_per_N_bits", "distinct_words", "coverage")
 
 
-def _h_columns(res) -> tuple:
-    hist = res.histogram
+def _h_columns(res, hist) -> tuple:
     return (res.h_nats, res.h_per_sample, res.h_per_sample / LN2, hist.distinct_words,
             hist.coverage)
 
@@ -135,7 +135,8 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         workers=workers,
     )
     hist = res.histogram
-    row = (length, stage, spec.reference, f"{method}/{spec.mode}", *_h_columns(res), cfg.seed)
+    row = (length, stage, spec.reference, f"{method}/{spec.mode}", *_h_columns(res, hist),
+           cfg.seed)
     header = ("N", "stage", "reference", "mode", *_H_COLUMNS, "seed")
     summary = [
         f"entropy: stage={stage} reference={spec.reference} mode={method}/{spec.mode} "
@@ -147,24 +148,17 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
 
 def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     tau = tau_from_op(op, cfg.stacking, cfg.sequence)
-    points = seq_entropy_upper_profile(
-        cfg.stacking,
-        cfg.sequence,
-        tau,
-        op["lengths"],
-        coding_mode=op.get("mode", "base"),
-        workers=workers,
-        word_cap=cfg.word_cap,
-    )
+    points = seq_entropy_upper_profile(cfg.stacking, cfg.sequence, tau, op["lengths"],
+                                       op.get("mode", "base"), workers, cfg.word_cap)
     summary = [
         f"profile: N={points[0].length}..{points[-1].length} "
         f"H_per_N {fmt(points[0].h_per_sample)} -> {fmt(points[-1].h_per_sample)}"
     ]
     return Report(
         header=("N", "stage", *_H_COLUMNS),
-        rows=[(p.length, p.stage, *_h_columns(p)) for p in points],
+        rows=[(p.length, p.stage, *_h_columns(p, p)) for p in points],
         summary=summary,
-        **_telemetry([p.histogram for p in points]),
+        **_telemetry(points),
     )
 
 
@@ -386,21 +380,20 @@ def execute(
     return reports
 
 
-def _describe_histogram(cfg: ExperimentConfig, spec, n: int, length: int, count=None) -> str:
-    """The plan of one word histogram on tower n: its valid levels, alphabet,
-    path and windows (sampled when `count` is given), decoder and key bytes."""
-    offsets, K = orbit_levels(cfg.stacking, spec, n, cfg.sequence, length)
+def _describe_histogram(cfg: ExperimentConfig, spec, offsets, K, count=None) -> str:
+    """The plan of one word histogram on the offsets and valid levels K of
+    `orbit_levels`: K, alphabet, path, windows, decoder and key bytes."""
     if count is not None:
         path, windows = "sampled", count
     else:
         path, plan = exact_plan(K, spec, offsets)
         windows = plan.count
     return (
-        f"stage={n} reference={spec.reference} "
+        f"stage={K.n} reference={spec.reference} "
         f"|K|={K.count} coverage={fmt(K.coverage)} "
         f"alphabet={spec.alphabet_size(cfg.stacking)} path={path} windows={windows} "
-        f"decoder={'int64' if int64_decodes(cfg.stacking, n) else 'bigint'} "
-        f"key_bytes={symbol_width(cfg.stacking, spec) * length}"
+        f"decoder={'int64' if int64_decodes(cfg.stacking, K.n) else 'bigint'} "
+        f"key_bytes={symbol_width(cfg.stacking, spec) * len(offsets)}"
     )
 
 
@@ -420,13 +413,13 @@ def describe(cfg: ExperimentConfig) -> None:
         kind = op["op"]
         print(f"[{i}] op={kind}")
         if kind == "entropy":
-            sampled = op.get("method", "exact") != "exact"
-            line = _describe_histogram(cfg, coding_spec(op), op["stage"], op["length"],
-                                       op["count"] if sampled else None)
-            print(f"    {line}")
+            spec = coding_spec(op)
+            levels = orbit_levels(cfg.stacking, spec, op["stage"], cfg.sequence, op["length"])
+            count = op["count"] if op.get("method", "exact") != "exact" else None
+            print(f"    {_describe_histogram(cfg, spec, *levels, count)}")
         elif kind == "profile":
-            for N, spec, n in profile_from_op(op, cfg.stacking, cfg.sequence):
-                print(f"    N={N} {_describe_histogram(cfg, spec, n, N)}")
+            for N, spec, offsets, K in profile_from_op(op, cfg.stacking, cfg.sequence):
+                print(f"    N={N} {_describe_histogram(cfg, spec, offsets, K)}")
         elif kind == "generic":
             h_n = cfg.stacking.heights()[-1]
             print(

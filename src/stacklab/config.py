@@ -146,7 +146,7 @@ _OP_SCHEMA = {
                 ("stacking", "sequence")),
     "profile": (("lengths",), {"c": 1}, ("stacking", "sequence")),
     "seq": ((), {"limit": None}, ("sequence",)),
-    "markov": (("period",), {"period": 2}, ()),
+    "markov": (("period",), {"period": 2}, ()),  # minimum as in check_period, to name the field
     "generic": (_GENERIC_FIELDS, dict.fromkeys(_GENERIC_FIELDS) | {"alphabet": 2},
                 ("stacking", "sequence")),
     "bounds": (("phi", "cuts", "horizon"), {"horizon": None, "c": 1}, ("sequence",)),
@@ -244,6 +244,7 @@ def _validate_op(i: int, op: dict, stacking, sequence) -> None:
                 raise ConfigError("method: must be 'exact' or 'sampled'")
             if op.get("method") == "sampled" and op.get("count", 0) < 1:
                 raise ConfigError("count: required for sampled mode as an integer >= 1")
+            # Also rejected by orbit_levels (tower._coding); checked here to name the field.
             if "reference" in op and op["reference"] > op["stage"]:
                 raise ConfigError(f"reference: must be at most stage {op['stage']}")
             orbit_levels(stacking, coding_spec(op), op["stage"], sequence, op["length"])

@@ -177,13 +177,24 @@ def empirical_sequence_entropy(
     word_cap: int | None = DEFAULT_WORD_CAP,
     workers: int = 1,
 ) -> EntropyResult:
-    """Empirical (1/N) H of the length-N coded-orbit histogram over K.
+    """Empirical (1/N) H of the length-N coded-orbit histogram over the
+    valid levels K of tower n, by `levels_entropy` on `orbit_levels`."""
+    offsets, levels = orbit_levels(sd, spec, n, A, length)
+    return levels_entropy(spec, offsets, levels, method, sample_count, seed, word_cap, workers)
+
+
+def levels_entropy(
+    spec: CodingSpec, offsets: tuple, levels: ValidLevels, method: str = "exact",
+    sample_count: int | None = None, seed: int = 0,
+    word_cap: int | None = DEFAULT_WORD_CAP, workers: int = 1,
+) -> EntropyResult:
+    """Empirical (1/N) H of the coded-orbit words at `offsets` over the
+    checked levels K of `orbit_levels`.
 
     Exact mode counts every level of K through `exact_word_counts`.
     Sampled mode draws `sample_count` levels uniformly from K with the
     counter RNG.  Both are bit-identical for any worker count.
     """
-    offsets, levels = orbit_levels(sd, spec, n, A, length)
     if method == "exact":
         total = levels.count
         counts, path, windows = exact_word_counts(levels, spec, offsets, word_cap, workers)
@@ -194,6 +205,7 @@ def empirical_sequence_entropy(
         counts = blocked_word_counts(spec, levels, total, offsets, word_cap, workers, seed)
     else:
         raise EntropyError(f"unknown method {method!r}")
+    length = len(offsets)
     hist = WordHistogram(
         counts=counts,
         total=total,
@@ -201,7 +213,7 @@ def empirical_sequence_entropy(
         coverage=levels.coverage,
         path=path,
         windows=windows,
-        symbol_width=symbol_width(sd, spec),
+        symbol_width=symbol_width(levels.sd, spec),
     )
     h = hist.entropy_nats()
     per = h / length if length > 0 else 0.0
@@ -289,56 +301,60 @@ def check_jensen_upper_bound(
 
 @dataclass(frozen=True)
 class ProfilePoint:
+    """A profile point's length, reference stage, entropy and histogram
+    scalars (named as on `WordHistogram`), without the word counts."""
+
     length: int
     stage: int
     h_nats: float
     h_per_sample: float
-    histogram: WordHistogram
+    distinct_words: int
+    key_bytes: int
+    coverage: float
+    path: str
+    windows: int
 
 
 def profile_points(
     sd: StackingData, A, tau: Callable[[int], int], lengths: Sequence[int], mode: str = "base"
-) -> list[tuple[int, CodingSpec, int]]:
-    """(N, coding at reference tau(N), evaluation tower) per profile point,
-    checked before any work: tau must be non-decreasing over the lengths
-    and every point's valid-level set nonempty.  The evaluation tower is
-    tau(N) itself, except that the degenerate schedule tau = 1 is
-    evaluated on tower 2 (the first tower with a valid-level set), still
-    coding against reference 1."""
-    points: list[tuple[int, CodingSpec, int]] = []
+) -> list[tuple[int, CodingSpec, tuple, ValidLevels]]:
+    """(N, coding at reference tau(N), offsets, valid levels K) per profile
+    point, checked before any work: tau must be non-decreasing over the
+    lengths and every point's K nonempty.  K is taken on tower tau(N)
+    itself, except that the degenerate schedule tau = 1 is evaluated on
+    tower 2 (the first tower with a valid-level set), still coding against
+    reference 1."""
+    points: list[tuple[int, CodingSpec, tuple, ValidLevels]] = []
     for N in lengths:
         spec = CodingSpec(reference=tau(N), mode=mode)
         if points and spec.reference < points[-1][1].reference:
             raise EntropyError("tau must be non-decreasing over the profile range")
-        n = max(spec.reference, 2)
-        orbit_levels(sd, spec, n, A, N)
-        points.append((N, spec, n))
+        points.append((N, spec, *orbit_levels(sd, spec, max(spec.reference, 2), A, N)))
     return points
 
 
+def _profile_point(N: int, stage: int, res: EntropyResult) -> ProfilePoint:
+    hist = res.histogram
+    return ProfilePoint(N, stage, res.h_nats, res.h_per_sample, hist.distinct_words,
+                        hist.key_bytes, hist.coverage, hist.path, hist.windows)
+
+
 def seq_entropy_upper_profile(
-    sd: StackingData,
-    A,
-    tau: Callable[[int], int],
-    lengths: Sequence[int],
-    coding_mode: str = "base",
-    workers: int = 1,
-    word_cap: int = DEFAULT_WORD_CAP,
+    sd: StackingData, A, tau: Callable[[int], int], lengths: Sequence[int],
+    coding_mode: str = "base", workers: int = 1, word_cap: int = DEFAULT_WORD_CAP,
 ) -> list[ProfilePoint]:
     """Per-N values of (1/N) H at reference stage tau(N), on the points of
-    `profile_points`.
+    `profile_points`; one point's word counts are held at a time.
 
     The limsup of this profile is what upper-bounds the sequence entropy,
     so downward trends here are the finite-horizon stand-in for vanishing
     entropy.
     """
-    out = []
-    for N, spec, n in profile_points(sd, A, tau, lengths, coding_mode):
-        res = empirical_sequence_entropy(
-            sd, spec, n, A, N, method="exact", workers=workers, word_cap=word_cap
-        )
-        out.append(ProfilePoint(N, spec.reference, res.h_nats, res.h_per_sample, res.histogram))
-    return out
+    return [
+        _profile_point(N, spec.reference, levels_entropy(
+            spec, offsets, K, "exact", word_cap=word_cap, workers=workers))
+        for N, spec, offsets, K in profile_points(sd, A, tau, lengths, coding_mode)
+    ]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from stacklab.entropy import (
     EntropyError,
     WeightedPartition,
     WordCapExceeded,
+    WordHistogram,
     check_disjoint_lower_bound,
     check_jensen_upper_bound,
     conditional_entropy,
@@ -334,6 +335,13 @@ def test_profile_constant_schedule(tiny_tower):
     direct = empirical_sequence_entropy(tiny_tower, CodingSpec(2), 2, (1,), 1)
     assert pts[0].h_nats == pytest.approx(direct.h_nats, abs=1e-15)
     assert pts[0].h_per_sample == pytest.approx(direct.h_nats, abs=1e-15)
+    # A point keeps its histogram's scalars, not the histogram: a profile
+    # holds one point's word counts at a time.
+    hist = direct.histogram
+    assert (pts[0].distinct_words, pts[0].key_bytes, pts[0].coverage, pts[0].path,
+            pts[0].windows) == (hist.distinct_words, hist.key_bytes, hist.coverage,
+                                hist.path, hist.windows)
+    assert not any(isinstance(v, WordHistogram) for v in vars(pts[0]).values())
     with pytest.raises(EntropyError, match="non-decreasing"):
         seq_entropy_upper_profile(
             tiny_tower, SamplingSequence.explicit([1, 2]), lambda N: 3 - N, [1, 2]
