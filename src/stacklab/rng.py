@@ -11,7 +11,8 @@ generators are used:
   with hashlib; `uniform_ints` makes a range of them at once, hashing
   many indices per numpy call, and gives the same integers;
 * numpy's Philox for bulk Monte Carlo, keyed per block so that results
-  do not depend on the worker count.
+  do not depend on the worker count.  `philox_bits` cuts its fair bits
+  straight from the raw words, as numpy's int32 draw does.
 """
 
 from __future__ import annotations
@@ -215,3 +216,21 @@ def bulk_generator(seed: int, stream: int) -> np.random.Generator:
     payload = struct.pack(">QQ", seed % _U64, stream % _U64)
     key = int.from_bytes(hashlib.sha256(payload).digest()[:16], "big")
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def philox_bits(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The next `count` draws of `gen.integers(0, 2, size=count, dtype=np.int32)`,
+    as a uint8 array, cut from ceil(count/2) raw 64-bit words.
+
+    numpy draws each of these bits as the top bit of one 32-bit half of
+    `gen.bit_generator.random_raw()`, low half first: Lemire's bounded
+    draw over a range of 2 never rejects.  Viewing the words as
+    little-endian before splitting them keeps that order on any host.
+    This rests on numpy internals, which `tests/test_randomstacks.py`
+    pins.  Consecutive calls read the stream of one `integers` call only
+    while every count but the last is even: an odd count drops the high
+    half of its last word, which `integers` would keep for its next draw.
+    """
+    raw = gen.bit_generator.random_raw((count + 1) // 2)
+    halves = raw.astype("<u8", copy=False).view("<u4")[:count]
+    return np.greater_equal(halves, np.uint32(1 << 31)).view(np.uint8)

@@ -370,7 +370,12 @@ def code_orbit(
     h_n = _check_level(sd, n, k)
     h_r, refined = _coding(sd, spec, n)
     r, heights = spec.reference, sd.heights()
-    descent = [(sd.slice_starts(m), heights[m - 1]) for m in range(n - 1, r - 1, -1)]
+    descent = []
+    for m in range(n - 1, r - 1, -1):
+        # bisect compares Python ints on a memoryview of an int64 table,
+        # 2-3x faster than numpy scalars on the array; object tables hold ints.
+        starts = sd.slice_starts(m)
+        descent.append((starts if starts.dtype.hasobject else memoryview(starts), heights[m - 1]))
     word = []
     for i, t in enumerate(offsets, start=1):
         lvl = k + t
@@ -379,7 +384,7 @@ def code_orbit(
         if lvl < 0:
             raise TowerError(f"level {lvl} out of range [0, {h_n}) for tower {n}")
         for starts, h in descent:
-            lvl -= int(starts[bisect_right(starts, lvl) - 1])
+            lvl -= starts[bisect_right(starts, lvl) - 1]
             if lvl >= h:
                 word.append(h_r + lvl - h + 1 if refined else 0)
                 break

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stacklab.intarith import ResourceGuard
 from stacklab.rng import (
-    BATCH_MIN, LANES, SpacerProcess, _digest64, _digest64_lanes, bulk_generator,
+    BATCH_MIN, LANES, SpacerProcess, _digest64, _digest64_lanes, bulk_generator, philox_bits,
     uniform_int, uniform_ints,
 )
 from stacklab.randomstacks import (
@@ -28,7 +28,7 @@ from stacklab.randomstacks import (
 from stacklab.randomstacks.generic import evaluate_candidate
 from stacklab.randomstacks import markov
 from stacklab.randomstacks.markov import (
-    _MC_BLOCK, MarkovError, MarkovModel, _default_position, _mc_block, _symbol_at,
+    _MC_BLOCK, MarkovError, MarkovModel, _chunk_rows, _default_position, _mc_block, _symbol_at,
     _window_bits_needed,
 )
 from stacklab.randomstacks.recipes import RecipeError
@@ -343,10 +343,18 @@ def test_mc_h2_H5_in_alphabet_below_half():
 
 
 def test_mc_worker_invariance():
-    a = conditional_limits_mc(2, (0,), 1, separation=100, samples=70_000, seed=4, workers=1)
-    b = conditional_limits_mc(2, (0,), 1, separation=100, samples=70_000, seed=4, workers=3)
-    assert a[0].estimate == b[0].estimate
-    assert a[0].conditioning_hits == b[0].conditioning_hits
+    # Four blocks, the last one partial, each of several chunks: every
+    # estimate must print the same at any worker count.
+    samples = 3 * _MC_BLOCK + 1000
+    kwargs = dict(h=2, pattern=(0,), l0=1, separation=100, samples=samples, seed=4)
+    runs = [sorted(conditional_limits_mc(**kwargs, workers=w).items()) for w in (1, 2, 3)]
+    reprs = [[repr(est) for _, est in run] for run in runs]
+    assert len(reprs[0]) == 3
+    assert reprs[1] == reprs[0] and reprs[2] == reprs[0]
+    # The hits are the sum of the four blocks' (position 5 at H = 4).
+    counts = [min(_MC_BLOCK, samples - lo) for lo in range(0, samples, _MC_BLOCK)]
+    hits = sum(_mc_block((2, (0,), 1, 5, 100, 4, b, n))[0] for b, n in enumerate(counts))
+    assert runs[0][0][1].conditioning_hits == hits
 
 
 # Every estimate of two seeded runs, as printed by the kernel that compared
@@ -390,12 +398,28 @@ def test_mc_output_is_pinned(kwargs, reprs):
 
 
 def test_int32_draw_equals_int64_draw():
-    # The block draws its bits as int32; numpy takes the same 32-bit path for
-    # int64 here, so the stream is the one the int64 draw gave.
+    # The oracle draws its bits as int64, the block reads numpy's int32
+    # draw (`philox_bits`); numpy takes the same 32-bit path for both here,
+    # so the oracle's int64 draw is the stream the block counts.
     for seed in (0, 29):
         wide = bulk_generator(seed, 1).integers(0, 2, size=(_MC_BLOCK, 153), dtype=np.int64)
         narrow = bulk_generator(seed, 1).integers(0, 2, size=(_MC_BLOCK, 153), dtype=np.int32)
         assert np.array_equal(wide, narrow)
+
+
+@pytest.mark.parametrize("seed", [0, 29])
+def test_philox_bits_chunks_equal_the_int32_draw(seed):
+    # The block's bit contract, which rests on numpy internals: chunks of
+    # an even number of rows, then an odd remainder, read exactly what one
+    # int32 draw of the whole block reads.
+    m = 153
+    rows = _chunk_rows(m)
+    count = 2 * rows + 5
+    gen = bulk_generator(seed, 3)
+    chunks = [philox_bits(gen, min(rows, count - lo) * m) for lo in range(0, count, rows)]
+    assert len(chunks) == 3 and all(c.dtype == np.uint8 for c in chunks)
+    want = bulk_generator(seed, 3).integers(0, 2, size=(count, m), dtype=np.int32)
+    assert np.array_equal(np.concatenate(chunks).reshape(count, m), want)
 
 
 @st.composite
@@ -412,11 +436,21 @@ def mc_blocks(draw):
     separation = draw(st.integers(0, 3 * len(word) + 2))
     seed = draw(st.integers(0, 2**64 - 1))
     block = draw(st.integers(0, 1 << 20))
-    count = draw(st.integers(1, 300))
+    # Small blocks, and blocks of up to three chunks of rows.
+    rows = _chunk_rows(_window_bits_needed(len(word), position + separation))
+    count = draw(st.integers(1, 300) | st.integers(1, 2 * rows + 2))
     return (h, pattern, l0, position, separation, seed, block, count)
 
 
+# h = 2, pattern (0,): H = 4, position 5; separation 8 takes 5 bits a row,
+# an odd number, so a block's last chunk may end inside a raw word.
+_ODD_ROWS = _chunk_rows(5)
+
+
 @given(mc_blocks())
+@example((2, (0,), 1, 5, 8, 11, 7, _ODD_ROWS - 1))
+@example((2, (0,), 1, 5, 8, 12, 8, _ODD_ROWS + 1))
+@example((2, (0,), 0, 5, 8, 13, 9, 2 * _ODD_ROWS + 1))
 def test_mc_block_matches_full_array_oracle(args):
     assert _mc_block(args) == mc_block_oracle(args)
 
