@@ -44,7 +44,7 @@ from .randomstacks import (
     stationary_distribution_exact,
 )
 from .rng import BULK_RNG_ID, SPACER_RNG_ID
-from .sequences import dilation_diagnostic, krug_K_estimate, max_gap
+from .sequences import dilation_diagnostic, krug_K_estimate
 from .tower import exact_plan, int64_decodes, symbol_width
 
 EXIT_OK = 0
@@ -88,33 +88,21 @@ class Report:
     rows: list[tuple]
     summary: list[str]
     accepted: bool | None = None  # searches only
-    paths: tuple[str, ...] = ()  # entropy paths taken, for meta.json only
-    windows: tuple[int, ...] = ()  # windows decoded per entropy point, meta.json only
-    keys: tuple[dict, ...] = ()  # distinct words and key bytes per entropy point, meta.json only
+    hists: tuple = ()  # histograms or profile points, for meta.json only
 
 
 # -- operation runners ---------------------------------------------------------
 
 
 # The columns that close the row of every word histogram.  `_h_columns` and
-# `_telemetry` read a histogram's scalars by name, from a WordHistogram or
-# from a ProfilePoint, which keeps them without the counts.
+# `execute` read a histogram's scalars by name, from a WordHistogram or from
+# a ProfilePoint, which keeps them without the counts.
 _H_COLUMNS = ("H_nats", "H_per_N", "H_per_N_bits", "distinct_words", "coverage")
 
 
 def _h_columns(res, hist) -> tuple:
     return (res.h_nats, res.h_per_sample, res.h_per_sample / LN2, hist.distinct_words,
             hist.coverage)
-
-
-def _telemetry(hists) -> dict:
-    """The `paths`, `windows` and `keys` of a Report, one entry per histogram."""
-    return {
-        "paths": tuple(h.path for h in hists),
-        "windows": tuple(h.windows for h in hists),
-        "keys": tuple({"distinct_words": h.distinct_words,
-                       "key_bytes": h.distinct_words * h.key_bytes} for h in hists),
-    }
 
 
 def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -143,7 +131,7 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"N={length} H_per_N={fmt(res.h_per_sample)} distinct={hist.distinct_words} "
         f"coverage={fmt(hist.coverage)}"
     ]
-    return Report(header=header, rows=[row], summary=summary, **_telemetry([hist]))
+    return Report(header=header, rows=[row], summary=summary, hists=(hist,))
 
 
 def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -158,13 +146,13 @@ def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         header=("N", "stage", *_H_COLUMNS),
         rows=[(p.length, p.stage, *_h_columns(p, p)) for p in points],
         summary=summary,
-        **_telemetry(points),
+        hists=tuple(points),
     )
 
 
 def _gap_rows(seq, limit: int) -> list[tuple]:
     """(index, value, gap) for the terms n0 .. limit; the first gap is blank."""
-    values = [seq.generate(i) for i in range(seq.n0, limit + 1)]
+    values = list(seq.terms(seq.n0, limit + 1))
     return [(seq.n0 + j, t, t - values[j - 1] if j else "") for j, t in enumerate(values)]
 
 
@@ -360,6 +348,10 @@ def execute(
     (outdir / "summary.txt").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
     (outdir / "config.json").write_text(canonical_json(cfg.doc) + "\n", encoding="utf-8")
     digests = {name: _sha256(outdir / name) for name in filenames + ["summary.txt"]}
+
+    def per_hist(value) -> dict:
+        return {name: [value(h) for h in r.hists] for name, r in zip(filenames, reports) if r.hists}
+
     meta = {
         "tool": "stacklab",
         "version": __version__,
@@ -368,9 +360,10 @@ def execute(
         "workers": workers,
         "rng": {"spacer": SPACER_RNG_ID, "bulk": BULK_RNG_ID},
         "outputs": filenames,
-        "paths": {name: list(r.paths) for name, r in zip(filenames, reports) if r.paths},
-        "windows": {name: list(r.windows) for name, r in zip(filenames, reports) if r.windows},
-        "keys": {name: list(r.keys) for name, r in zip(filenames, reports) if r.keys},
+        "paths": per_hist(lambda h: h.path),
+        "windows": per_hist(lambda h: h.windows),
+        "keys": per_hist(lambda h: {"distinct_words": h.distinct_words,
+                                    "key_bytes": h.distinct_words * h.key_bytes}),
         "sha256": digests,
         "created_unix": time.time(),
     }
@@ -637,7 +630,7 @@ def _dispatch_seq(args) -> int:
         print(f"sequence: {seq.describe()}")
         if limit >= seq.n0 + 1:
             rep = dilation_diagnostic(seq, limit)
-            print(f"max gap s_{limit} = {max_gap(seq, limit)}")
+            print(f"max gap s_{limit} = {max(rep.gaps)}")
             print(f"dilating on horizon (heuristic): {rep.dilating}")
             for r in (1, 2, 4):
                 k = krug_K_estimate(seq, r, limit)

@@ -253,6 +253,9 @@ def _validate_op(i: int, op: dict, stacking, sequence) -> None:
             if not (isinstance(lengths, list) and lengths and all(map(is_int, lengths))):
                 raise ConfigError("lengths: must be a non-empty list of integers")
             profile_from_op(op, stacking, sequence)
+        elif kind == "seq":  # MAX_TERMS on the rows that _run_seq lists; builds no term
+            limit = min(op.get("limit", sequence.horizon), sequence.horizon)
+            sequence.terms(sequence.n0, limit + 1)
         elif kind == "markov":
             check_period(op["period"])
         elif kind == "generic":

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import pairwise
+from typing import Iterable, Iterator, Sequence
 
 from .intarith import InvalidInput, ResourceGuard, as_fraction, floor_pow, is_int
 
-# The most terms a sequence holds: every term up to the horizon is built and
-# kept at construction.  Admits 2^20, the default horizon of `linear`.
+# The most terms one `SamplingSequence.terms` call lists.  Admits 2^20, the
+# default horizon of `linear`.
 MAX_TERMS = 1 << 22
 
 
@@ -33,7 +34,7 @@ class SamplingSequence:
     (floor(C*n*(log n)^alpha)), "linear" (a*n + b) or "explicit".
     For the nlog kind the constructor raises n0 to the first index from
     which the sequence increases strictly through the horizon; the bump is
-    recorded in `requested_n0`.
+    recorded in `requested_n0`.  Terms are computed when read, never kept.
     """
 
     kind: str
@@ -45,7 +46,6 @@ class SamplingSequence:
     b: int | None = None
     values: tuple[int, ...] | None = None
     requested_n0: int = field(default=0, compare=False)
-    _terms: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -93,33 +93,28 @@ class SamplingSequence:
             raise SequenceError("horizon must be an integer")
         if self.horizon < self.n0:
             raise SequenceError("horizon must be >= n0")
-        if self.horizon - self.n0 + 1 > MAX_TERMS:
-            raise ResourceGuard(
-                f"horizon {self.horizon} asks for {self.horizon - self.n0 + 1} terms, above "
-                f"the bound of 2^{MAX_TERMS.bit_length() - 1} (sequences.MAX_TERMS)"
-            )
-        terms = tuple(self._raw_term(i) for i in range(self.n0, self.horizon + 1))
         n0 = self.n0
+        if self.kind == "linear" or (self.kind == "power" and self.alpha >= 1):
+            # No scan: linear terms step by a >= 1, and for alpha >= 1,
+            # (i+1)^alpha - i^alpha >= 1 for i >= 0, so the floors strictly
+            # increase.  t_horizon, the costliest term, is still built, so
+            # floor_pow's exponent guard fires here.
+            terms = (self._raw_term(n0),)
+            self._raw_term(self.horizon)
+        else:
+            terms = tuple(self.terms(n0, self.horizon + 1))
+        if terms[0] < 0:
+            raise SequenceError(f"sequence is negative at index {n0}")
+        repeats = (j for j in range(1, len(terms)) if terms[j] <= terms[j - 1])
         if self.kind == "nlog":
             # Skip the small-index degeneracy: keep the requested n0 on
             # record and start where strict increase holds to the horizon.
-            last_bad = -1
-            for j in range(1, len(terms)):
-                if terms[j] <= terms[j - 1]:
-                    last_bad = j
-            if last_bad >= 0:
+            skip = max(repeats, default=0)
+            if skip:
                 object.__setattr__(self, "requested_n0", n0)
-                n0 = n0 + last_bad
-                terms = terms[last_bad:]
-                object.__setattr__(self, "n0", n0)
-        if terms[0] < 0:
-            raise SequenceError(f"sequence is negative at index {n0}")
-        for j in range(1, len(terms)):
-            if terms[j] <= terms[j - 1]:
-                raise SequenceError(
-                    f"sequence not strictly increasing at index {n0 + j}"
-                )
-        object.__setattr__(self, "_terms", terms)
+                object.__setattr__(self, "n0", n0 + skip)
+        elif bad := next(repeats, 0):
+            raise SequenceError(f"sequence not strictly increasing at index {n0 + bad}")
 
     def _raw_term(self, i: int) -> int:
         if self.kind == "power":
@@ -143,13 +138,29 @@ class SamplingSequence:
             raise SequenceError(
                 f"index {i} outside range [{self.n0}, {self.horizon}]"
             )
-        return self._terms[i - self.n0]
+        return self._raw_term(i)
+
+    def terms(self, start: int, stop: int) -> Iterator[int]:
+        """t_start, ..., t_{stop-1}, computed as they are read; none if
+        stop <= start.  The range and the MAX_TERMS bound are checked at
+        the call, so an unread call checks them without building a term."""
+        if stop > start and not (self.n0 <= start and stop <= self.horizon + 1):
+            raise SequenceError(
+                f"indices {start}..{stop - 1} outside range [{self.n0}, {self.horizon}]"
+            )
+        if stop - start > MAX_TERMS:
+            raise ResourceGuard(
+                f"listing t_{start}..t_{stop - 1} (horizon {self.horizon}) takes {stop - start} "
+                f"terms, above the bound of 2^{MAX_TERMS.bit_length() - 1} per listing "
+                f"(sequences.MAX_TERMS)"
+            )
+        return map(self._raw_term, range(start, stop))
 
     def prefix(self, length: int) -> tuple[int, ...]:
         """The first `length` terms, starting at n0."""
-        if length < 0 or length > len(self._terms):
+        if not 0 <= length <= self.horizon - self.n0 + 1:
             raise SequenceError(f"prefix length {length} unavailable")
-        return self._terms[:length]
+        return tuple(self.terms(self.n0, self.n0 + length))
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "n0": self.n0, "horizon": self.horizon}
@@ -182,8 +193,7 @@ def max_gap(seq: SamplingSequence, n: int) -> int:
     """s_n, the maximal difference t_{i+1} - t_i over n0 <= i <= n-1."""
     if n < seq.n0 + 1:
         raise SequenceError("max_gap needs at least two terms")
-    terms = seq.prefix(n - seq.n0 + 1)
-    return max(terms[j + 1] - terms[j] for j in range(len(terms) - 1))
+    return max(b - a for a, b in pairwise(seq.terms(seq.n0, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -205,8 +215,7 @@ def dilation_diagnostic(seq: SamplingSequence, horizon: int | None = None) -> Di
     horizon = seq.horizon if horizon is None else horizon
     if horizon < seq.n0 + 1:
         raise SequenceError("dilation diagnostic needs at least two terms")
-    terms = seq.prefix(horizon - seq.n0 + 1)
-    gaps = tuple(terms[j + 1] - terms[j] for j in range(len(terms) - 1))
+    gaps = tuple(b - a for a, b in pairwise(seq.terms(seq.n0, horizon + 1)))
     tail = [0] * len(gaps)
     running = gaps[-1]
     for j in range(len(gaps) - 1, -1, -1):
@@ -232,9 +241,8 @@ def krug_K_estimate(seq: SamplingSequence, r: int, n: int) -> Fraction:
     if n < seq.n0:
         raise SequenceError("n precedes the sequence start")
     width = 2 * r + 1
-    terms = [seq.generate(i) for i in range(seq.n0, n + 1)]
-    count = width + sum(min(width, b - a) for a, b in zip(terms, terms[1:]))
-    return Fraction(count, len(terms))
+    count = width + sum(min(width, b - a) for a, b in pairwise(seq.terms(seq.n0, n + 1)))
+    return Fraction(count, n - seq.n0 + 1)
 
 
 def lower_density_estimate(J: Iterable[int], n: int) -> Fraction:

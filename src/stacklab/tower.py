@@ -271,13 +271,6 @@ class CodingSpec:
         return h_r + sd.spacer_cap
 
 
-def _check_level(sd: StackingData, n: int, k: int) -> int:
-    h_n = sd.height(n)
-    if not 0 <= k < h_n:
-        raise TowerError(f"level {k} out of range [0, {h_n}) for tower {n}")
-    return h_n
-
-
 def decode_symbol(sd: StackingData, spec: CodingSpec, n: int, k: int) -> int:
     """The k-th symbol of the word encoding tower n over reference spec.
 
@@ -367,7 +360,9 @@ def code_orbit(
     block.  Raises OrbitEscape with the 1-based sample index if the orbit
     leaves the tower.
     """
-    h_n = _check_level(sd, n, k)
+    h_n = sd.height(n)
+    if not 0 <= k < h_n:
+        raise TowerError(f"level {k} out of range [0, {h_n}) for tower {n}")
     h_r, refined = _coding(sd, spec, n)
     r, heights = spec.reference, sd.heights()
     descent = []

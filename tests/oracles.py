@@ -5,14 +5,15 @@ package: tower words by direct string recursion, levels by a descent that
 records its chain and its inverse, stacking documents field by field,
 chain properties by graph search, conditional limits by renewal densities,
 Monte Carlo blocks by comparing every segment end, word histograms by
-decoding every level given.
+decoding every level given, sampling sequences by building and scanning
+every term up to the horizon.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
 from math import gcd
@@ -20,8 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from stacklab.intarith import ResourceGuard, is_int
 from stacklab.randomstacks.markov import MarkovError, _window_bits_needed, pattern_word
 from stacklab.rng import bulk_generator
+from stacklab.sequences import MAX_TERMS, SamplingSequence, SequenceError
 from stacklab.tower import DECODE_BATCH, CodingSpec, StackingData, TowerError, code_orbits
 
 
@@ -150,6 +153,58 @@ def stacking_doc(sd: StackingData) -> dict:
         for stage in sd.stages
     ]
     return doc
+
+
+@dataclass(frozen=True)
+class EagerSequence(SamplingSequence):
+    """A sampling sequence built eagerly: every term up to the horizon is
+    built, scanned for strict increase and kept, and read back from that
+    tuple.  The reference for `SamplingSequence`, which scans only the kinds
+    that need it and computes terms when read.  The constructors, the term
+    formulas and `describe` are shared."""
+
+    _terms: tuple[int, ...] = field(default=(), repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("power", "nlog", "linear", "explicit"):
+            raise SequenceError(f"unknown sequence kind {self.kind!r}")
+        low = 1 if self.kind == "nlog" else 0
+        if not (is_int(self.n0) and self.n0 >= low):
+            raise SequenceError(f"n0 must be an integer >= {low}")
+        if not is_int(self.horizon):
+            raise SequenceError("horizon must be an integer")
+        if self.horizon < self.n0:
+            raise SequenceError("horizon must be >= n0")
+        if self.horizon - self.n0 + 1 > MAX_TERMS:
+            raise ResourceGuard(f"horizon {self.horizon} is above sequences.MAX_TERMS")
+        terms = tuple(self._raw_term(i) for i in range(self.n0, self.horizon + 1))
+        n0 = self.n0
+        if self.kind == "nlog":
+            last_bad = -1
+            for j in range(1, len(terms)):
+                if terms[j] <= terms[j - 1]:
+                    last_bad = j
+            if last_bad >= 0:
+                object.__setattr__(self, "requested_n0", n0)
+                n0 = n0 + last_bad
+                terms = terms[last_bad:]
+                object.__setattr__(self, "n0", n0)
+        if terms[0] < 0:
+            raise SequenceError(f"sequence is negative at index {n0}")
+        for j in range(1, len(terms)):
+            if terms[j] <= terms[j - 1]:
+                raise SequenceError(f"sequence not strictly increasing at index {n0 + j}")
+        object.__setattr__(self, "_terms", terms)
+
+    def generate(self, i: int) -> int:
+        if not self.n0 <= i <= self.horizon:
+            raise SequenceError(f"index {i} outside range [{self.n0}, {self.horizon}]")
+        return self._terms[i - self.n0]
+
+    def prefix(self, length: int) -> tuple[int, ...]:
+        if length < 0 or length > len(self._terms):
+            raise SequenceError(f"prefix length {length} unavailable")
+        return self._terms[:length]
 
 
 def symbol_density_limit(h: int, pattern: Sequence[int], l1: int) -> Fraction:

@@ -24,10 +24,12 @@ from stacklab.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
+    describe,
     main,
 )
 from stacklab.config import KNOWN_OPS, ConfigError, config_hash, load_config, parse_rational
 from stacklab.intarith import InvalidInput, ResourceGuard
+from stacklab.sequences import SamplingSequence
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -634,6 +636,8 @@ _H70 = {"initial_height": 2, "spacer_cap": 2, "stages": [
     {"q": 3, "spacers": [1, 0]}, {"q": 3, "spacers": [1, 1]}, {"q": 3, "spacers": [0, 1]}]}
 _SQUARES = {"kind": "power", "alpha": "2", "horizon": 50}
 _H70_DOC = {"stacking": _H70, "sequence": _SQUARES}
+# Past sequences.MAX_TERMS: an op may read any one term, but not list them all.
+_LONG_LINEAR = {"kind": "linear", "a": 1, "horizon": 3 * 10**9}
 # Ops that `run` rejects before any work, as changes to entropy_tiny.json
 # (heights 2, 5, spacer cap 2, sequence 1, 2), each with run's exit code;
 # `describe` must reject them too.
@@ -676,6 +680,10 @@ _REJECTED_OPS = {
     "entropy-empty-K": (EXIT_VALIDATION, {"operations": [_TINY_OP], "sequence": _LATE_T2}),
     "markov-period-above-bound": (EXIT_RESOURCE,
                                   {"operations": [{"op": "markov", "period": 5000}]}),
+    "seq-rows-past-max-terms": (EXIT_RESOURCE,
+                                {"operations": [{"op": "seq"}], "sequence": _LONG_LINEAR}),
+    "bounds-horizon-past-max-terms": (EXIT_RESOURCE, {
+        "operations": [dict(_LOG_BOUNDS, horizon=(1 << 22) + 1)], "sequence": _LONG_LINEAR}),
 }
 
 
@@ -689,6 +697,29 @@ def test_describe_and_run_reject_the_same_ops(tmp_path, capsys, code, change):
         outcomes.append((exit_code, capsys.readouterr().err.splitlines()[-1:]))
     assert outcomes[0][0] == code
     assert outcomes[0] == outcomes[1]
+
+
+def test_entropy_on_a_horizon_past_max_terms(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY_DOC, sequence=_LONG_LINEAR)))
+    assert main(["describe", "--config", str(path)]) == EXIT_OK
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_describe_builds_only_the_terms_its_ops_read(monkeypatch, capsys):
+    calls = []
+    raw_term = SamplingSequence._raw_term
+    monkeypatch.setattr(SamplingSequence, "_raw_term",
+                        lambda seq, i: calls.append(i) or raw_term(seq, i))
+    # Heights 2, 4, 16, 256; t_8 = floor(8^(3/2)) = 22.
+    stacking = {"initial_height": 2, "spacer_cap": 1,
+                "stages": [{"q": q, "spacers": [0] * (q - 1)} for q in (2, 4, 16)]}
+    doc = {"stacking": stacking, "sequence": {"kind": "power", "alpha": "3/2", "horizon": 1 << 22},
+           "operations": [{"op": "entropy", "stage": 4, "reference": 1, "length": 8}]}
+    describe(load_config(doc))
+    assert "path=" in capsys.readouterr().out
+    assert len(calls) <= 36 and max(calls) == 1 << 22
+    assert sorted(set(calls)) == [*range(1, 9), 1 << 22]
 
 
 def test_load_errors_name_their_op():
@@ -774,7 +805,7 @@ def test_telemetry_leaves_csvs_and_summary_unchanged(tmp_path, monkeypatch):
     for kind, run in runners.items():
         monkeypatch.setitem(
             cli._RUNNERS, kind,
-            lambda cfg, op, w, run=run: dataclasses.replace(run(cfg, op, w), paths=(), windows=()),
+            lambda cfg, op, w, run=run: dataclasses.replace(run(cfg, op, w), hists=()),
         )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "without")]) == EXIT_OK
     with_meta = json.loads((tmp_path / "with" / "meta.json").read_text())

@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, strategies as st
 
-from stacklab.intarith import POW_WORK_BOUND, ResourceGuard, floor_pow, iroot
+from stacklab.intarith import POW_WORK_BOUND, InvalidInput, ResourceGuard, floor_pow, iroot
 from stacklab.sequences import (
     SamplingSequence,
     SequenceError,
@@ -15,6 +15,8 @@ from stacklab.sequences import (
     lower_density_estimate,
     max_gap,
 )
+
+from .oracles import EagerSequence
 
 
 def test_iroot_exact():
@@ -159,6 +161,56 @@ def test_krug_matches_the_set_of_window_points(kind, p, q, gaps, r, pick):
         t = seq.generate(i)
         points.update(range(t - r, t + r + 1))
     assert krug_K_estimate(seq, r, n) == Fraction(len(points), n - seq.n0 + 1)
+
+
+def _built(cls, kind, n0, horizon, p, q, b, values):
+    """The sequence of `kind` that `cls` builds, or its error's type and text."""
+    try:
+        if kind == "power":
+            return cls.power(Fraction(p, q), horizon=horizon, n0=n0)
+        if kind == "linear":
+            return cls.linear(p, b - p * n0, horizon=horizon, n0=n0)
+        if kind == "nlog":
+            return cls.nlog(p / (16 * q), q / 2, horizon=horizon, n0=max(n0, 1))
+        return cls.explicit(values, n0=n0)
+    except (InvalidInput, ResourceGuard) as e:
+        return type(e), str(e)
+
+
+@given(
+    kind=st.sampled_from(["power", "linear", "nlog", "explicit"]),
+    n0=st.integers(0, 6),
+    span=st.integers(0, 3) | st.integers(0, 2000),
+    p=st.integers(1, 12),
+    q=st.integers(1, 12),
+    b=st.integers(-30, 30),
+    values=st.lists(st.integers(-5, 60), min_size=1, max_size=12),
+    picks=st.lists(st.integers(0, 10**6), max_size=8),
+)
+def test_on_demand_terms_match_the_eager_construction(kind, n0, span, p, q, b, values, picks):
+    # power draws alpha = p/q on both sides of 1, where alpha < 1 with n0 >= 2
+    # increases strictly over short ranges; linear draws the offset b - p * n0,
+    # mostly negative, with t_n0 = b on both sides of 0; nlog draws C down to
+    # 1/192.
+    args = (kind, n0, n0 + span, p, q, b, values)
+    eager, lazy = _built(EagerSequence, *args), _built(SamplingSequence, *args)
+    if isinstance(eager, tuple):
+        assert lazy == eager
+        return
+    assert (lazy.n0, lazy.requested_n0, lazy.describe()) == (
+        eager.n0, eager.requested_n0, eager.describe())
+    length = lazy.horizon - lazy.n0 + 1
+    assert lazy.prefix(length) == eager.prefix(length)
+    assert lazy.prefix(length // 2) == eager.prefix(length // 2)
+    for i in [lazy.n0, lazy.horizon] + [lazy.n0 + pick % length for pick in picks]:
+        assert lazy.generate(i) == eager.generate(i)
+    for bad in (lambda s: s.generate(s.n0 - 1), lambda s: s.generate(s.horizon + 1),
+                lambda s: s.prefix(length + 1)):
+        with pytest.raises(SequenceError) as lazy_error:
+            bad(lazy)
+        with pytest.raises(SequenceError) as eager_error:
+            bad(eager)
+        assert str(lazy_error.value) == str(eager_error.value)
 
 
 def test_lower_density_examples():
