@@ -35,7 +35,12 @@ from .config import (
     recipe_bundle,
     tau_from_op,
 )
-from .entropy import empirical_sequence_entropy, orbit_levels, seq_entropy_upper_profile
+from .entropy import (
+    empirical_sequence_entropy,
+    histogram_point,
+    orbit_levels,
+    seq_entropy_upper_profile,
+)
 from .intarith import InvalidInput, ResourceGuard, as_float
 from .randomstacks import (
     build_markov_matrix,
@@ -44,7 +49,7 @@ from .randomstacks import (
     stationary_distribution_exact,
 )
 from .rng import BULK_RNG_ID, SPACER_RNG_ID
-from .sequences import dilation_diagnostic, krug_K_estimate
+from .sequences import dilation_diagnostic, krug_K_estimate, thickened_count
 from .tower import exact_plan, int64_decodes, symbol_width
 
 EXIT_OK = 0
@@ -88,21 +93,20 @@ class Report:
     rows: list[tuple]
     summary: list[str]
     accepted: bool | None = None  # searches only
-    hists: tuple = ()  # histograms or profile points, for meta.json only
+    hists: tuple = ()  # each histogram's ProfilePoint, for meta.json only
 
 
 # -- operation runners ---------------------------------------------------------
 
 
 # The columns that close the row of every word histogram.  `_h_columns` and
-# `execute` read a histogram's scalars by name, from a WordHistogram or from
-# a ProfilePoint, which keeps them without the counts.
+# `execute` read a histogram's scalars from its ProfilePoint, which keeps
+# them without the counts, so an op's counts are freed before the next op.
 _H_COLUMNS = ("H_nats", "H_per_N", "H_per_N_bits", "distinct_words", "coverage")
 
 
-def _h_columns(res, hist) -> tuple:
-    return (res.h_nats, res.h_per_sample, res.h_per_sample / LN2, hist.distinct_words,
-            hist.coverage)
+def _h_columns(p) -> tuple:
+    return (p.h_nats, p.h_per_sample, p.h_per_sample / LN2, p.distinct_words, p.coverage)
 
 
 def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -122,16 +126,15 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         word_cap=cfg.word_cap,
         workers=workers,
     )
-    hist = res.histogram
-    row = (length, stage, spec.reference, f"{method}/{spec.mode}", *_h_columns(res, hist),
-           cfg.seed)
+    p = histogram_point(length, spec.reference, res)
+    row = (length, stage, spec.reference, f"{method}/{spec.mode}", *_h_columns(p), cfg.seed)
     header = ("N", "stage", "reference", "mode", *_H_COLUMNS, "seed")
     summary = [
         f"entropy: stage={stage} reference={spec.reference} mode={method}/{spec.mode} "
-        f"N={length} H_per_N={fmt(res.h_per_sample)} distinct={hist.distinct_words} "
-        f"coverage={fmt(hist.coverage)}"
+        f"N={length} H_per_N={fmt(p.h_per_sample)} distinct={p.distinct_words} "
+        f"coverage={fmt(p.coverage)}"
     ]
-    return Report(header=header, rows=[row], summary=summary, hists=(hist,))
+    return Report(header=header, rows=[row], summary=summary, hists=(p,))
 
 
 def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
@@ -144,7 +147,7 @@ def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     ]
     return Report(
         header=("N", "stage", *_H_COLUMNS),
-        rows=[(p.length, p.stage, *_h_columns(p, p)) for p in points],
+        rows=[(p.length, p.stage, *_h_columns(p)) for p in points],
         summary=summary,
         hists=tuple(points),
     )
@@ -633,7 +636,8 @@ def _dispatch_seq(args) -> int:
             print(f"max gap s_{limit} = {max(rep.gaps)}")
             print(f"dilating on horizon (heuristic): {rep.dilating}")
             for r in (1, 2, 4):
-                k = krug_K_estimate(seq, r, limit)
+                # krug_K_estimate(seq, r, limit), from the terms listed once above
+                k = Fraction(thickened_count(rep.gaps, r), len(rep.gaps) + 1)
                 print(f"thickened density r={r}: {k.numerator}/{k.denominator} = {fmt(float(k))}")
         return EXIT_OK
     if args.seq_command == "gaps":

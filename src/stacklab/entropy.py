@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .intarith import InvalidInput
 from .sequences import sampling_offsets
@@ -40,6 +40,13 @@ class EntropyError(InvalidInput):
 def plogp(x: float) -> float:
     """-x log x with the continuous extension f(0) = 0."""
     return 0.0 if x <= 0.0 else -x * math.log(x)
+
+
+def counts_entropy(counts: Collection[int], total: int) -> float:
+    """The builtin sum of plogp(c / total) over `counts`, in their order,
+    with each distinct count's term computed once."""
+    table = {c: plogp(c / total) for c in set(counts)}
+    return sum(map(table.__getitem__, counts))
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ class WordHistogram:
         return decode_words(self.counts, self.symbol_width)
 
     def entropy_nats(self) -> float:
-        return sum(plogp(c / self.total) for c in self.counts.values())
+        return counts_entropy(self.counts.values(), self.total)
 
     @property
     def distinct_words(self) -> int:
@@ -301,8 +308,9 @@ def check_jensen_upper_bound(
 
 @dataclass(frozen=True)
 class ProfilePoint:
-    """A profile point's length, reference stage, entropy and histogram
-    scalars (named as on `WordHistogram`), without the word counts."""
+    """The length, reference stage, entropy and histogram scalars (named
+    as on `WordHistogram`) of a profile point or an entropy op, without
+    the word counts."""
 
     length: int
     stage: int
@@ -333,7 +341,7 @@ def profile_points(
     return points
 
 
-def _profile_point(N: int, stage: int, res: EntropyResult) -> ProfilePoint:
+def histogram_point(N: int, stage: int, res: EntropyResult) -> ProfilePoint:
     hist = res.histogram
     return ProfilePoint(N, stage, res.h_nats, res.h_per_sample, hist.distinct_words,
                         hist.key_bytes, hist.coverage, hist.path, hist.windows)
@@ -351,7 +359,7 @@ def seq_entropy_upper_profile(
     entropy.
     """
     return [
-        _profile_point(N, spec.reference, levels_entropy(
+        histogram_point(N, spec.reference, levels_entropy(
             spec, offsets, K, "exact", word_cap=word_cap, workers=workers))
         for N, spec, offsets, K in profile_points(sd, A, tau, lengths, coding_mode)
     ]
@@ -394,7 +402,7 @@ def subsequence_entropy_check(
         restricted[b"".join([word[(j - 1) * w : j * w] for j in picks])] += c
     return SubsequenceCheck(
         full_nats=hist.entropy_nats(),
-        restricted_nats=sum(plogp(c / hist.total) for c in restricted.values()),
+        restricted_nats=counts_entropy(restricted.values(), hist.total),
         density=len(picks) / length if length else 0.0,
     )
 
@@ -433,8 +441,8 @@ def conditional_join_bound(
     for k in range(M):
         coarse_words[tuple(coarse[word[(k + t) % M]] for t in offsets)] += 1
         fine_words[tuple(fine[word[(k + t) % M]] for t in offsets)] += 1
-    lhs = sum(plogp(c / M) for c in coarse_words.values()) / n
-    join_term = sum(plogp(c / M) for c in fine_words.values()) / n
+    lhs = counts_entropy(coarse_words.values(), M) / n
+    join_term = counts_entropy(fine_words.values(), M) / n
     cond = conditional_entropy(
         [coarse[s] for s in word], [fine[s] for s in word]
     )

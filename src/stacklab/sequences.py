@@ -229,20 +229,27 @@ def dilation_diagnostic(seq: SamplingSequence, horizon: int | None = None) -> Di
     return DilationReport(gaps=gaps, tail_minima=tuple(tail), dilating=verdict)
 
 
-def krug_K_estimate(seq: SamplingSequence, r: int, n: int) -> Fraction:
-    """Finite (r, n) evaluation of the thickened-sequence density:
-    (1/n)*#{ t_i + j : i <= n, -r <= j <= r }, counted exactly.
+def thickened_count(gaps: Iterable[int], r: int) -> int:
+    """#{ t_i + j : -r <= j <= r } over the terms of an increasing run whose
+    consecutive differences are `gaps`.
 
     The windows [t_i - r, t_i + r] have one width and increasing centres,
     so each adds min(2r + 1, t_i - t_{i-1}) points to those before it.
     """
+    width = 2 * r + 1
+    return width + sum(min(width, g) for g in gaps)
+
+
+def krug_K_estimate(seq: SamplingSequence, r: int, n: int) -> Fraction:
+    """Finite (r, n) evaluation of the thickened-sequence density:
+    (1/n)*#{ t_i + j : i <= n, -r <= j <= r }, counted exactly
+    (`thickened_count`)."""
     if r < 0:
         raise SequenceError("r must be nonnegative")
     if n < seq.n0:
         raise SequenceError("n precedes the sequence start")
-    width = 2 * r + 1
-    count = width + sum(min(width, b - a) for a, b in pairwise(seq.terms(seq.n0, n + 1)))
-    return Fraction(count, n - seq.n0 + 1)
+    gaps = (b - a for a, b in pairwise(seq.terms(seq.n0, n + 1)))
+    return Fraction(thickened_count(gaps, r), n - seq.n0 + 1)
 
 
 def lower_density_estimate(J: Iterable[int], n: int) -> Fraction:

@@ -14,6 +14,7 @@ Levels and heights are arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -345,6 +346,18 @@ def _coding(sd: StackingData, spec: CodingSpec, n: int) -> tuple[int, bool]:
     return sd.heights()[r - 1], refined
 
 
+def _search_table(sd: StackingData, m: int):
+    """Stage m's slice starts in a form `bisect` reads as Python ints,
+    cached: a picklable `array("q")` copy of an int64 table (2-3x faster
+    to search than numpy scalars), an object table as it is."""
+    key = ("search", m)
+    table = sd._cache.get(key)
+    if table is None:
+        starts = sd.slice_starts(m)
+        table = sd._cache[key] = starts if starts.dtype.hasobject else array("q", starts.tobytes())
+    return table
+
+
 def code_orbit(
     sd: StackingData,
     spec: CodingSpec,
@@ -355,22 +368,25 @@ def code_orbit(
     """Coded orbit word: symbol i is the level k + offsets[i] of tower n.
 
     The single-orbit decoder, exact at any height, and the oracle of
-    `code_orbits`: checks run once per orbit, then each symbol descends
-    through the stage tables n-1 .. reference, stopping early in a spacer
-    block.  Raises OrbitEscape with the 1-based sample index if the orbit
-    leaves the tower.
+    `code_orbits`: the level is checked once per orbit, the tower and
+    coding once per (n, reference, mode), whose descent tables stay cached
+    on `sd`; then each symbol descends through the stage tables n-1 ..
+    reference, stopping early in a spacer block.  Raises OrbitEscape with
+    the 1-based sample index if the orbit leaves the tower.
     """
-    h_n = sd.height(n)
+    key = ("orbit", n, spec.reference, spec.mode)
+    setup = sd._cache.get(key)
+    h_n = sd.height(n) if setup is None else setup[0]
     if not 0 <= k < h_n:
         raise TowerError(f"level {k} out of range [0, {h_n}) for tower {n}")
-    h_r, refined = _coding(sd, spec, n)
-    r, heights = spec.reference, sd.heights()
-    descent = []
-    for m in range(n - 1, r - 1, -1):
-        # bisect compares Python ints on a memoryview of an int64 table,
-        # 2-3x faster than numpy scalars on the array; object tables hold ints.
-        starts = sd.slice_starts(m)
-        descent.append((starts if starts.dtype.hasobject else memoryview(starts), heights[m - 1]))
+    if setup is None:
+        h_r, refined = _coding(sd, spec, n)
+        heights = sd.heights()
+        descent = tuple(
+            (_search_table(sd, m), heights[m - 1]) for m in range(n - 1, spec.reference - 1, -1)
+        )
+        setup = sd._cache[key] = (h_n, h_r, refined, descent)
+    _, h_r, refined, descent = setup
     word = []
     for i, t in enumerate(offsets, start=1):
         lvl = k + t
@@ -612,7 +628,12 @@ def blocked_word_counts(
     results = run_blocks(_count_block, blocks, workers=workers)
     try:
         for part in results:
-            counts.update(part)
+            # `counts.update(part)` in C: the shared keys' sums, then part's
+            # new keys appended in its order, then the sums written over
+            # part's counts; the first-seen key order is Counter.update's.
+            summed = {k: counts[k] + part[k] for k in part.keys() & counts.keys()}
+            dict.update(counts, part)
+            dict.update(counts, summed)
             if word_cap is not None and len(counts) > word_cap:
                 raise WordCapExceeded(word_cap)
             key_bytes = len(next(iter(counts), b""))

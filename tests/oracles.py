@@ -6,7 +6,8 @@ records its chain and its inverse, stacking documents field by field,
 chain properties by graph search, conditional limits by renewal densities,
 Monte Carlo blocks by comparing every segment end, word histograms by
 decoding every level given, sampling sequences by building and scanning
-every term up to the horizon.
+every term up to the horizon, block merges by `Counter.update` and
+entropy sums by one term per count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from stacklab.entropy import plogp
 from stacklab.intarith import ResourceGuard, is_int
 from stacklab.randomstacks.markov import MarkovError, _window_bits_needed, pattern_word
 from stacklab.rng import bulk_generator
@@ -314,6 +316,21 @@ def count_words(
     for batch in batches:
         counts.update(code_orbits(sd, spec, n, batch, offsets))
     return counts
+
+
+def merged_blocks(parts: Iterable[Counter]) -> Counter:
+    """Block counts merged by `Counter.update` in block order, a per-key
+    Python loop: the oracle of `tower.blocked_word_counts`' merge."""
+    counts: Counter = Counter()
+    for part in parts:
+        counts.update(part)
+    return counts
+
+
+def plogp_sum(counts: Iterable[int], total: int) -> float:
+    """The builtin sum of plogp(c / total) over a generator, one term per
+    count: the oracle of `entropy.counts_entropy`."""
+    return sum(plogp(c / total) for c in counts)
 
 
 def exhaustive_generic_acceptors(base, offsets, N0, q, alphabet):

@@ -25,11 +25,12 @@ from stacklab.cli import (
     EXIT_RESOURCE,
     EXIT_VALIDATION,
     describe,
+    fmt,
     main,
 )
 from stacklab.config import KNOWN_OPS, ConfigError, config_hash, load_config, parse_rational
 from stacklab.intarith import InvalidInput, ResourceGuard
-from stacklab.sequences import SamplingSequence
+from stacklab.sequences import SamplingSequence, krug_K_estimate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -899,6 +900,34 @@ def test_seq_subcommands(capsys, tmp_path):
     assert main(["seq", "describe", "--config", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "dilating on horizon" in out
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [{"kind": "power", "alpha": "3/2", "horizon": 64}, {"kind": "linear", "a": 3, "horizon": 64}],
+)
+def test_seq_describe_lists_terms_once(capsys, tmp_path, monkeypatch, sequence):
+    # Neither kind scans its terms at construction, so every listing counted
+    # here is one of `seq describe`'s.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequence": sequence}))
+    listings = []
+    terms = SamplingSequence.terms
+
+    def counted(self, start, stop):
+        listings.append((start, stop))
+        return terms(self, start, stop)
+
+    monkeypatch.setattr(SamplingSequence, "terms", counted)
+    assert main(["seq", "describe", "--config", str(path), "--limit", "40"]) == EXIT_OK
+    assert listings == [(1, 41)]
+    out = capsys.readouterr().out.splitlines()
+    seq = load_config({"sequence": sequence}, require_operations=False).sequence
+    densities = [krug_K_estimate(seq, r, 40) for r in (1, 2, 4)]
+    assert out[-3:] == [
+        f"thickened density r={r}: {k.numerator}/{k.denominator} = {fmt(float(k))}"
+        for r, k in zip((1, 2, 4), densities)
+    ]
 
 
 def test_seq_limit_zero_or_negative_prints_no_terms(capsys, tmp_path):

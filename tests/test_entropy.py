@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stacklab.entropy import (
     EntropyError,
@@ -15,6 +17,7 @@ from stacklab.entropy import (
     check_jensen_upper_bound,
     conditional_entropy,
     conditional_join_bound,
+    counts_entropy,
     disjoint_entropy_lower_bound,
     empirical_sequence_entropy,
     entropy,
@@ -27,7 +30,7 @@ from stacklab.sequences import SamplingSequence
 from stacklab.tower import CodingSpec, Stage, StackingData
 
 from .conftest import decoded, random_stacking
-from .oracles import materialize_word
+from .oracles import materialize_word, plogp_sum
 
 LOG2 = math.log(2)
 
@@ -169,6 +172,27 @@ def test_word_cap_guard(tiny_tower):
         empirical_sequence_entropy(
             tiny_tower, CodingSpec(1), 2, (1, 2), 2, word_cap=1
         )
+
+
+@given(st.lists(st.one_of(st.integers(1, 4), st.integers(0, 1 << 80)), min_size=1, max_size=60))
+def test_counts_entropy_matches_termwise_sum(counts):
+    total = sum(counts) or 1
+    assert counts_entropy(counts, total).hex() == plogp_sum(counts, total).hex()
+
+
+def test_uniform_counts_entropy_is_the_builtin_sum():
+    # 65 024 words of count 1, exact-squaring's reference-5 histogram.  The
+    # builtin sum adds naively before Python 3.12, landing 4929 ulp below
+    # log 65024, and compensates from 3.12 on; a correctly rounded sum such
+    # as math.fsum would give log 65024 on every version.
+    counts = [1] * 65024
+    value = counts_entropy(counts, 65024)
+    assert value.hex() == plogp_sum(counts, 65024).hex()
+    if sys.version_info < (3, 12):
+        assert value.hex() == "0x1.62a3ef99cc477p+3"
+        assert (math.log(65024) - value) / math.ulp(value) == 4929
+    else:
+        assert value == math.log(65024)
 
 
 def test_disjoint_lower_bound_examples():

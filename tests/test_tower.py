@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from stacklab import tower
-from stacklab.parallel import BLOCK_SIZE
+from stacklab.parallel import BLOCK_SIZE, index_blocks
 from stacklab.rng import BATCH_MIN, LANES, SpacerProcess, uniform_int
 from stacklab.tower import (
     CodingSpec,
@@ -32,6 +32,7 @@ from .oracles import (
     count_words,
     locate_level,
     materialize_word,
+    merged_blocks,
     recompose_level,
     stacking_doc,
     zero_symbol_count,
@@ -448,6 +449,36 @@ def test_count_block_on_K_matches_select(block):
         ranks = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks]
     expected = count_words(levels.sd, spec, levels.n, map(levels.select, ranks), offsets)
     assert list(tower._count_block(block).items()) == list(expected.items())
+
+
+# Block parts as `_count_block` returns them: Counters over keys of one
+# length, drawn from a small pool so blocks share keys, with weighted counts
+# up to 2^80 as the lift's ranges give.
+_parts = st.lists(
+    st.dictionaries(st.sampled_from([bytes((i, i)) for i in range(8)]),
+                    st.integers(1, 1 << 80), max_size=8).map(Counter),
+    max_size=6,
+)
+
+
+@given(_parts)
+def test_blocked_merge_matches_counter_update(parts):
+    snapshot = [list(part.items()) for part in parts]
+    with mock.patch.object(tower, "run_blocks", lambda fn, blocks, workers: iter(parts)):
+        counts = tower.blocked_word_counts(CodingSpec(1), None, 1, (0,))
+    assert list(counts.items()) == list(merged_blocks(parts).items())
+    assert [list(part.items()) for part in parts] == snapshot
+
+
+@settings(max_examples=12, deadline=None)
+@given(rank_blocks(), st.integers(0, 1 << 32), st.integers(BLOCK_SIZE + 1, 3 * BLOCK_SIZE))
+def test_blocked_word_counts_workers_agree(block, seed, draws):
+    spec, levels, offsets = block[:3]
+    runs = [tower.blocked_word_counts(spec, levels, draws, offsets, workers=w, seed=seed)
+            for w in (1, 2)]
+    blocks = [(spec, levels, offsets, seed, lo, hi) for lo, hi in index_blocks(draws)]
+    expected = merged_blocks(map(tower._count_block, blocks))
+    assert list(runs[0].items()) == list(runs[1].items()) == list(expected.items())
 
 
 def test_count_words_above_int64_matches_code_orbit():
