@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .intarith import InvalidInput, as_float, floor_pow
+from .intarith import InvalidInput, ResourceGuard, as_float, floor_pow
 from .sequences import SamplingSequence, max_gap, sampling_offsets
 from .tower import (
     CodingSpec, StackingData, decode_words, exact_word_counts, symbol_width, valid_levels,
@@ -182,11 +182,27 @@ def _log_binom(a: int, b: int) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
 
-def check_balancing_horizon(A: SamplingSequence, horizon: int) -> None:
-    """Reject a horizon outside (n0, A.horizon], and a sequence in the
-    exponential regime: its maximal gap reaches half the term at horizon."""
+def check_balancing_horizon(
+    A: SamplingSequence, cuts: Callable[[int], int], horizon: int
+) -> None:
+    """Reject a horizon outside (n0, A.horizon], a cut count c_horizon
+    whose row would leave the float range, and a sequence in the
+    exponential regime: its maximal gap reaches half the term at horizon.
+
+    Every schedule's c_n, and floor_pow's work for it, peaks at the
+    horizon (loglog's bump c_3 = 339 aside), so every row of
+    `balancing_profile` then stays in the float range.
+    """
     if not A.n0 < horizon <= A.horizon:
         raise BoundsError(f"horizon: must lie in ({A.n0}, {A.horizon}]")
+    c_H = cuts(horizon)
+    as_float(c_H, f"cut count c_{horizon}")
+    try:
+        _log_binom(horizon + c_H, horizon)
+    except OverflowError:
+        raise ResourceGuard(
+            f"log binom(n + c_n, n) at n = {horizon} is too large for a float"
+        ) from None
     t_H = A.generate(horizon)
     if t_H >= 2 and max_gap(A, horizon) * 2 >= t_H:
         raise BoundsError(
@@ -207,7 +223,7 @@ def balancing_profile(
     (the slice-count balancing condition cannot hold for them regardless of
     the cut schedule).
     """
-    check_balancing_horizon(A, horizon)
+    check_balancing_horizon(A, cuts, horizon)
     rows = []
     s_n = 0
     prev = A.generate(A.n0)

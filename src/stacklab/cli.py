@@ -23,24 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, bounds as bounds_mod
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    canonical_json,
-    coding_spec,
-    cuts_from_op,
-    load_config,
-    phi_from_op,
-    profile_from_op,
-    recipe_bundle,
-    tau_from_op,
-)
-from .entropy import (
-    empirical_sequence_entropy,
-    histogram_point,
-    orbit_levels,
-    seq_entropy_upper_profile,
-)
+from .config import ConfigError, ExperimentConfig, canonical_json, load_config, recipe_bundle
+from .entropy import empirical_sequence_entropy, histogram_point, points_entropy
 from .intarith import InvalidInput, ResourceGuard, as_float
 from .randomstacks import (
     build_markov_matrix,
@@ -49,7 +33,7 @@ from .randomstacks import (
     stationary_distribution_exact,
 )
 from .rng import BULK_RNG_ID, SPACER_RNG_ID
-from .sequences import dilation_diagnostic, krug_K_estimate, thickened_count
+from .sequences import dilation_diagnostic, gaps_dilation, krug_K_estimate, thickened_count
 from .tower import exact_plan, int64_decodes, symbol_width
 
 EXIT_OK = 0
@@ -97,6 +81,7 @@ class Report:
 
 
 # -- operation runners ---------------------------------------------------------
+# Each reads the arguments that `config.load_config` built for its op.
 
 
 # The columns that close the row of every word histogram.  `_h_columns` and
@@ -109,22 +94,14 @@ def _h_columns(p) -> tuple:
     return (p.h_nats, p.h_per_sample, p.h_per_sample / LN2, p.distinct_words, p.coverage)
 
 
-def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    spec = coding_spec(op)
-    stage = op["stage"]
-    length = op["length"]
-    method = op.get("method", "exact")
+def _run_entropy(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
+    spec, method = args["spec"], args["method"]
+    stage = args["levels"].n
+    length = len(args["offsets"])
+    # The entropy entry point, which re-derives the offsets and K in O(N).
     res = empirical_sequence_entropy(
-        cfg.stacking,
-        spec,
-        stage,
-        cfg.sequence,
-        length,
-        method=method,
-        sample_count=op.get("count"),
-        seed=cfg.seed,
-        word_cap=cfg.word_cap,
-        workers=workers,
+        cfg.stacking, spec, stage, cfg.sequence, length, method=method,
+        sample_count=args["count"], seed=cfg.seed, word_cap=cfg.word_cap, workers=workers,
     )
     p = histogram_point(length, spec.reference, res)
     row = (length, stage, spec.reference, f"{method}/{spec.mode}", *_h_columns(p), cfg.seed)
@@ -137,10 +114,8 @@ def _run_entropy(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
     return Report(header=header, rows=[row], summary=summary, hists=(p,))
 
 
-def _run_profile(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    tau = tau_from_op(op, cfg.stacking, cfg.sequence)
-    points = seq_entropy_upper_profile(cfg.stacking, cfg.sequence, tau, op["lengths"],
-                                       op.get("mode", "base"), workers, cfg.word_cap)
+def _run_profile(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
+    points = points_entropy(args["points"], cfg.word_cap, workers)
     summary = [
         f"profile: N={points[0].length}..{points[-1].length} "
         f"H_per_N {fmt(points[0].h_per_sample)} -> {fmt(points[-1].h_per_sample)}"
@@ -159,21 +134,20 @@ def _gap_rows(seq, limit: int) -> list[tuple]:
     return [(seq.n0 + j, t, t - values[j - 1] if j else "") for j, t in enumerate(values)]
 
 
-def _run_seq(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
+def _run_seq(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
     seq = cfg.sequence
-    limit = op.get("limit", seq.horizon)
-    rows = _gap_rows(seq, min(limit, seq.horizon))
+    rows = _gap_rows(seq, args["limit"])
     summary = [f"seq: kind={seq.kind} n0={seq.n0} horizon={seq.horizon}"]
     if len(rows) >= 2:
-        report = dilation_diagnostic(seq, min(limit, seq.horizon))
+        report = gaps_dilation(tuple(row[2] for row in rows[1:]))
         summary.append(
             f"seq: dilation verdict (finite-horizon heuristic) = {report.dilating}"
         )
     return Report(header=("index", "value", "gap"), rows=rows, summary=summary)
 
 
-def _run_markov(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    H = op["period"]
+def _run_markov(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
+    H = args["period"]
     model = build_markov_matrix(H)
     pi = stationary_distribution(model)
     exact = stationary_distribution_exact(model)
@@ -189,33 +163,19 @@ def _run_markov(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"markov: period={H} stationary head={fmt(float(pi[0]))} "
         f"tail={fmt(float(pi[-1]))} residual={residual:.3e}"
     ]
-    return Report(
-        header=("state", "stationary", "exact_num", "exact_den"),
-        rows=rows,
-        summary=summary,
-    )
+    return Report(header=("state", "stationary", "exact_num", "exact_den"), rows=rows,
+                  summary=summary)
 
 
-def _run_generic(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
+def _run_generic(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
     report = genericness_search(
-        cfg.stacking,
-        cfg.sequence,
-        N=op["length"],
-        N0=op["floor_length"],
-        q=op["q"],
-        alphabet=op["alphabet"],
-        trial_cap=op["trial_cap"],
-        seed=cfg.seed,
-        evaluate_all=op.get("evaluate_all", False),
+        cfg.stacking, cfg.sequence, N=args["length"], N0=args["floor_length"], q=args["q"],
+        alphabet=args["alphabet"], trial_cap=args["trial_cap"], seed=cfg.seed,
+        evaluate_all=args["evaluate_all"],
     )
     rows = [
-        (
-            r.trial,
-            r.accepted,
-            r.worst_count / r.valid_count,
-            r.worst_cap / r.valid_count,
-            report.analytic_bound,
-        )
+        (r.trial, r.accepted, r.worst_count / r.valid_count, r.worst_cap / r.valid_count,
+         report.analytic_bound)
         for r in report.records
     ]
     header = ("trial", "accepted", "worst_word_frequency", "cap", "p_failure_bound")
@@ -233,19 +193,12 @@ def _run_generic(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
         f"generic: empirical failure rate {fmt(report.empirical_failure_rate)} "
         f"vs analytic bound {fmt(report.analytic_bound)} (rng={report.rng})"
     )
-    return Report(
-        header=header,
-        rows=rows,
-        summary=summary,
-        accepted=report.accepted is not None,
-    )
+    return Report(header=header, rows=rows, summary=summary, accepted=report.accepted is not None)
 
 
-def _run_bounds(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    phi = phi_from_op(op)
-    cuts = cuts_from_op(op)
-    horizon = op["horizon"]
-    profile = bounds_mod.balancing_profile(cfg.sequence, phi, cuts, horizon)
+def _run_bounds(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
+    cuts = args["cuts"]
+    profile = bounds_mod.balancing_profile(cfg.sequence, args["phi"], cuts, args["horizon"])
     heights = cfg.stacking.heights() if cfg.stacking is not None else None
     rows = []
     for r in profile:
@@ -254,44 +207,24 @@ def _run_bounds(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
             try:
                 tau = bounds_mod.select_tau(heights, cfg.sequence, cuts, r.n)
             except bounds_mod.BoundsError:
-                tau = ""
+                pass
         rows.append((r.n, r.c_n, r.diag_balance, r.diag_phi, r.diag_binom, tau))
     first, last = profile[0], profile[-1]
     summary = [
         f"bounds: n={first.n}..{last.n} balance {fmt(first.diag_balance)} -> "
         f"{fmt(last.diag_balance)}, phi-diag {fmt(first.diag_phi)} -> {fmt(last.diag_phi)}"
     ]
-    return Report(
-        header=("n", "c_n", "diag_balance", "diag_phi", "diag_binom", "tau"),
-        rows=rows,
-        summary=summary,
-    )
+    return Report(header=("n", "c_n", "diag_balance", "diag_phi", "diag_binom", "tau"),
+                  rows=rows, summary=summary)
 
 
-def _run_recipe(cfg: ExperimentConfig, op: dict, workers: int) -> Report:
-    bundle = recipe_bundle(op, cfg.sequence)
-    header = (
-        "name",
-        "N0",
-        "N",
-        "q",
-        "m",
-        "delta",
-        "t_N",
-        "p_fail_horizon_floor",
-        "p_fail_range_floor",
-    )
-    row = (
-        bundle.name,
-        bundle.floor_length,
-        bundle.word_length,
-        bundle.cuts,
-        bundle.dependence_range,
-        bundle.deviation,
-        bundle.horizon_term,
-        bundle.p_fail_horizon_floor,
-        bundle.p_fail_range_floor,
-    )
+def _run_recipe(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
+    bundle = args["bundle"]
+    header = ("name", "N0", "N", "q", "m", "delta", "t_N", "p_fail_horizon_floor",
+              "p_fail_range_floor")
+    row = (bundle.name, bundle.floor_length, bundle.word_length, bundle.cuts,
+           bundle.dependence_range, bundle.deviation, bundle.horizon_term,
+           bundle.p_fail_horizon_floor, bundle.p_fail_range_floor)
     summary = [
         f"recipe {bundle.name}: q={bundle.cuts} N={bundle.word_length} "
         f"N0={bundle.floor_length}"
@@ -329,17 +262,19 @@ def execute(
     cfg: ExperimentConfig, outdir: Path, workers: int = 1, op_filter: tuple[str, ...] | None = None
 ) -> list[Report]:
     """Run the config's operations and write the report bundle."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out: cannot make directory {outdir}: {e.strerror}") from None
     cfg_hash = cfg.hash
     reports: list[Report] = []
     filenames: list[str] = []
     seen: dict[str, int] = {}
     summary_lines = [f"# config_hash={cfg_hash}", f"seed={cfg.seed}"]
-    for op in cfg.operations:
-        if op_filter is not None and op["op"] not in op_filter:
+    for kind, args in cfg.operations:
+        if op_filter is not None and kind not in op_filter:
             continue
-        kind = op["op"]
-        report = _RUNNERS[kind](cfg, op, workers)
+        report = _RUNNERS[kind](cfg, args, workers)
         seen[kind] = seen.get(kind, 0) + 1
         filename = f"{kind}.csv" if seen[kind] == 1 else f"{kind}_{seen[kind]}.csv"
         _write_csv(outdir / filename, report.header, report.rows, cfg_hash)
@@ -405,29 +340,26 @@ def describe(cfg: ExperimentConfig) -> None:
     if cfg.sequence is not None:
         d = cfg.sequence.describe()
         print(f"sequence: {d}")
-    for i, op in enumerate(cfg.operations):
-        kind = op["op"]
+    for i, (kind, args) in enumerate(cfg.operations):
         print(f"[{i}] op={kind}")
         if kind == "entropy":
-            spec = coding_spec(op)
-            levels = orbit_levels(cfg.stacking, spec, op["stage"], cfg.sequence, op["length"])
-            count = op["count"] if op.get("method", "exact") != "exact" else None
-            print(f"    {_describe_histogram(cfg, spec, *levels, count)}")
+            hist = _describe_histogram(cfg, args["spec"], args["offsets"], args["levels"],
+                                       args["count"])
+            print(f"    {hist}")
         elif kind == "profile":
-            for N, spec, offsets, K in profile_from_op(op, cfg.stacking, cfg.sequence):
+            for N, spec, offsets, K in args["points"]:
                 print(f"    N={N} {_describe_histogram(cfg, spec, offsets, K)}")
         elif kind == "generic":
             h_n = cfg.stacking.heights()[-1]
             print(
-                f"    q={op['q']} candidate height >= {op['q'] * h_n} "
-                f"trial_cap={op['trial_cap']}"
+                f"    q={args['q']} candidate height >= {args['q'] * h_n} "
+                f"trial_cap={args['trial_cap']}"
             )
         elif kind == "recipe":
-            rep = _run_recipe(cfg, op, 1)
-            for line in rep.summary:
+            for line in _run_recipe(cfg, args, 1).summary:
                 print(f"    {line}")
         elif kind == "markov":
-            print(f"    period={op['period']}")
+            print(f"    period={args['period']}")
 
 
 def verify(outdir: Path, out=None) -> int:
@@ -495,14 +427,19 @@ def _load_doc(path: str) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"config file {path} cannot be read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8: byte {e.start} {e.reason}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
 
 
 def _cfg_from_args(args) -> ExperimentConfig:
     doc = _load_doc(args.config)
-    if getattr(args, "cap_words", None) is not None:
-        doc.setdefault("caps", {})["words"] = args.cap_words
+    caps = doc.get("caps", {}) if isinstance(doc, dict) else None
+    if args.cap_words is not None and isinstance(caps, dict):  # else load_config names the field
+        doc["caps"] = {**caps, "words": args.cap_words}
     return load_config(doc, seed_override=args.seed)
 
 

@@ -81,7 +81,7 @@ class ExperimentConfig:
     doc: dict = field(repr=False)
     stacking: StackingData | None
     sequence: SamplingSequence | None
-    operations: tuple[dict, ...]
+    operations: tuple[tuple[str, dict], ...]  # (op name, runner arguments) per op
     seed: int
     word_cap: int
 
@@ -113,6 +113,7 @@ def load_config(
         raise ConfigError("operations: at least one operation is required")
     if not isinstance(ops, list):
         raise ConfigError("operations: must be a list")
+    operations = []
     for i, op in enumerate(ops):
         if not isinstance(op, dict) or "op" not in op:
             raise ConfigError(f"operations[{i}]: needs an 'op' name")
@@ -121,7 +122,7 @@ def load_config(
                 f"operations[{i}].op: unknown operation {op['op']!r} "
                 f"(known: {', '.join(KNOWN_OPS)})"
             )
-        _validate_op(i, op, stacking, sequence)
+        operations.append((op["op"], _build_op(i, op, stacking, sequence)))
     caps = doc.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps: must be an object")
@@ -132,7 +133,7 @@ def load_config(
         doc=doc,
         stacking=stacking,
         sequence=sequence,
-        operations=tuple(ops),
+        operations=tuple(operations),
         seed=seed,
         word_cap=word_cap,
     )
@@ -163,11 +164,6 @@ def _required_rational(op: dict, name: str, reader: str) -> Fraction:
     if name not in op:
         raise ConfigError(f"{name}: required for {reader}")
     return parse_rational(op[name], name)
-
-
-def coding_spec(op: dict) -> CodingSpec:
-    """Coding against stage `reference` (default 1) in `mode` (default base)."""
-    return CodingSpec(reference=op.get("reference", 1), mode=op.get("mode", "base"))
 
 
 def cuts_from_op(op: dict):
@@ -216,16 +212,11 @@ def recipe_bundle(op: dict, sequence):
     return recipe_params(op["name"], h=op["h"], L=op.get("L"), A=sequence, **rationals)
 
 
-def profile_from_op(op: dict, stacking: StackingData, sequence: SamplingSequence):
-    """The checked points of a profile op, by `entropy.profile_points`."""
-    tau = tau_from_op(op, stacking, sequence)
-    return profile_points(stacking, sequence, tau, op["lengths"], op.get("mode", "base"))
-
-
-def _validate_op(i: int, op: dict, stacking, sequence) -> None:
-    """Reject op i at load wherever `run` would reject it before sizing its
-    work: its fields, then the arguments its runner builds from them.  A
-    library error keeps its type, and its message gains ` (operations[i])`."""
+def _build_op(i: int, op: dict, stacking, sequence) -> dict:
+    """The arguments that op i's runner in `cli` reads, built from its
+    fields with the checks the library makes before sizing any work, so
+    `describe` rejects op i wherever `run` would.  A library error keeps
+    its type, and its message gains ` (operations[i])`."""
     kind = op["op"]
     required, integers, needs = _OP_SCHEMA[kind]
     for name, doc in (("stacking", stacking), ("sequence", sequence)):
@@ -240,34 +231,45 @@ def _validate_op(i: int, op: dict, stacking, sequence) -> None:
                 at_least = "" if low is None else f" >= {low}"
                 raise ConfigError(f"{name}: must be an integer{at_least}")
         if kind == "entropy":
-            if op.get("method", "exact") not in ("exact", "sampled"):
+            method = op.get("method", "exact")
+            if method not in ("exact", "sampled"):
                 raise ConfigError("method: must be 'exact' or 'sampled'")
-            if op.get("method") == "sampled" and op.get("count", 0) < 1:
+            count = op.get("count", 0) if method == "sampled" else None
+            if method == "sampled" and count < 1:
                 raise ConfigError("count: required for sampled mode as an integer >= 1")
             # Also rejected by orbit_levels (tower._coding); checked here to name the field.
             if "reference" in op and op["reference"] > op["stage"]:
                 raise ConfigError(f"reference: must be at most stage {op['stage']}")
-            orbit_levels(stacking, coding_spec(op), op["stage"], sequence, op["length"])
-        elif kind == "profile":
+            spec = CodingSpec(reference=op.get("reference", 1), mode=op.get("mode", "base"))
+            offsets, levels = orbit_levels(stacking, spec, op["stage"], sequence, op["length"])
+            return {"spec": spec, "offsets": offsets, "levels": levels, "method": method,
+                    "count": count}
+        if kind == "profile":
             lengths = op["lengths"]
             if not (isinstance(lengths, list) and lengths and all(map(is_int, lengths))):
                 raise ConfigError("lengths: must be a non-empty list of integers")
-            profile_from_op(op, stacking, sequence)
-        elif kind == "seq":  # MAX_TERMS on the rows that _run_seq lists; builds no term
+            tau = tau_from_op(op, stacking, sequence)
+            return {"points": profile_points(stacking, sequence, tau, lengths,
+                                             op.get("mode", "base"))}
+        if kind == "seq":  # MAX_TERMS on the rows that the runner lists; builds no term
             limit = min(op.get("limit", sequence.horizon), sequence.horizon)
             sequence.terms(sequence.n0, limit + 1)
-        elif kind == "markov":
+            return {"limit": limit}
+        if kind == "markov":
             check_period(op["period"])
-        elif kind == "generic":
-            if not isinstance(op.get("evaluate_all", False), bool):
+            return {"period": op["period"]}
+        if kind == "generic":
+            evaluate_all = op.get("evaluate_all", False)
+            if not isinstance(evaluate_all, bool):
                 raise ConfigError("evaluate_all: must be a boolean")
-            search_offsets(stacking, sequence, *(op[name] for name in _GENERIC_FIELDS))
-        elif kind == "bounds":
-            cuts_from_op(op)
-            phi_from_op(op)
-            check_balancing_horizon(sequence, op["horizon"])
-        elif kind == "recipe":
-            recipe_bundle(op, sequence)
+            fields = {name: op[name] for name in _GENERIC_FIELDS}
+            search_offsets(stacking, sequence, *fields.values())
+            return {**fields, "evaluate_all": evaluate_all}
+        if kind == "bounds":
+            cuts, phi = cuts_from_op(op), phi_from_op(op)
+            check_balancing_horizon(sequence, cuts, op["horizon"])
+            return {"phi": phi, "cuts": cuts, "horizon": op["horizon"]}
+        return {"bundle": recipe_bundle(op, sequence)}  # recipe
     except ConfigError as e:
         raise ConfigError(f"operations[{i}].{e}") from None
     except (InvalidInput, ResourceGuard) as e:

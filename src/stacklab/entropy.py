@@ -347,22 +347,29 @@ def histogram_point(N: int, stage: int, res: EntropyResult) -> ProfilePoint:
                         hist.key_bytes, hist.coverage, hist.path, hist.windows)
 
 
-def seq_entropy_upper_profile(
-    sd: StackingData, A, tau: Callable[[int], int], lengths: Sequence[int],
-    coding_mode: str = "base", workers: int = 1, word_cap: int = DEFAULT_WORD_CAP,
+def points_entropy(
+    points: Iterable[tuple[int, CodingSpec, tuple, ValidLevels]], word_cap: int, workers: int
 ) -> list[ProfilePoint]:
-    """Per-N values of (1/N) H at reference stage tau(N), on the points of
-    `profile_points`; one point's word counts are held at a time.
+    """The exact (1/N) H of each point of `profile_points`; one point's
+    word counts are held at a time."""
+    return [
+        histogram_point(N, spec.reference, levels_entropy(
+            spec, offsets, K, "exact", word_cap=word_cap, workers=workers))
+        for N, spec, offsets, K in points
+    ]
+
+
+def seq_entropy_upper_profile(
+    sd: StackingData, A, tau: Callable[[int], int], lengths: Sequence[int]
+) -> list[ProfilePoint]:
+    """Per-N values of (1/N) H at reference stage tau(N), in base coding,
+    on the points of `profile_points`.
 
     The limsup of this profile is what upper-bounds the sequence entropy,
     so downward trends here are the finite-horizon stand-in for vanishing
     entropy.
     """
-    return [
-        histogram_point(N, spec.reference, levels_entropy(
-            spec, offsets, K, "exact", word_cap=word_cap, workers=workers))
-        for N, spec, offsets, K in profile_points(sd, A, tau, lengths, coding_mode)
-    ]
+    return points_entropy(profile_points(sd, A, tau, lengths), DEFAULT_WORD_CAP, 1)
 
 
 @dataclass(frozen=True)

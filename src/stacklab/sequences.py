@@ -99,22 +99,25 @@ class SamplingSequence:
             # (i+1)^alpha - i^alpha >= 1 for i >= 0, so the floors strictly
             # increase.  t_horizon, the costliest term, is still built, so
             # floor_pow's exponent guard fires here.
-            terms = (self._raw_term(n0),)
+            terms = iter((self._raw_term(n0),))
             self._raw_term(self.horizon)
         else:
-            terms = tuple(self.terms(n0, self.horizon + 1))
-        if terms[0] < 0:
+            terms = self.terms(n0, self.horizon + 1)
+        prev = next(terms)
+        if prev < 0:
             raise SequenceError(f"sequence is negative at index {n0}")
-        repeats = (j for j in range(1, len(terms)) if terms[j] <= terms[j - 1])
-        if self.kind == "nlog":
+        skip = 0  # nlog: the last repeat; any other kind stops at the first
+        for i, t in enumerate(terms, n0 + 1):
+            if t <= prev:
+                if self.kind != "nlog":
+                    raise SequenceError(f"sequence not strictly increasing at index {i}")
+                skip = i - n0
+            prev = t
+        if skip:
             # Skip the small-index degeneracy: keep the requested n0 on
             # record and start where strict increase holds to the horizon.
-            skip = max(repeats, default=0)
-            if skip:
-                object.__setattr__(self, "requested_n0", n0)
-                object.__setattr__(self, "n0", n0 + skip)
-        elif bad := next(repeats, 0):
-            raise SequenceError(f"sequence not strictly increasing at index {n0 + bad}")
+            object.__setattr__(self, "requested_n0", n0)
+            object.__setattr__(self, "n0", n0 + skip)
 
     def _raw_term(self, i: int) -> int:
         if self.kind == "power":
@@ -215,7 +218,12 @@ def dilation_diagnostic(seq: SamplingSequence, horizon: int | None = None) -> Di
     horizon = seq.horizon if horizon is None else horizon
     if horizon < seq.n0 + 1:
         raise SequenceError("dilation diagnostic needs at least two terms")
-    gaps = tuple(b - a for a, b in pairwise(seq.terms(seq.n0, horizon + 1)))
+    return gaps_dilation(tuple(b - a for a, b in pairwise(seq.terms(seq.n0, horizon + 1))))
+
+
+def gaps_dilation(gaps: tuple[int, ...]) -> DilationReport:
+    """The `DilationReport` of a run of terms from its consecutive gaps,
+    of which there is at least one."""
     tail = [0] * len(gaps)
     running = gaps[-1]
     for j in range(len(gaps) - 1, -1, -1):

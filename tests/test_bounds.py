@@ -215,3 +215,15 @@ def test_trend_helper_rejects_flat():
     assert not trend_toward_zero(ns, flat)
     falling = [1.0 / n for n in ns]
     assert trend_toward_zero(ns, falling)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    # c_200 = 200^140 is past the float range, though floor_pow's work is 1120 bits.
+    (279, "cut count c_200 is too large for a float"),
+    # c_200 = floor(200^133.5), about 1.6e307, is a float, but lgamma(c_200) is not.
+    (267, "log binom"),
+])
+def test_balancing_rejects_a_cut_count_past_the_float_range(alpha, message):
+    A = SamplingSequence.power(Fraction(3, 2), horizon=200)
+    with pytest.raises(ResourceGuard, match=message):
+        balancing_profile(A, phi_log(), power_cuts(alpha, 1), 200)

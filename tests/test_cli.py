@@ -30,7 +30,7 @@ from stacklab.cli import (
 )
 from stacklab.config import KNOWN_OPS, ConfigError, config_hash, load_config, parse_rational
 from stacklab.intarith import InvalidInput, ResourceGuard
-from stacklab.sequences import SamplingSequence, krug_K_estimate
+from stacklab.sequences import SamplingSequence, dilation_diagnostic, krug_K_estimate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -685,6 +685,11 @@ _REJECTED_OPS = {
                                 {"operations": [{"op": "seq"}], "sequence": _LONG_LINEAR}),
     "bounds-horizon-past-max-terms": (EXIT_RESOURCE, {
         "operations": [dict(_LOG_BOUNDS, horizon=(1 << 22) + 1)], "sequence": _LONG_LINEAR}),
+    # c_n = floor(n^(6667/2)): c_2 has 3334 bits, and c_100 is past floor_pow's work bound.
+    "bounds-cut-count-past-the-float-range": (EXIT_RESOURCE, {
+        "operations": [{"op": "bounds", "phi": "log", "cuts": "power", "alpha": "20001/3",
+                        "beta": 1, "horizon": 100}],
+        "sequence": {"kind": "power", "alpha": "3/2", "horizon": 200}}),
 }
 
 
@@ -875,6 +880,89 @@ def test_describe_and_run_seq_op(capsys, tmp_path, sequence, described):
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
     summary = (out / "summary.txt").read_text()
     assert f"seq: kind={described['kind']} n0={described['n0']} horizon=16\n" in summary
+
+
+@pytest.mark.parametrize("alpha", ["3/2", 2])  # not dilating, dilating
+def test_seq_op_lists_its_terms_once(tmp_path, monkeypatch, alpha):
+    cfg = load_config({"sequence": {"kind": "power", "alpha": alpha, "horizon": 64},
+                       "operations": [{"op": "seq", "limit": 40}]})
+    verdict = dilation_diagnostic(cfg.sequence, 40).dilating
+    calls = []
+    raw_term = SamplingSequence._raw_term
+    monkeypatch.setattr(SamplingSequence, "_raw_term",
+                        lambda seq, i: calls.append(i) or raw_term(seq, i))
+    cli.execute(cfg, tmp_path / "o")
+    assert sorted(calls) == list(range(1, 41))
+    assert f"dilation verdict (finite-horizon heuristic) = {verdict}\n" in (
+        tmp_path / "o" / "summary.txt").read_text()
+
+
+def _counted_everywhere(monkeypatch, fn, calls: list) -> None:
+    """Replace `fn` by a call-counting wrapper in every stacklab module
+    that holds it."""
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "stacklab" or name.startswith("stacklab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def test_op_builders_run_once_per_op(tmp_path, monkeypatch, capsys):
+    # describe and run each read the arguments that load built.
+    from stacklab.entropy import profile_points
+    from stacklab.randomstacks import recipe_params
+
+    calls = []
+    _counted_everywhere(monkeypatch, profile_points, calls)
+    _counted_everywhere(monkeypatch, recipe_params, calls)
+    recipe = {"op": "recipe", "name": "poly", "h": 2, "alpha": 2, "beta": 1}
+    doc = dict(_EVERY_OP_DOC, operations=[
+        {"op": "profile", "lengths": [1, 2], "mode": "refined"}, recipe,
+        {"op": "profile", "lengths": [1]}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["describe"], ["run", "--out", str(tmp_path / "o")]):
+        calls.clear()
+        assert main([*argv, "--config", str(path)]) == EXIT_OK
+        assert sorted(calls) == ["profile_points", "profile_points", "recipe_params"]
+    assert "N=2 stage=2 reference=2" in capsys.readouterr().out
+    assert (tmp_path / "o" / "recipe.csv").read_text().count("\n") == 3
+
+
+_RECIPE_ARGV = ["recipe", "--name", "poly", "--h", "2", "--alpha", "2", "--beta", "1"]
+
+
+# Each once ended in a traceback and exit 1.  "{d}" stands for a directory
+# that holds latin1.json, list.json, caps.json, tiny.json and an empty file.
+@pytest.mark.parametrize("argv, named", [
+    (["describe", "--config", "{d}"], "{d}"),
+    (["run", "--config", "{d}", "--out", "{d}/o"], "{d}"),
+    ([*_RECIPE_ARGV, "--config", "{d}"], "{d}"),
+    (["describe", "--config", "{d}/latin1.json"], "{d}/latin1.json"),
+    (["run", "--config", "{d}/latin1.json", "--out", "{d}/o"], "{d}/latin1.json"),
+    ([*_RECIPE_ARGV, "--config", "{d}/latin1.json"], "{d}/latin1.json"),
+    (["describe", "--config", "{d}/list.json", "--cap-words", "5"],
+     "configuration must be a JSON object"),
+    (["describe", "--config", "{d}/caps.json", "--cap-words", "5"], "caps: must be an object"),
+    (["run", "--config", "{d}/tiny.json", "--out", "{d}/file"],
+     "--out: cannot make directory {d}/file"),
+], ids=["describe-directory", "run-directory", "recipe-directory", "describe-non-utf8",
+        "run-non-utf8", "recipe-non-utf8", "cap-words-on-a-list", "cap-words-on-list-caps",
+        "out-is-a-file"])
+def test_unreadable_inputs_exit_2(tmp_path, capsys, argv, named):
+    (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xe9"}')
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "caps.json").write_text(json.dumps(dict(TINY_DOC, caps=[1])))
+    (tmp_path / "tiny.json").write_text(json.dumps(TINY_DOC))
+    (tmp_path / "file").write_text("")
+    assert main([arg.format(d=tmp_path) for arg in argv]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named.format(d=tmp_path) in err[0]
 
 
 def test_every_known_op_has_a_runner():

@@ -217,3 +217,14 @@ def test_lower_density_examples():
     assert lower_density_estimate(range(2, 11, 2), 10) == Fraction(1, 2)
     assert lower_density_estimate(range(1, 11), 10) == 1
     assert lower_density_estimate({1}, 10) == Fraction(1, 10)
+
+
+def test_strict_increase_check_stops_at_the_first_repeat(monkeypatch):
+    # floor(sqrt(2)) = floor(sqrt(1)): the check once listed all 2^20 terms first.
+    calls = []
+    raw_term = SamplingSequence._raw_term
+    monkeypatch.setattr(SamplingSequence, "_raw_term",
+                        lambda seq, i: calls.append(i) or raw_term(seq, i))
+    with pytest.raises(SequenceError, match="^sequence not strictly increasing at index 2$"):
+        SamplingSequence.power(Fraction(1, 2), horizon=1 << 20)
+    assert len(calls) <= 3
