@@ -7,7 +7,8 @@ in meta.json.  Every report embeds the config hash; `verify` rejects
 mixed-provenance output directories.
 
 Exit codes: 0 success, 2 validation error (`InvalidInput`), 3 resource
-guard (`ResourceGuard`), 4 search exhausted (`SearchExhausted`).
+guard (`ResourceGuard`), 4 search exhausted (`SearchExhausted`).  A reader
+that closes stdout early (`| head`) ends the command with 0.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -252,10 +254,10 @@ def _sha256(path: Path) -> str:
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows, cfg_hash: str) -> None:
-    lines = [f"# config_hash={cfg_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """The report CSV, each line written as it is formatted."""
+    with path.open("w", encoding="utf-8") as f:
+        f.write(f"# config_hash={cfg_hash}\n{','.join(header)}\n")
+        f.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def execute(
@@ -597,7 +599,14 @@ def main(argv=None) -> int:
     if getattr(args, "workers", 1) < 1:
         parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): it has what it wanted.  Point
+        # stdout at devnull so the interpreter's last flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except InvalidInput as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -19,6 +19,7 @@ from .intarith import InvalidInput
 from .sequences import sampling_offsets
 from .tower import (
     CodingSpec,
+    DistinctWords,
     StackingData,
     ValidLevels,
     WordCapExceeded,
@@ -114,7 +115,10 @@ class WordHistogram:
     grammar), "enumerate" (every valid level decoded) or "sampled", and
     `windows` the orbit windows it decoded.  Each key of `counts` is a
     word's symbols as `symbol_width`-byte little-endian integers
-    (`tower.encode_word`); `words()` decodes them.
+    (`tower.encode_word`); `words()` decodes them.  `counts` is a `Counter`,
+    or at r = n a `tower.DistinctWords`, whose keys are decoded only when
+    read: the checks below and `entropy_nats` read its length, key length
+    and run of ones, and decode none.
     """
 
     counts: Mapping[bytes, int]
@@ -128,7 +132,9 @@ class WordHistogram:
     def __post_init__(self) -> None:
         if self.total != sum(self.counts.values()):
             raise EntropyError("histogram counts do not sum to the total")
-        if set(map(len, self.counts)) - {self.key_bytes}:
+        counts = self.counts
+        lengths = {counts.key_bytes} if isinstance(counts, DistinctWords) else set(map(len, counts))
+        if lengths - {self.key_bytes}:
             raise EntropyError("histogram key with wrong word length")
 
     @property

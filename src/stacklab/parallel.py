@@ -37,13 +37,19 @@ _worker_fn: Callable | None = None
 _worker_blocks: Sequence = ()
 
 
-def index_blocks(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
-    """Half-open [lo, hi) ranges covering [0, total), fixed-size blocks."""
+def check_block_items(total: int) -> None:
+    """The block-list guard: `total` items above MAX_BLOCK_ITEMS raise."""
     if total > MAX_BLOCK_ITEMS:
         raise ResourceGuard(
             f"a {total.bit_length()}-bit count of items to split into blocks, "
             f"above the bound of 2^{MAX_BLOCK_ITEMS.bit_length() - 1}"
         )
+
+
+def index_blocks(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
+    """Half-open [lo, hi) ranges covering [0, total), fixed-size blocks,
+    after `check_block_items`."""
+    check_block_items(total)
     return [(lo, min(lo + block_size, total)) for lo in range(0, total, block_size)]
 
 

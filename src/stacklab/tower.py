@@ -17,14 +17,16 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .intarith import InvalidInput, ResourceGuard, is_int
-from .parallel import index_blocks, run_blocks
+from .parallel import BLOCK_SIZE, check_block_items, index_blocks, run_blocks
 from .rng import SpacerProcess, uniform_ints
 
 # Seeded stages regenerate their spacers on demand; expanding more than
@@ -308,6 +310,22 @@ class ValidLevels:
     def __iter__(self) -> Iterator[int]:
         return map(self.select, range(self.count))
 
+    def __contains__(self, k) -> bool:
+        """Whether level k lies in K: at or below h_n - t_N - 1 and inside
+        a copy of tower n-1 (one bisect over stage n-1's slice starts)."""
+        if not (is_int(k) and 0 <= k <= self.sd.height(self.n) - self.t_max - 1):
+            return False
+        starts = _search_table(self.sd, self.n - 1)
+        return k - starts[bisect_right(starts, k) - 1] < self.sd.heights()[self.n - 2]
+
+    def at(self, pos: np.ndarray) -> np.ndarray:
+        """`select` of each rank in `pos`, an int64 or object array: rank u
+        is the level P_{u // h_{n-1}} + u % h_{n-1} of stage n-1's slice
+        starts."""
+        h = self.sd.heights()[self.n - 2]
+        copies = (pos // h).astype(np.int64, copy=False)
+        return self.sd.slice_starts(self.n - 1)[copies] + pos % h
+
     @property
     def coverage(self) -> float:
         """|K| / h_n, the mass fraction the conditioning retains."""
@@ -590,10 +608,7 @@ def _count_block(block) -> Counter:
     else:
         pos = uniform_ints(seed, _STREAM_LEVEL_SAMPLE, lo, hi, plan.count).astype(dtype, copy=False)
     if isinstance(plan, ValidLevels):
-        h = sd.heights()[plan.n - 2]
-        copies = pos // h
-        ks = sd.slice_starts(plan.n - 1)[copies.astype(np.int64, copy=False)] + pos % h
-        runs, weights = [(plan.n, 0, len(pos))], None
+        ks, runs, weights = plan.at(pos), [(plan.n, 0, len(pos))], None
     else:
         i = np.searchsorted(plan.ends, pos, side="right")
         ks, towers, weights = plan.base[i] + pos, plan.towers[i], plan.weights[i]
@@ -610,6 +625,15 @@ def _count_block(block) -> Counter:
                 for word, weight in zip(words, weights[j:k]):
                     part[word] += weight
     return part
+
+
+def _check_key_bytes(distinct: int, key_bytes: int) -> None:
+    if distinct * key_bytes > MAX_KEY_BYTES:
+        raise ResourceGuard(
+            f"word histogram holds {distinct} distinct keys of {key_bytes} bytes, "
+            f"{distinct * key_bytes} key bytes above the bound of "
+            f"2^{MAX_KEY_BYTES.bit_length() - 1} (MAX_KEY_BYTES)"
+        )
 
 
 def blocked_word_counts(
@@ -636,13 +660,7 @@ def blocked_word_counts(
             dict.update(counts, summed)
             if word_cap is not None and len(counts) > word_cap:
                 raise WordCapExceeded(word_cap)
-            key_bytes = len(next(iter(counts), b""))
-            if len(counts) * key_bytes > MAX_KEY_BYTES:
-                raise ResourceGuard(
-                    f"word histogram holds {len(counts)} distinct keys of {key_bytes} bytes, "
-                    f"{len(counts) * key_bytes} key bytes above the bound of "
-                    f"2^{MAX_KEY_BYTES.bit_length() - 1} (MAX_KEY_BYTES)"
-                )
+            _check_key_bytes(len(counts), len(next(iter(counts), b"")))
     finally:
         # Stops the pool now rather than when the generator is collected; a
         # wrapped run_blocks may return a list, which has nothing to stop.
@@ -652,6 +670,82 @@ def blocked_word_counts(
     return counts
 
 
+class DistinctWords(Mapping):
+    """The exact histogram of K at r = n with N >= 1, where coding is the
+    identity on levels: level k codes to (k + t_1 + 1, ..., k + t_N + 1),
+    so every level of K is its own word, counted once.  The keys are
+    decoded on demand by `code_orbits`, DECODE_BATCH levels at a time, in
+    K's order, which is enumeration's first-seen order; `values()` is a
+    run of |K| ones.  A key's count is read off its first symbol, which
+    names its level, so `[]`, `in` and `items()` cost O(N) per key and
+    building, sizing and summing the histogram decode nothing."""
+
+    def __init__(self, levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int]):
+        self.levels, self.spec, self.offsets = levels, spec, tuple(offsets)
+        self.width = symbol_width(levels.sd, spec)
+        self.key_bytes = self.width * len(self.offsets)
+
+    def __len__(self) -> int:
+        return self.levels.count
+
+    def __iter__(self) -> Iterator[bytes]:
+        levels = self.levels
+        dtype = np.int64 if int64_decodes(levels.sd, levels.n) else object
+        for lo in range(0, levels.count, DECODE_BATCH):
+            pos = np.arange(lo, min(lo + DECODE_BATCH, levels.count), dtype=dtype)
+            yield from code_orbits(levels.sd, self.spec, levels.n, levels.at(pos), self.offsets)
+
+    def __getitem__(self, key) -> int:
+        if isinstance(key, bytes) and len(key) == self.key_bytes:
+            k = int.from_bytes(key[: self.width], "little") - self.offsets[0] - 1
+            word = [k + t + 1 for t in self.offsets]
+            if k in self.levels and key == encode_word(word, self.width):
+                return 1
+        raise KeyError(key)
+
+    def values(self) -> ValuesView:
+        return _Ones(self)
+
+    def items(self) -> ItemsView:
+        return _CountedOnce(self)
+
+
+class _Ones(ValuesView):
+    """The counts of a `DistinctWords`: one per key, without its keys."""
+
+    def __iter__(self) -> Iterator[int]:
+        return repeat(1, len(self._mapping))
+
+
+class _CountedOnce(ItemsView):
+    """The items of a `DistinctWords`: each key with its count of 1."""
+
+    def __iter__(self) -> Iterator[tuple[bytes, int]]:
+        return zip(self._mapping, repeat(1))
+
+
+def _distinct_words(
+    levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int], word_cap: int | None
+) -> DistinctWords:
+    """The r = n histogram of K, after the checks enumeration would make,
+    in its order, by arithmetic: the block-list guard, the coding, then
+    the word cap and MAX_KEY_BYTES.  Enumeration holds
+    min((b + 1) * BLOCK_SIZE, |K|) distinct keys after block b, so a check
+    of "more than c keys" trips at block c // BLOCK_SIZE if |K| > c, and
+    the word cap, checked first, wins a tie."""
+    check_block_items(levels.count)
+    _coding(levels.sd, spec, levels.n)
+    words = DistinctWords(levels, spec, offsets)
+    count, key_cap = levels.count, MAX_KEY_BYTES // words.key_bytes
+    key_block = key_cap // BLOCK_SIZE if count > key_cap else None
+    if word_cap is not None and count > word_cap:
+        if key_block is None or word_cap // BLOCK_SIZE <= key_block:
+            raise WordCapExceeded(word_cap)
+    if key_block is not None:
+        _check_key_bytes(min((key_block + 1) * BLOCK_SIZE, count), words.key_bytes)
+    return words
+
+
 def exact_word_counts(
     levels: ValidLevels,
     spec: CodingSpec,
@@ -659,11 +753,16 @@ def exact_word_counts(
     word_cap: int | None = None,
     workers: int = 1,
     level_cap: int | None = None,
-) -> tuple[Counter, str, int]:
+) -> tuple[Mapping[bytes, int], str, int]:
     """The histogram of the word keys of every level of K, in first-seen
     order, and the path and windows (`plan.count`) of `exact_plan`.
 
     enumerate counts K itself; |K| above `level_cap` raises ResourceGuard.
+    At r = n with N >= 1, offsets in [0, t_N] and K nonempty, every level
+    is its own word, so no key is decoded: the histogram is a
+    `DistinctWords` over K, returned after the guards that enumeration
+    would trip, in its order (`_distinct_words`).  Otherwise enumerate
+    counts a `Counter` in blocks, which stays the oracle of that mapping.
     compressed counts the plan's weighted ranges: first the h_r - t_N
     windows inside tower r, which need no descent, then each stage's keys
     in order of first region, each past every level already seen, so the
@@ -677,5 +776,8 @@ def exact_word_counts(
         raise ResourceGuard(
             f"valid-level set has {levels.count} levels, above the cap {level_cap}"
         )
+    if (spec.reference == levels.n and offsets and levels.count
+            and all(0 <= o <= levels.t_max for o in offsets)):
+        return _distinct_words(levels, spec, offsets, word_cap), path, plan.count
     counts = blocked_word_counts(spec, plan, plan.count, offsets, word_cap, workers)
     return counts, path, plan.count

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -268,6 +269,13 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_PROBE_BYTES, _PROBE_BYTES))
 
 
+def _cli_env() -> dict:
+    """The environment of a `python -m stacklab.cli` child: this checkout's src first."""
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [
+                str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def _run_probe(tmp_path, argv, code, message, seconds):
     # In its own process under a wall-clock and address-space limit, so a
     # probe that hangs or allocates without bound fails instead of stalling
@@ -278,12 +286,9 @@ def _run_probe(tmp_path, argv, code, message, seconds):
         argv = [argv[0], "--config", str(path), *argv[2:]]
         if argv[0] == "run":
             argv += ["--out", str(tmp_path / "o")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [
-               str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "stacklab.cli", *argv], capture_output=True, text=True,
-        env=env, timeout=seconds, preexec_fn=_limit_address_space,
+        env=_cli_env(), timeout=seconds, preexec_fn=_limit_address_space,
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code, proc.stderr
@@ -1032,6 +1037,39 @@ def test_seq_limit_zero_or_negative_prints_no_terms(capsys, tmp_path):
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
     assert (out / "seq.csv").read_text().splitlines()[-1] == "index,value,gap"
+
+
+def test_closed_stdout_exits_0_without_a_traceback(tmp_path):
+    # 10^5 rows are about 1.9 MB, far past a pipe's buffer, so the command
+    # is still writing when the reader closes the pipe after two lines.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequence": {"kind": "power", "alpha": "3/2", "horizon": 10**5}}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stacklab.cli", "seq", "gaps", "--config", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    lines = [proc.stdout.readline(), proc.stdout.readline()]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert lines == [b"index,value,gap\n", b"1,1,\n"]
+    assert err == b""
+
+
+def test_csv_lines_are_written_as_they_are_formatted(tmp_path):
+    # Only the rows are held: the lines and their joined text never are.
+    rows = cli._gap_rows(SamplingSequence.linear(1, horizon=1 << 18), 1 << 18)
+    path, header = tmp_path / "seq.csv", ("index", "value", "gap")
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, header, rows, "f" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = [f"# config_hash={'f' * 64}", ",".join(header), *(",".join(map(fmt, r)) for r in rows)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert len(rows) == 1 << 18 and peak < path.stat().st_size
 
 
 def test_markov_subcommand(capsys):

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stacklab import parallel, tower
-from stacklab.entropy import WordCapExceeded, empirical_sequence_entropy
+from stacklab.entropy import (
+    DEFAULT_WORD_CAP,
+    WordCapExceeded,
+    counts_entropy,
+    empirical_sequence_entropy,
+)
 from stacklab.intarith import ResourceGuard
 from stacklab.parallel import BLOCK_SIZE, run_blocks
 from stacklab.sequences import SamplingSequence, sampling_offsets
@@ -23,14 +28,16 @@ from stacklab.tower import (
     Stage,
     StackingData,
     decode_symbol,
+    encode_word,
     exact_plan,
     exact_word_counts,
+    int64_decodes,
     symbol_width,
     valid_levels,
 )
 
 from .conftest import decoded
-from .oracles import count_words, oracle_word_counts
+from .oracles import count_words, oracle_word_counts, plogp_sum
 
 
 @st.composite
@@ -303,17 +310,26 @@ def _ranks_run(path) -> list[int]:
     return sorted(map(int, path.read_text(encoding="utf-8").split())) if path.exists() else []
 
 
-def _squaring_entropy_blocks(tmp_path, monkeypatch, workers, **kwargs):
-    """Exact entropy at stage 5, reference 5, N = 64 of the squaring tower
-    (every one of its 65 024 levels a distinct word, in 8 blocks) with each
-    block recorded; the ranks of the blocks that ran."""
+def _squaring_entropy_blocks(tmp_path, monkeypatch, workers, word_cap=DEFAULT_WORD_CAP):
+    """The exact histogram at stage 5, reference 5, N = 64 of the squaring
+    tower (every one of its 65 024 levels a distinct word, in 8 blocks),
+    counted by the block kernel with each block recorded; the ranks of the
+    blocks that ran and the error that stopped them.  The entropy op on the
+    same K, which at r = n counts no block, must raise the same error and
+    run no block."""
     path = tmp_path / f"blocks{workers}"
     monkeypatch.setattr(tower, "_count_block", _BlockSpy(tower._count_block, path))
     A = SamplingSequence.power(Fraction(3, 2), horizon=160)
+    sd, spec, offsets = _squaring_tower(), CodingSpec(5), sampling_offsets(A, 64)
+    levels = valid_levels(sd, 5, offsets[-1])
     with pytest.raises((WordCapExceeded, ResourceGuard)) as exc:
-        empirical_sequence_entropy(_squaring_tower(), CodingSpec(5), 5, A, 64, workers=workers,
-                                   **kwargs)
-    return _ranks_run(path), exc.value
+        tower.blocked_word_counts(spec, levels, levels.count, offsets, word_cap, workers)
+    ranks = _ranks_run(path)
+    with pytest.raises((WordCapExceeded, ResourceGuard)) as op:
+        empirical_sequence_entropy(sd, spec, 5, A, 64, word_cap=word_cap, workers=workers)
+    assert type(op.value) is type(exc.value) and str(op.value) == str(exc.value)
+    assert _ranks_run(path) == ranks
+    return ranks, exc.value
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -340,3 +356,132 @@ def test_key_bytes_guard_stops_at_the_first_block_past_it(tmp_path, monkeypatch,
     assert ranks == [r for r in ranks if r < (1 + 2 * workers) * BLOCK_SIZE]
     if workers == 1:
         assert ranks == [0, BLOCK_SIZE]
+
+
+def _guard_error(fn):
+    """The class and message of the error `fn()` raises, or its result."""
+    try:
+        return fn()
+    except (WordCapExceeded, ResourceGuard, tower.TowerError) as e:
+        return type(e), str(e)
+
+
+# Stage 5 of the squaring tower at reference 5 and N = 8: 65 508 levels of
+# K, each its own word of 8 symbols x 4 bytes, in 8 blocks of 8192.  A key
+# bound of 32 * c bytes trips once more than c keys are held.
+@pytest.mark.parametrize("word_cap, key_cap, block_items, level_cap", [
+    (None, None, None, None),        # no guard trips
+    (0, None, None, None),           # word cap at block 0
+    (10, 8191, None, None),          # both at block 0: the word cap is checked first
+    (20000, 16384, None, None),      # both at block 2
+    (20000, 8191, None, None),       # key bytes at block 0, 8192 keys held
+    (65507, None, None, None),       # word cap at the last, short block
+    (65508, 65508, None, None),      # at the bounds: nothing trips
+    (None, 65507, None, None),       # key bytes at the last block, 65 508 keys held
+    (10, 10, 65507, None),           # the block-list guard before either
+    (10, 10, 65507, 65507),          # the level cap before all
+])
+def test_distinct_words_trip_the_guards_of_enumeration(
+    monkeypatch, word_cap, key_cap, block_items, level_cap
+):
+    sd, spec, offsets = _squaring_tower(), CodingSpec(5), (0, 1, 3, 6, 10, 15, 21, 28)
+    levels = valid_levels(sd, 5, offsets[-1])
+    assert levels.count == 65508 and symbol_width(sd, spec) * len(offsets) == 32
+    if key_cap is not None:
+        monkeypatch.setattr(tower, "MAX_KEY_BYTES", 32 * key_cap)
+    if block_items is not None:
+        monkeypatch.setattr(parallel, "MAX_BLOCK_ITEMS", block_items)
+    calls, kernel = [], tower._count_block
+    monkeypatch.setattr(tower, "_count_block", lambda block: calls.append(block) or kernel(block))
+    fast = _guard_error(lambda: exact_word_counts(levels, spec, offsets, word_cap,
+                                                  level_cap=level_cap))
+    assert calls == []
+
+    def enumerated():
+        if level_cap is not None and levels.count > level_cap:
+            return exact_word_counts(levels, spec, offsets, level_cap=level_cap)
+        return tower.blocked_word_counts(spec, levels, levels.count, offsets, word_cap)
+
+    oracle = _guard_error(enumerated)
+    if isinstance(oracle, tuple):
+        assert fast == oracle
+    else:
+        counts, path, windows = fast
+        assert (path, windows) == ("enumerate", levels.count)
+        assert isinstance(counts, tower.DistinctWords)
+        assert list(counts.items()) == list(oracle.items())
+
+
+def test_distinct_words_raise_the_coding_error_of_the_blocks():
+    # Refined mode needs a finite spacer cap; the first block's decode says
+    # so, and at r = n the same check runs before any block would.
+    sd = StackingData(3, (Stage(q=3, spacers=(0, 5)), Stage(q=2, spacers=(1,))))
+    spec, offsets = CodingSpec(3, "refined"), (0, 2, 4)
+    levels = valid_levels(sd, 3, offsets[-1])
+    fast = _guard_error(lambda: exact_word_counts(levels, spec, offsets))
+    blocks = _guard_error(lambda: tower.blocked_word_counts(spec, levels, levels.count, offsets))
+    assert fast == blocks == (tower.TowerError, "refined mode requires a finite spacer_cap")
+
+
+@st.composite
+def identity_cases(draw):
+    """Tower n of random stacking data coded against itself (r = n) in
+    either mode, with 1 to 6 nondecreasing offsets in [0, t_N] and t_N
+    below h_n.  With `big`, the initial height is raised past 2^63, so
+    tower n decodes in Python ints (16-byte symbols), and t_N is drawn
+    within 40 levels of h_n, so K stays small."""
+    cap = draw(st.integers(1, 4))
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.integers(2, 5))
+        if cap > 1 and draw(st.booleans()):
+            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16)), distribution="uniform"))
+        else:
+            spacers = draw(st.lists(st.integers(0, cap - 1), min_size=q - 1, max_size=q - 1))
+            stages.append(Stage(q=q, spacers=tuple(spacers)))
+    big = draw(st.booleans())
+    h1 = draw(st.integers(1, 5)) + (big << 63)
+    sd = StackingData(h1, tuple(stages), spacer_cap=cap)
+    n = draw(st.integers(2, sd.num_towers))
+    spec = CodingSpec(n, draw(st.sampled_from(("base", "refined"))))
+    h_n = sd.height(n)
+    t = h_n - draw(st.integers(1, 40)) if big else draw(st.integers(0, min(h_n - 1, 60)))
+    inner = draw(st.lists(st.integers(0, t), min_size=0, max_size=5))
+    return sd, n, spec, (*sorted(inner), t), big
+
+
+@given(identity_cases())
+def test_distinct_words_match_enumeration_without_decoding(case):
+    sd, n, spec, offsets, big = case
+    assert int64_decodes(sd, n) != big
+    levels = valid_levels(sd, n, offsets[-1])
+    spy = mock.patch.object(tower, "code_orbits", wraps=tower.code_orbits)
+    with spy as code_orbits:
+        res = empirical_sequence_entropy(sd, spec, n, offsets, len(offsets))
+        hist = res.histogram
+        h = hist.entropy_nats()
+        assert code_orbits.call_count == 0
+    counts = hist.counts
+    assert isinstance(counts, tower.DistinctWords)
+    assert (hist.path, hist.windows, hist.total) == ("enumerate", levels.count, levels.count)
+    oracle = count_words(sd, spec, n, levels, offsets)
+    forced = tower.blocked_word_counts(spec, levels, levels.count, offsets)
+    assert list(counts) == list(oracle) == list(forced)
+    assert list(counts.items()) == list(oracle.items()) == list(forced.items())
+    assert len(counts) == len(oracle) == levels.count
+    assert len(counts.values()) == levels.count and list(counts.values()) == list(counts.values())
+    assert all(key in counts and counts[key] == 1 for key in oracle)
+    assert counts == oracle and oracle == counts and counts == forced
+    # Keys that code no level of K: the level just above K, and (N >= 2) a
+    # valid first symbol followed by 0, which no in-tower level codes to.
+    width = symbol_width(sd, spec)
+    above = sd.height(n) - offsets[-1]
+    strangers = [encode_word([above + o + 1 for o in offsets], width), b"", b"\x00" * 3]
+    if len(offsets) > 1:
+        strangers.append(encode_word([offsets[0] + 1] + [0] * (len(offsets) - 1), width))
+    for key in strangers:
+        assert key not in counts and counts.get(key) is None
+        with pytest.raises(KeyError):
+            counts[key]
+    assert h == res.h_nats == counts_entropy(forced.values(), levels.count)
+    assert h == plogp_sum(oracle.values(), levels.count)
