@@ -2,18 +2,22 @@
 diagnostics that drive the vanishing-entropy regime.
 
 The word-count bound binom(N+c, N) * (h+1) * (s+1)^c is exact big-integer
-arithmetic; the per-n balancing diagnostics are double precision.  "Trends
-toward zero" are operationalized over a finite horizon: the diagnostic at
-the endpoint must be below its value at 1% of the horizon, and its running
-maximum over the last decade of n must sit below its first-decade minimum.
+arithmetic; the per-n balancing diagnostics are double precision.  A bounds
+op is checked once, at load, by `check_balancing_horizon`; its rows, each
+with its strict tau (`strict_tau`, which `select_tau` also decides by), come
+from `balancing_rows` and one listing of the terms.  "Trends toward zero"
+are operationalized over a finite horizon: the diagnostic at the endpoint
+must be below its value at 1% of the horizon, and its running maximum over
+the last decade of n must sit below its first-decade minimum.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .intarith import InvalidInput, ResourceGuard, as_float, floor_pow
 from .sequences import SamplingSequence, max_gap, sampling_offsets
@@ -68,16 +72,16 @@ def select_tau(
 ) -> int:
     """Minimal stage whose height clears the orbit-length threshold.
 
-    rule "strict": min n with h_n > t_N / c_N; rule "lambda": min n with
-    h_n >= t_N / (lam * N).  Comparisons are exact rationals.
+    rule "strict": min n with h_n > t_N / c_N (`strict_tau`); rule
+    "lambda": min n with h_n >= t_N / (lam * N).  Comparisons are exact
+    rationals.
     """
     t_N = A.generate(N)
     if rule == "strict":
         c_N = cuts(N)
         if c_N < 1:
             raise BoundsError("cut schedule must be >= 1")
-        threshold = Fraction(t_N, c_N)
-        ok = lambda h: h > threshold
+        threshold, tau = Fraction(t_N, c_N), strict_tau(heights, t_N, c_N)
     elif rule == "lambda":
         if lam is None:
             raise BoundsError("lambda rule needs lam")
@@ -85,15 +89,22 @@ def select_tau(
         if lam <= 0 or N < 1:
             raise BoundsError("lambda rule needs lam > 0 and N >= 1")
         threshold = Fraction(t_N) / (lam * N)
-        ok = lambda h: h >= threshold
+        tau = next((idx for idx, h in enumerate(heights, start=1) if h >= threshold), None)
     else:
         raise BoundsError(f"unknown tau rule {rule!r}")
-    for idx, h in enumerate(heights, start=1):
-        if ok(h):
-            return idx
-    raise BoundsError(
-        f"no stage qualifies: tallest height {heights[-1]} vs threshold {threshold}"
-    )
+    if tau is None:
+        raise BoundsError(
+            f"no stage qualifies: tallest height {heights[-1]} vs threshold {threshold}"
+        )
+    return tau
+
+
+def strict_tau(heights: Sequence[int], t: int, c: int) -> int | None:
+    """The least stage n with h_n > t / c, for c >= 1, or None if no stage
+    qualifies.  Heights strictly increase, and for an integer h,
+    h > t / c exactly when h > t // c."""
+    idx = bisect_right(heights, t // c)
+    return idx + 1 if idx < len(heights) else None
 
 
 # -- cut schedules and growth gauges -------------------------------------------
@@ -166,16 +177,7 @@ def phi_exp_power(beta) -> GrowthGauge:
     return GrowthGauge(kind="exp_power", beta=b)
 
 
-# -- balancing profile -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BalancingRow:
-    n: int
-    c_n: int
-    diag_balance: float  # (c_n/n) log s_n
-    diag_phi: float  # (1/n) phi(t_n / c_n)
-    diag_binom: float  # (1/n) log binom(n + c_n, n)
+# -- balancing diagnostics -------------------------------------------------------
 
 
 def _log_binom(a: int, b: int) -> float:
@@ -191,7 +193,7 @@ def check_balancing_horizon(
 
     Every schedule's c_n, and floor_pow's work for it, peaks at the
     horizon (loglog's bump c_3 = 339 aside), so every row of
-    `balancing_profile` then stays in the float range.
+    `balancing_rows` then stays in the float range.
     """
     if not A.n0 < horizon <= A.horizon:
         raise BoundsError(f"horizon: must lie in ({A.n0}, {A.horizon}]")
@@ -211,43 +213,29 @@ def check_balancing_horizon(
         )
 
 
-def balancing_profile(
+def balancing_rows(
     A: SamplingSequence,
     phi: GrowthGauge,
     cuts: Callable[[int], int],
     horizon: int,
-) -> tuple[BalancingRow, ...]:
-    """Per-n balancing diagnostics over [n0+1, horizon], one row per n.
-
-    Exponential-looking sequences are rejected by `check_balancing_horizon`
-    (the slice-count balancing condition cannot hold for them regardless of
-    the cut schedule).
-    """
-    check_balancing_horizon(A, cuts, horizon)
-    rows = []
-    s_n = 0
-    prev = A.generate(A.n0)
-    for n in range(A.n0 + 1, horizon + 1):
-        t_n = A.generate(n)
-        s_n = max(s_n, t_n - prev)
-        prev = t_n
+    heights: Sequence[int] | None,
+) -> Iterator[tuple]:
+    """The rows (n, c_n, (c_n/n) log s_n, (1/n) phi(t_n / c_n), (1/n) log
+    binom(n + c_n, n), tau) for n = n0+1 .. horizon, from one listing of
+    t_n0 .. t_horizon; tau is `strict_tau`, None without heights.  The
+    checks are `check_balancing_horizon`'s, made at load.  The terms
+    strictly increase, so s_n >= 1 and t_n >= 1 on every row."""
+    terms = A.terms(A.n0, horizon + 1)
+    prev, s_n = next(terms), 0
+    for n, t_n in enumerate(terms, A.n0 + 1):
+        s_n, prev = max(s_n, t_n - prev), t_n
         c_n = cuts(n)
-        diag_balance = (c_n / n) * math.log(s_n) if s_n > 0 else 0.0
         try:
-            diag_phi = phi(t_n / c_n) / n if t_n > 0 else 0.0
+            diag_phi = phi(t_n / c_n) / n
         except OverflowError:  # t_n / c_n past the float range
             diag_phi = (math.log(t_n) - math.log(c_n) if phi.kind == "log" else math.inf) / n
-        diag_binom = _log_binom(n + c_n, n) / n
-        rows.append(
-            BalancingRow(
-                n=n,
-                c_n=c_n,
-                diag_balance=diag_balance,
-                diag_phi=diag_phi,
-                diag_binom=diag_binom,
-            )
-        )
-    return tuple(rows)
+        tau = None if heights is None else strict_tau(heights, t_n, c_n)
+        yield n, c_n, (c_n / n) * math.log(s_n), diag_phi, _log_binom(n + c_n, n) / n, tau
 
 
 def trend_toward_zero(ns: Sequence[int], values: Sequence[float]) -> bool:

@@ -22,10 +22,14 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, pairwise
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__, bounds as bounds_mod
-from .config import ConfigError, ExperimentConfig, canonical_json, load_config, recipe_bundle
+from .config import (
+    ConfigError, ExperimentConfig, canonical_json, config_hash, load_config, recipe_bundle,
+)
 from .entropy import empirical_sequence_entropy, histogram_point, points_entropy
 from .intarith import InvalidInput, ResourceGuard, as_float
 from .randomstacks import (
@@ -73,10 +77,11 @@ def fmt(x) -> str:
 
 @dataclass
 class Report:
-    """One operation's tabular output plus its summary lines."""
+    """One operation's tabular output plus its summary lines.  `execute`
+    reads `rows` once, as it writes the CSV, so it may be an iterator."""
 
     header: tuple[str, ...]
-    rows: list[tuple]
+    rows: Iterable[tuple]
     summary: list[str]
     accepted: bool | None = None  # searches only
     hists: tuple = ()  # each histogram's ProfilePoint, for meta.json only
@@ -130,22 +135,23 @@ def _run_profile(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
     )
 
 
-def _gap_rows(seq, limit: int) -> list[tuple]:
-    """(index, value, gap) for the terms n0 .. limit; the first gap is blank."""
-    values = list(seq.terms(seq.n0, limit + 1))
-    return [(seq.n0 + j, t, t - values[j - 1] if j else "") for j, t in enumerate(values)]
+def _gap_rows(n0: int, values: Iterable[int]) -> Iterator[tuple]:
+    """(index, value, gap) for terms listed from index n0; the first gap is blank."""
+    prev = None
+    for n, t in enumerate(values, n0):
+        yield n, t, "" if prev is None else t - prev
+        prev = t
 
 
 def _run_seq(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
     seq = cfg.sequence
-    rows = _gap_rows(seq, args["limit"])
+    values = list(seq.terms(seq.n0, args["limit"] + 1))
     summary = [f"seq: kind={seq.kind} n0={seq.n0} horizon={seq.horizon}"]
-    if len(rows) >= 2:
-        report = gaps_dilation(tuple(row[2] for row in rows[1:]))
-        summary.append(
-            f"seq: dilation verdict (finite-horizon heuristic) = {report.dilating}"
-        )
-    return Report(header=("index", "value", "gap"), rows=rows, summary=summary)
+    if len(values) >= 2:
+        verdict = gaps_dilation(tuple(b - a for a, b in pairwise(values))).dilating
+        summary.append(f"seq: dilation verdict (finite-horizon heuristic) = {verdict}")
+    return Report(header=("index", "value", "gap"), rows=_gap_rows(seq.n0, values),
+                  summary=summary)
 
 
 def _run_markov(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
@@ -199,22 +205,13 @@ def _run_generic(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
 
 
 def _run_bounds(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
-    cuts = args["cuts"]
-    profile = bounds_mod.balancing_profile(cfg.sequence, args["phi"], cuts, args["horizon"])
     heights = cfg.stacking.heights() if cfg.stacking is not None else None
-    rows = []
-    for r in profile:
-        tau = ""
-        if heights is not None:
-            try:
-                tau = bounds_mod.select_tau(heights, cfg.sequence, cuts, r.n)
-            except bounds_mod.BoundsError:
-                pass
-        rows.append((r.n, r.c_n, r.diag_balance, r.diag_phi, r.diag_binom, tau))
-    first, last = profile[0], profile[-1]
+    rows = list(bounds_mod.balancing_rows(cfg.sequence, args["phi"], args["cuts"],
+                                          args["horizon"], heights))
+    first, last = rows[0], rows[-1]  # (n, c_n, diag_balance, diag_phi, ...)
     summary = [
-        f"bounds: n={first.n}..{last.n} balance {fmt(first.diag_balance)} -> "
-        f"{fmt(last.diag_balance)}, phi-diag {fmt(first.diag_phi)} -> {fmt(last.diag_phi)}"
+        f"bounds: n={first[0]}..{last[0]} balance {fmt(first[2])} -> "
+        f"{fmt(last[2])}, phi-diag {fmt(first[3])} -> {fmt(last[3])}"
     ]
     return Report(header=("n", "c_n", "diag_balance", "diag_phi", "diag_binom", "tau"),
                   rows=rows, summary=summary)
@@ -249,15 +246,37 @@ _RUNNERS = {
 # -- output writing --------------------------------------------------------------
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read(path: Path) -> tuple[bytes, str]:
+    """The first line of a report, without its newline, and the SHA-256
+    digest of the whole file, read once in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        first = f.readline()
+        digest.update(first)
+        while chunk := f.read(1 << 16):
+            digest.update(chunk)
+    return first.removesuffix(b"\n"), digest.hexdigest()
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows, cfg_hash: str) -> None:
-    """The report CSV, each line written as it is formatted."""
-    with path.open("w", encoding="utf-8") as f:
-        f.write(f"# config_hash={cfg_hash}\n{','.join(header)}\n")
-        f.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+def _write(path: Path, lines: Iterable[str]) -> str:
+    """Write `lines` to `path` as UTF-8, a batch of lines at a time as they
+    are formatted, and return the SHA-256 digest of the bytes written."""
+    digest = hashlib.sha256()
+    lines = iter(lines)
+    try:
+        with path.open("wb") as f:
+            while batch := "".join(islice(lines, 1024)).encode("utf-8"):
+                digest.update(batch)
+                f.write(batch)
+    except OSError as e:
+        raise ConfigError(f"--out: cannot write {path.name}: {e.strerror}") from None
+    return digest.hexdigest()
+
+
+def _write_csv(path: Path, header: tuple[str, ...], rows, cfg_hash: str) -> str:
+    """Write the report CSV and return its digest."""
+    head = f"# config_hash={cfg_hash}\n{','.join(header)}\n"
+    return _write(path, chain((head,), (",".join(map(fmt, row)) + "\n" for row in rows)))
 
 
 def execute(
@@ -270,7 +289,7 @@ def execute(
         raise ConfigError(f"--out: cannot make directory {outdir}: {e.strerror}") from None
     cfg_hash = cfg.hash
     reports: list[Report] = []
-    filenames: list[str] = []
+    digests: dict[str, str] = {}
     seen: dict[str, int] = {}
     summary_lines = [f"# config_hash={cfg_hash}", f"seed={cfg.seed}"]
     for kind, args in cfg.operations:
@@ -279,15 +298,14 @@ def execute(
         report = _RUNNERS[kind](cfg, args, workers)
         seen[kind] = seen.get(kind, 0) + 1
         filename = f"{kind}.csv" if seen[kind] == 1 else f"{kind}_{seen[kind]}.csv"
-        _write_csv(outdir / filename, report.header, report.rows, cfg_hash)
-        filenames.append(filename)
+        digests[filename] = _write_csv(outdir / filename, report.header, report.rows, cfg_hash)
         summary_lines.extend(report.summary)
         reports.append(report)
     if not reports:
         raise ConfigError("operations: nothing to run after filtering")
-    (outdir / "summary.txt").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
-    (outdir / "config.json").write_text(canonical_json(cfg.doc) + "\n", encoding="utf-8")
-    digests = {name: _sha256(outdir / name) for name in filenames + ["summary.txt"]}
+    filenames = list(digests)
+    digests["summary.txt"] = _write(outdir / "summary.txt", ["\n".join(summary_lines) + "\n"])
+    _write(outdir / "config.json", [canonical_json(cfg.doc) + "\n"])
 
     def per_hist(value) -> dict:
         return {name: [value(h) for h in r.hists] for name, r in zip(filenames, reports) if r.hists}
@@ -307,9 +325,7 @@ def execute(
         "sha256": digests,
         "created_unix": time.time(),
     }
-    (outdir / "meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write(outdir / "meta.json", [json.dumps(meta, sort_keys=True, indent=2) + "\n"])
     return reports
 
 
@@ -368,15 +384,13 @@ def verify(outdir: Path, out=None) -> int:
     """Check that every report in a run directory matches its config hash
     and the SHA-256 digest recorded for it in meta.json."""
     out = out if out is not None else sys.stdout
-    meta_path = outdir / "meta.json"
-    config_path = outdir / "config.json"
-    if not meta_path.exists() or not config_path.exists():
-        print("REJECTED: missing meta.json or config.json", file=out)
-        return EXIT_VALIDATION
     docs = []
-    for path in (meta_path, config_path):
+    for path in (outdir / "meta.json", outdir / "config.json"):
         try:
             docs.append(json.loads(path.read_text(encoding="utf-8")))
+        except OSError as e:  # missing, a directory or unreadable
+            print(f"REJECTED: {path.name} cannot be read: {e.strerror}", file=out)
+            return EXIT_VALIDATION
         except ValueError as e:
             print(f"REJECTED: {path.name} is not valid JSON: {e}", file=out)
             return EXIT_VALIDATION
@@ -391,26 +405,26 @@ def verify(outdir: Path, out=None) -> int:
         print("REJECTED: meta.json needs a list of output names and a digest table", file=out)
         return EXIT_VALIDATION
     declared = meta.get("config_hash", "")
-    from .config import config_hash as hash_fn
-
-    actual = hash_fn(config_doc)
+    actual = config_hash(config_doc)
     ok = True
     if actual != declared:
         print(f"REJECTED: config.json hashes to {actual}, meta says {declared}", file=out)
         ok = False
+    head = f"# config_hash={declared}".encode("utf-8", "backslashreplace")
     csvs = {p.name for p in outdir.glob("*.csv")} | set(outputs)
     for name in sorted(csvs) + ["summary.txt"]:
         path = outdir / name
-        if not path.is_file():
+        first, digest = _read(path) if path.is_file() else (None, None)
+        if first is None:
             print(f"REJECTED: {name} is missing", file=out)
             ok = False
-        elif path.read_text(encoding="utf-8").split("\n", 1)[0] != f"# config_hash={declared}":
+        elif first != head:
             print(f"REJECTED: {name} carries a different hash", file=out)
             ok = False
         elif name not in digests:
             print(f"REJECTED: {name} has no digest in meta.json", file=out)
             ok = False
-        elif _sha256(path) != digests[name]:
+        elif digest != digests[name]:
             print(f"REJECTED: {name} does not match its digest in meta.json", file=out)
             ok = False
         else:
@@ -581,7 +595,7 @@ def _dispatch_seq(args) -> int:
         return EXIT_OK
     if args.seq_command == "gaps":
         print("index,value,gap")
-        for row in _gap_rows(seq, limit):
+        for row in _gap_rows(seq.n0, seq.terms(seq.n0, limit + 1)):
             print(",".join(map(str, row)))
         return EXIT_OK
     if args.seq_command == "kvalue":

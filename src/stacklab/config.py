@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Any
 
 from .bounds import (
@@ -194,15 +195,10 @@ def phi_from_op(op: dict):
 def tau_from_op(op: dict, stacking: StackingData, sequence: SamplingSequence):
     """N -> tau(N), the stage that `select_tau` picks under the op's `rule`:
     strict, at its cut schedule, or lambda, at `lam`."""
-    heights = stacking.heights()
     rule = op.get("rule", "strict")
     cuts = None if rule == "lambda" else cuts_from_op(op)
     lam = parse_rational(op["lam"], "lam") if rule == "lambda" and "lam" in op else None
-
-    def tau(N: int) -> int:
-        return select_tau(heights, sequence, cuts, N, rule=rule, lam=lam)
-
-    return tau
+    return partial(select_tau, stacking.heights(), sequence, cuts, rule=rule, lam=lam)
 
 
 def recipe_bundle(op: dict, sequence):

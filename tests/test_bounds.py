@@ -8,9 +8,10 @@ import pytest
 
 from stacklab.bounds import (
     BoundsError,
-    balancing_profile,
+    balancing_rows,
     bounded_spacer_word_bound,
     brute_force_words,
+    check_balancing_horizon,
     constant_cuts,
     loglog_cuts,
     phi_exp_power,
@@ -142,40 +143,82 @@ def test_bounded_spacer_word_form():
         assert len(words) <= bound
 
 
+# The columns of a `balancing_rows` row.
+N, C_N, BALANCE, PHI, BINOM, TAU = range(6)
+
+
+def _profile(A, phi, cuts, horizon, heights=None) -> list[tuple]:
+    """The rows of a bounds op: load's check, then the one listing."""
+    check_balancing_horizon(A, cuts, horizon)
+    return list(balancing_rows(A, phi, cuts, horizon, heights))
+
+
 def test_balancing_profile_case_i_trend():
     A = SamplingSequence.power(Fraction(3, 2), horizon=10_000)
-    profile = balancing_profile(A, phi_log(), constant_cuts(1), 10_000)
-    ns = [r.n for r in profile]
-    by_n = {r.n: r for r in profile}
+    profile = _profile(A, phi_log(), constant_cuts(1), 10_000)
+    ns = [r[N] for r in profile]
+    by_n = {r[N]: r for r in profile}
     # endpoint values sit below the values at 1% of the horizon
-    for fieldname in ("diag_balance", "diag_phi", "diag_binom"):
-        assert getattr(by_n[10_000], fieldname) < getattr(by_n[100], fieldname)
+    for column in (BALANCE, PHI, BINOM):
+        assert by_n[10_000][column] < by_n[100][column]
     # the strict decade-trend holds for the gauge and binomial diagnostics
     # (the balance diagnostic starts at log(1) = 0, so its first-decade
     # minimum is degenerate)
-    for fieldname in ("diag_phi", "diag_binom"):
-        assert trend_toward_zero(ns, [getattr(r, fieldname) for r in profile]), fieldname
+    for column in (PHI, BINOM):
+        assert trend_toward_zero(ns, [r[column] for r in profile]), column
 
 
 def test_balancing_profile_case_iii_values():
     A = SamplingSequence.nlog(1.0, 1.0, horizon=200)
-    profile = balancing_profile(A, phi_exp_power(Fraction(1, 2)), loglog_cuts(), 200)
-    row = next(r for r in profile if r.n == 100)
-    assert row.c_n == 42
+    profile = _profile(A, phi_exp_power(Fraction(1, 2)), loglog_cuts(), 200)
+    row = next(r for r in profile if r[N] == 100)
+    assert row[C_N] == 42
 
 
 def test_balancing_rejects_exponential():
     doubling = SamplingSequence.explicit([2**k for k in range(1, 18)])
     with pytest.raises(BoundsError, match="balancing condition cannot hold"):
-        balancing_profile(doubling, phi_log(), constant_cuts(1), 17)
+        check_balancing_horizon(doubling, constant_cuts(1), 17)
 
 
 def test_balancing_diagnostics_nonnegative():
     A = SamplingSequence.power(2, horizon=500)
-    profile = balancing_profile(A, phi_power(Fraction(1, 2)), power_cuts(2, 3), 500)
+    profile = _profile(A, phi_power(Fraction(1, 2)), power_cuts(2, 3), 500)
     for r in profile:
-        assert r.c_n >= 1
-        assert r.diag_balance >= 0 and r.diag_phi >= 0 and r.diag_binom >= 0
+        assert r[C_N] >= 1
+        assert r[BALANCE] >= 0 and r[PHI] >= 0 and r[BINOM] >= 0
+        assert r[TAU] is None
+
+
+def test_balancing_rows_tau_matches_select_tau_randomized():
+    # Each row's tau is select_tau's at its n, and blank where that raises;
+    # the oracle is the exact-rational scan h > t_n / c_n.
+    rng = random.Random(2027)
+    checked = 0
+    for _ in range(60):
+        sd = random_stacking(rng, max_stages=5, max_q=6, height_limit=10**6)
+        heights = sd.heights()
+        if rng.random() < 0.5:
+            A = SamplingSequence.power(Fraction(rng.randint(3, 8), rng.randint(2, 3)), horizon=400)
+        else:
+            A = SamplingSequence.nlog(rng.choice((0.5, 1.0, 3.0)), 1.0, horizon=400)
+        cuts = rng.choice((
+            constant_cuts(rng.randint(1, 40)),
+            power_cuts(Fraction(rng.randint(1, 4), 2), Fraction(rng.randint(2, 4), 2)),
+            loglog_cuts(),
+        ))
+        for row in _profile(A, phi_log(), cuts, A.horizon, heights):
+            n, c_n, tau = row[N], row[C_N], row[TAU]
+            t_n = A.generate(n)
+            assert c_n == cuts(n)
+            scan = next((i for i, h in enumerate(heights, 1) if h > Fraction(t_n, c_n)), None)
+            assert tau == scan
+            try:
+                assert tau == select_tau(heights, A, cuts, n)
+            except BoundsError:
+                assert tau is None
+            checked += tau is not None
+    assert checked > 1000
 
 
 def test_tradeoff_examples():
@@ -226,4 +269,4 @@ def test_trend_helper_rejects_flat():
 def test_balancing_rejects_a_cut_count_past_the_float_range(alpha, message):
     A = SamplingSequence.power(Fraction(3, 2), horizon=200)
     with pytest.raises(ResourceGuard, match=message):
-        balancing_profile(A, phi_log(), power_cuts(alpha, 1), 200)
+        check_balancing_horizon(A, power_cuts(alpha, 1), 200)

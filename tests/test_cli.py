@@ -902,6 +902,38 @@ def test_seq_op_lists_its_terms_once(tmp_path, monkeypatch, alpha):
         tmp_path / "o" / "summary.txt").read_text()
 
 
+def test_bounds_op_lists_its_terms_once(tmp_path, monkeypatch):
+    # One listing of t_n0 .. t_H gives every row its diagnostics and its tau.
+    cfg = load_config({"stacking": _H70, "sequence": _SQUARES, "operations": [
+        {"op": "bounds", "phi": "log", "cuts": 2, "horizon": 40}]})
+    calls = []
+    raw_term = SamplingSequence._raw_term
+    monkeypatch.setattr(SamplingSequence, "_raw_term",
+                        lambda seq, i: calls.append(i) or raw_term(seq, i))
+    cli.execute(cfg, tmp_path / "o")
+    assert sorted(calls) == list(range(1, 41))
+    taus = [line.rsplit(",", 1)[1] for line in
+            (tmp_path / "o" / "bounds.csv").read_text().splitlines()[2:]]
+    # t_n / c_n = n^2 / 2 passes the tallest height, 70, at n = 12.
+    assert taus == ["2"] * 2 + ["3"] * 3 + ["4"] * 5 + [""] * 29
+
+
+def test_seq_op_holds_no_row_tuples(tmp_path):
+    # The rows are generated from the one list of terms as the CSV is
+    # written; a tuple held per row would take about 185 bytes a row.
+    horizon = 1 << 18
+    cfg = load_config({"sequence": {"kind": "power", "alpha": "3/2", "horizon": horizon},
+                       "operations": [{"op": "seq"}]})
+    tracemalloc.start()
+    try:
+        cli.execute(cfg, tmp_path / "o")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "o" / "seq.csv").read_text().splitlines()) == horizon + 2
+    assert peak < 128 * horizon
+
+
 def _counted_everywhere(monkeypatch, fn, calls: list) -> None:
     """Replace `fn` by a call-counting wrapper in every stacklab module
     that holds it."""
@@ -1059,7 +1091,8 @@ def test_closed_stdout_exits_0_without_a_traceback(tmp_path):
 
 def test_csv_lines_are_written_as_they_are_formatted(tmp_path):
     # Only the rows are held: the lines and their joined text never are.
-    rows = cli._gap_rows(SamplingSequence.linear(1, horizon=1 << 18), 1 << 18)
+    seq = SamplingSequence.linear(1, horizon=1 << 18)
+    rows = list(cli._gap_rows(1, seq.terms(1, seq.horizon + 1)))
     path, header = tmp_path / "seq.csv", ("index", "value", "gap")
     tracemalloc.start()
     try:
@@ -1070,6 +1103,44 @@ def test_csv_lines_are_written_as_they_are_formatted(tmp_path):
     lines = [f"# config_hash={'f' * 64}", ",".join(header), *(",".join(map(fmt, r)) for r in rows)]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert len(rows) == 1 << 18 and peak < path.stat().st_size
+
+
+def _cli(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "stacklab.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+
+
+def test_verify_rejects_a_csv_that_is_not_utf8(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out)]) == 0
+    csv = out / "entropy.csv"
+    csv.write_bytes(csv.read_bytes() + b"\xe9\n")
+    proc = _cli("verify", "--out", out)
+    assert proc.returncode == EXIT_VALIDATION and "Traceback" not in proc.stderr
+    assert "REJECTED: entropy.csv does not match its digest in meta.json" in proc.stdout
+    csv.write_bytes(b"\xff" + csv.read_bytes())
+    proc = _cli("verify", "--out", out)
+    assert proc.returncode == EXIT_VALIDATION and "Traceback" not in proc.stderr
+    assert "REJECTED: entropy.csv carries a different hash" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["meta.json", "config.json"])
+def test_verify_rejects_a_directory_in_place_of_a_json_file(tmp_path, name):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out)]) == 0
+    (out / name).unlink()
+    (out / name).mkdir()
+    proc = _cli("verify", "--out", out)
+    assert proc.returncode == EXIT_VALIDATION and "Traceback" not in proc.stderr
+    assert proc.stdout == f"REJECTED: {name} cannot be read: Is a directory\n"
+
+
+@pytest.mark.parametrize("name", ["entropy.csv", "summary.txt", "meta.json"])
+def test_run_rejects_an_out_file_that_is_a_directory(tmp_path, name):
+    (tmp_path / "o" / name).mkdir(parents=True)
+    proc = _cli("run", "--config", FIXTURES / "entropy_tiny.json", "--out", tmp_path / "o")
+    assert proc.returncode == EXIT_VALIDATION and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: --out: cannot write {name}: Is a directory\n"
 
 
 def test_markov_subcommand(capsys):
