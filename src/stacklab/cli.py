@@ -40,7 +40,7 @@ from .randomstacks import (
 )
 from .rng import BULK_RNG_ID, SPACER_RNG_ID
 from .sequences import dilation_diagnostic, gaps_dilation, krug_K_estimate, thickened_count
-from .tower import exact_plan, int64_decodes, symbol_width
+from .tower import exact_plan, level_dtype, symbol_width
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,7 +78,8 @@ def fmt(x) -> str:
 @dataclass
 class Report:
     """One operation's tabular output plus its summary lines.  `execute`
-    reads `rows` once, as it writes the CSV, so it may be an iterator."""
+    reads `rows` once, as it writes the CSV, so it may be an iterator, and
+    reads `summary` only after `rows`, so the iterator may append to it."""
 
     header: tuple[str, ...]
     rows: Iterable[tuple]
@@ -105,7 +106,9 @@ def _run_entropy(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
     spec, method = args["spec"], args["method"]
     stage = args["levels"].n
     length = len(args["offsets"])
-    # The entropy entry point, which re-derives the offsets and K in O(N).
+    # The entropy entry point, which re-derives the offsets and K in O(N),
+    # not `levels_entropy` on them: perfbench/tracing.py reads its entropy.*
+    # metrics from a span of `empirical_sequence_entropy`.
     res = empirical_sequence_entropy(
         cfg.stacking, spec, stage, cfg.sequence, length, method=method,
         sample_count=args["count"], seed=cfg.seed, word_cap=cfg.word_cap, workers=workers,
@@ -206,15 +209,23 @@ def _run_generic(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
 
 def _run_bounds(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
     heights = cfg.stacking.heights() if cfg.stacking is not None else None
-    rows = list(bounds_mod.balancing_rows(cfg.sequence, args["phi"], args["cuts"],
-                                          args["horizon"], heights))
-    first, last = rows[0], rows[-1]  # (n, c_n, diag_balance, diag_phi, ...)
-    summary = [
-        f"bounds: n={first[0]}..{last[0]} balance {fmt(first[2])} -> "
-        f"{fmt(last[2])}, phi-diag {fmt(first[3])} -> {fmt(last[3])}"
-    ]
+    summary: list[str] = []
+
+    def rows() -> Iterator[tuple]:
+        # Keeps only the first and the last row, which the summary line reads
+        # once `execute` has written them all.
+        first = None
+        for last in bounds_mod.balancing_rows(cfg.sequence, args["phi"], args["cuts"],
+                                              args["horizon"], heights):
+            first = first or last  # (n, c_n, diag_balance, diag_phi, ...)
+            yield last
+        summary.append(
+            f"bounds: n={first[0]}..{last[0]} balance {fmt(first[2])} -> "
+            f"{fmt(last[2])}, phi-diag {fmt(first[3])} -> {fmt(last[3])}"
+        )
+
     return Report(header=("n", "c_n", "diag_balance", "diag_phi", "diag_binom", "tau"),
-                  rows=rows, summary=summary)
+                  rows=rows(), summary=summary)
 
 
 def _run_recipe(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
@@ -331,17 +342,14 @@ def execute(
 
 def _describe_histogram(cfg: ExperimentConfig, spec, offsets, K, count=None) -> str:
     """The plan of one word histogram on the offsets and valid levels K of
-    `orbit_levels`: K, alphabet, path, windows, decoder and key bytes."""
-    if count is not None:
-        path, windows = "sampled", count
-    else:
-        path, plan = exact_plan(K, spec, offsets)
-        windows = plan.count
+    `orbit_levels`: K, alphabet, path and windows (`exact_plan`), decoder
+    and key bytes."""
+    path, _, windows = exact_plan(K, spec, offsets, count)
     return (
         f"stage={K.n} reference={spec.reference} "
         f"|K|={K.count} coverage={fmt(K.coverage)} "
         f"alphabet={spec.alphabet_size(cfg.stacking)} path={path} windows={windows} "
-        f"decoder={'int64' if int64_decodes(cfg.stacking, K.n) else 'bigint'} "
+        f"decoder={'bigint' if level_dtype(cfg.stacking, K.n) is object else 'int64'} "
         f"key_bytes={symbol_width(cfg.stacking, spec) * len(offsets)}"
     )
 

@@ -24,7 +24,6 @@ from .tower import (
     ValidLevels,
     WordCapExceeded,
     _coding,
-    blocked_word_counts,
     decode_words,
     exact_word_counts,
     symbol_width,
@@ -110,15 +109,16 @@ class WordHistogram:
     """Measure-weighted word counts over the valid levels of one tower.
 
     `total` is |K| in exact mode and the draw count in sampled mode; the
-    per-level weight is uniform, so frequencies are count/total.  `path` is
-    how the counts were built: "compressed" (lifted through the stacking
-    grammar), "enumerate" (every valid level decoded) or "sampled", and
-    `windows` the orbit windows it decoded.  Each key of `counts` is a
-    word's symbols as `symbol_width`-byte little-endian integers
-    (`tower.encode_word`); `words()` decodes them.  `counts` is a `Counter`,
-    or at r = n a `tower.DistinctWords`, whose keys are decoded only when
-    read: the checks below and `entropy_nats` read its length, key length
-    and run of ones, and decode none.
+    per-level weight is uniform, so frequencies are count/total.  `path` and
+    `windows` are those of `tower.exact_plan`: "compressed" (lifted through
+    the stacking grammar), "enumerate" (every valid level decoded),
+    "distinct" (every level its own word, none decoded) or "sampled", and
+    the orbit windows decoded.  Each key of `counts` is a word's symbols
+    as `symbol_width`-byte little-endian integers (`tower.encode_word`);
+    `words()` decodes them.  `counts` is a `Counter`, or on the distinct
+    path a `tower.DistinctWords`, whose keys are decoded only when read:
+    the checks below and `entropy_nats` read its length, key length and
+    run of ones, and decode none.
     """
 
     counts: Mapping[bytes, int]
@@ -204,24 +204,25 @@ def levels_entropy(
     """Empirical (1/N) H of the coded-orbit words at `offsets` over the
     checked levels K of `orbit_levels`.
 
-    Exact mode counts every level of K through `exact_word_counts`.
-    Sampled mode draws `sample_count` levels uniformly from K with the
-    counter RNG.  Both are bit-identical for any worker count.
+    Exact mode counts every level of K, sampled mode `sample_count` levels
+    drawn uniformly from K with the counter RNG, both through
+    `exact_word_counts` on the path of `exact_plan`.  Both are
+    bit-identical for any worker count.
     """
     if method == "exact":
-        total = levels.count
-        counts, path, windows = exact_word_counts(levels, spec, offsets, word_cap, workers)
+        count = None
     elif method == "sampled":
         if not sample_count or sample_count < 1:
             raise EntropyError("sampled mode needs a positive sample_count")
-        total, path, windows = sample_count, "sampled", sample_count
-        counts = blocked_word_counts(spec, levels, total, offsets, word_cap, workers, seed)
+        count = sample_count
     else:
         raise EntropyError(f"unknown method {method!r}")
+    counts, path, windows = exact_word_counts(
+        levels, spec, offsets, word_cap, workers, count=count, seed=seed)
     length = len(offsets)
     hist = WordHistogram(
         counts=counts,
-        total=total,
+        total=levels.count if count is None else count,
         word_length=length,
         coverage=levels.coverage,
         path=path,

@@ -77,7 +77,6 @@ class Stage:
     q: int
     spacers: tuple[int, ...] | None = None
     seed: int | None = None
-    distribution: str | None = None
 
     def __post_init__(self) -> None:
         if self.spacers is not None and not isinstance(self.spacers, tuple):
@@ -144,11 +143,6 @@ class StackingData:
                 raise TowerError(
                     f"stage {m}: seeded spacers require a finite spacer_cap of at least 2"
                 )
-            if stage.distribution != "uniform":
-                raise TowerError(
-                    f"stage {m}: unknown spacer distribution "
-                    f"{stage.distribution!r} (only 'uniform')"
-                )
 
     # -- derived tables ----------------------------------------------------
 
@@ -195,8 +189,7 @@ class StackingData:
 
     def slice_starts(self, m: int) -> np.ndarray:
         """P_i = i*h_m + (a_{m,1}+...+a_{m,i}) for i = 0..q_m-1, as one
-        cached array: int64 when tower m+1 decodes as int64
-        (`int64_decodes`), object (Python ints) otherwise.
+        cached array of dtype `level_dtype(self, m + 1)`.
 
         P_i is the start of slice i+1 inside tower m+1; spacer block i+1
         occupies [P_i + h_m, P_{i+1}).
@@ -204,8 +197,7 @@ class StackingData:
         key = ("pfx", m)
         starts = self._cache.get(key)
         if starts is None:
-            dtype = np.int64 if int64_decodes(self, m + 1) else object
-            steps = np.zeros(self.stages[m - 1].q, dtype=dtype)
+            steps = np.zeros(self.stages[m - 1].q, dtype=level_dtype(self, m + 1))
             steps[1:] = self.stage_spacers(m)
             steps[1:] += self.heights()[m - 1]
             starts = self._cache[key] = np.cumsum(steps)
@@ -233,13 +225,13 @@ class StackingData:
                     raise TowerError(f"stage {idx}: spacers must be a list")
                 stages.append(Stage(q=item["q"], spacers=tuple(item["spacers"])))
             elif "seed" in item:
-                stages.append(
-                    Stage(
-                        q=item["q"],
-                        seed=item["seed"],
-                        distribution=item.get("distribution", "uniform"),
+                # Seeded spacers are uniform, the one distribution the field may name.
+                if item.get("distribution", "uniform") != "uniform":
+                    raise TowerError(
+                        f"stage {idx}: unknown spacer distribution "
+                        f"{item['distribution']!r} (only 'uniform')"
                     )
-                )
+                stages.append(Stage(q=item["q"], seed=item["seed"]))
             else:
                 raise TowerError(f"stage {idx}: needs 'spacers' or 'seed'")
         return cls(doc["initial_height"], tuple(stages), doc.get("spacer_cap"))
@@ -422,10 +414,10 @@ def code_orbit(
     return tuple(word)
 
 
-def int64_decodes(sd: StackingData, n: int) -> bool:
-    """Whether `code_orbits` decodes the levels of tower n in int64 arrays
-    (h_n < 2^63) rather than in object arrays of Python ints."""
-    return sd.height(n) < 1 << 63
+def level_dtype(sd: StackingData, n: int) -> type:
+    """The dtype of the level arrays of tower n: int64 when h_n < 2^63,
+    object (Python ints) otherwise."""
+    return np.int64 if sd.height(n) < 1 << 63 else object
 
 
 def symbol_width(sd: StackingData, spec: CodingSpec) -> int:
@@ -455,14 +447,13 @@ def code_orbits(
     with w = `symbol_width(sd, spec)`, decoded at once.
 
     `ks` may be a list or a 1-d numpy array.  The levels form one
-    len(ks) x len(offsets) array, int64 if `int64_decodes(sd, n)` and
-    object otherwise, that descends a stage at a time: one `searchsorted`
-    over the slice starts, then the slice start is subtracted.  A level in
-    a spacer block lies above every slice start of the stages below, so it
-    keeps its excess over the height down to tower r and ends at h_r + (its
-    position in the block): refined mode codes it, like a level inside a
-    copy, as its final value + 1, and base mode codes every final value
-    >= h_r as 0.  The rows are cast to w-byte little-endian integers and
+    len(ks) x len(offsets) array of dtype `level_dtype(sd, n)` that
+    descends a stage at a time: one `searchsorted` over the slice starts,
+    then the slice start is subtracted.  A level in a spacer block lies
+    above every slice start of the stages below, so it keeps its excess
+    over the height down to tower r and ends at h_r + (its position in the
+    block): refined mode codes it, like a level inside a copy, as its final
+    value + 1, and base mode codes every final value >= h_r as 0.  The rows are cast to w-byte little-endian integers and
     cut into keys (`encode_word` above 8 bytes).  A level outside [0, h_n)
     raises `code_orbit`'s error at the first offending level.
     """
@@ -478,7 +469,7 @@ def code_orbits(
     width = symbol_width(sd, spec)
     if not offsets:
         return [b""] * len(ks)
-    dtype = np.int64 if int64_decodes(sd, n) else object
+    dtype = level_dtype(sd, n)
     lvl = np.add.outer(np.asarray(ks, dtype=dtype), np.array(offsets, dtype=dtype))
     for m in range(n - 1, spec.reference - 1, -1):
         starts = sd.slice_starts(m)
@@ -509,8 +500,7 @@ class Ranges:
     """The `count` windows a lift decodes, laid end to end: position j,
     with ends[i-1] <= j < ends[i], is the start base[i] + j of tower
     towers[i] and stands for weights[i] levels of K.  `base` and `ends`
-    are int64 arrays when tower n decodes as int64 and object arrays
-    otherwise; `weights` holds Python ints."""
+    have tower n's `level_dtype`; `weights` holds Python ints."""
 
     sd: StackingData
     n: int
@@ -522,26 +512,30 @@ class Ranges:
 
 
 def exact_plan(
-    levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int]
-) -> tuple[str, ValidLevels | Ranges]:
-    """The cost guard of `exact_word_counts`: its path over K and the plan
-    it decodes, whose `count` is the windows decoded.  On the "enumerate"
-    path the plan is K itself; on the "compressed" path it is the lift's
-    `Ranges`: first the h_r - t_N windows inside tower r, then the starts
-    of tower m+1 for each stage m = r .. n-1.
+    levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int], count: int | None = None
+) -> tuple[str, ValidLevels | Ranges, int]:
+    """The one choice of a word histogram's path over K: the path, the plan
+    it counts and the windows it decodes, checked in this order.
+    - "sampled", K and `count` when a count of draws is given.
+    - "distinct", K and 0 when r = n, N >= 1, every offset lies in [0, t_N]
+      and K is nonempty: coding tower n against itself is the identity on
+      levels, so each level of K is its own word (`DistinctWords`).
+    - "enumerate", K and |K| otherwise when r = n, and when an offset lies
+      outside [0, t_N], the keys would read more than |K| spacers, or the
+      windows plus the distinct keys exceed |K|.
+    - "compressed", the lift's `Ranges` and their `count`: first the
+      h_r - t_N windows inside tower r, then the starts of tower m+1 for
+      each stage m = r .. n-1.
 
-    The path is "enumerate" (|K| windows) when r = n, an offset lies
-    outside [0, t_N], the keys would read more than |K| spacers, or the
-    windows plus the distinct keys exceed |K|.  The reads (the sum over
-    j < q_m of min(j, t_N // h_m + 2)) are counted before any key is built;
-    their bound is one of memory, as it keeps at most one spacer reference
-    per level of K in the keys.  The keys check is one of speed, set when a
-    distinct key cost about one window's decode.  With levels decoded in
-    int64 batches into bytes keys, a distinct key costs about ten
-    enumerated levels (its tuple and dict entry, built in Python in this
-    process) and a lifted window about two (its weighted count), so the
-    lift is already slower than enumeration from about 0.25 |K| in
-    windows plus keys.
+    The reads (the sum over j < q_m of min(j, t_N // h_m + 2)) are counted
+    before any key is built; their bound is one of memory, as it keeps at
+    most one spacer reference per level of K in the keys.  The keys check
+    is one of speed, set when a distinct key cost about one window's
+    decode.  With levels decoded in int64 batches into bytes keys, a
+    distinct key costs about ten enumerated levels (its tuple and dict
+    entry, built in Python in this process) and a lifted window about two
+    (its weighted count), so the lift is already slower than enumeration
+    from about 0.25 |K| in windows plus keys.
 
     Tower m+1 is copies 0 .. q_m-1 of tower m at P_0 .. P_{q_m-1} with
     spacer blocks between, so H_{m+1} = q_m * H_m + (the windows that leave
@@ -554,14 +548,21 @@ def exact_plan(
     s + t_N < h_{m+1}; at the top stage K drops the starts inside spacer
     blocks.
     """
+    if count is not None:
+        return "sampled", levels, count
     sd, n, t, r = levels.sd, levels.n, levels.t_max, spec.reference
+    in_range = all(0 <= o <= t for o in offsets)
+    if r == n or not in_range:
+        if in_range and offsets and levels.count:
+            return "distinct", levels, 0
+        return "enumerate", levels, levels.count
     heights, reads = sd.heights(), 0
     for m in range(r, n):
         q, width = sd.stages[m - 1].q, t // heights[m - 1] + 2
         c = min(width, q - 1)
         reads += c * (c + 1) // 2 + (q - 1 - c) * width
-    if r >= n or reads > levels.count or any(not 0 <= o <= t for o in offsets):
-        return "enumerate", levels
+    if reads > levels.count:
+        return "enumerate", levels, levels.count
     windows, keys = max(0, heights[r - 1] - t), 0
     # (tower, end, base, weight) per range, as in `Ranges`; tower r's come first.
     ranges = [(r, windows, 0, prod(stage.q for stage in sd.stages[r - 1 : n - 1]))]
@@ -580,15 +581,15 @@ def exact_plan(
             windows, keys = windows + hi - lo, keys + 1
             groups[spacers[i : i + width]] = [windows, hi - windows, 1]
             if windows + keys > levels.count:
-                return "enumerate", levels
+                return "enumerate", levels, levels.count
         above = prod(stage.q for stage in sd.stages[m : n - 1])
         ranges.extend((m + 1, end, base, mult * above) for end, base, mult in groups.values())
     towers, ends, base, weights = zip(*ranges)
-    dtype = np.int64 if int64_decodes(sd, n) else object
+    dtype = level_dtype(sd, n)
     return "compressed", Ranges(
         sd, n, windows, np.array(towers), np.array(ends, dtype=dtype),
         np.array(base, dtype=dtype), np.array(weights, dtype=object),
-    )
+    ), windows
 
 
 def _count_block(block) -> Counter:
@@ -597,12 +598,12 @@ def _count_block(block) -> Counter:
     top-level for pickling.  On K, position u is the level
     P_{u // h_{n-1}} + u % h_{n-1} (`ValidLevels.select`); on the lift's
     `Ranges`, one `searchsorted` over the ends finds each position's range,
-    whose windows count `weights` times.  Positions are int64 when tower n
-    decodes as int64 and Python ints otherwise.  Each run of positions on
-    one tower is decoded DECODE_BATCH levels at a time."""
+    whose windows count `weights` times.  Positions have tower n's
+    `level_dtype`.  Each run of positions on one tower is decoded
+    DECODE_BATCH levels at a time."""
     spec, plan, offsets, seed, lo, hi = block
     sd = plan.sd
-    dtype = np.int64 if int64_decodes(sd, plan.n) else object
+    dtype = level_dtype(sd, plan.n)
     if seed is None:
         pos = np.arange(lo, hi, dtype=dtype)
     else:
@@ -627,7 +628,11 @@ def _count_block(block) -> Counter:
     return part
 
 
-def _check_key_bytes(distinct: int, key_bytes: int) -> None:
+def _check_histogram(distinct: int, key_bytes: int, word_cap: int | None) -> None:
+    """The guards of a histogram of `distinct` keys of `key_bytes` bytes,
+    checked after each block: the word cap, then MAX_KEY_BYTES."""
+    if word_cap is not None and distinct > word_cap:
+        raise WordCapExceeded(word_cap)
     if distinct * key_bytes > MAX_KEY_BYTES:
         raise ResourceGuard(
             f"word histogram holds {distinct} distinct keys of {key_bytes} bytes, "
@@ -643,9 +648,9 @@ def blocked_word_counts(
     """Word counts (`_count_block`) at the positions [0, total) of `plan`,
     or at `total` uniform draws from it when a seed is given, in blocks
     that do not depend on the worker count, run on `workers` processes and
-    merged in block order.  `word_cap` and MAX_KEY_BYTES are checked after
-    each block (all keys of one histogram have one length); a tripped
-    check stops the blocks.
+    merged in block order.  `_check_histogram` runs after each block (all
+    keys of one histogram have one length); a tripped check stops the
+    blocks.
     """
     blocks = [(spec, plan, offsets, seed, lo, hi) for lo, hi in index_blocks(total)]
     counts: Counter = Counter()
@@ -658,9 +663,7 @@ def blocked_word_counts(
             summed = {k: counts[k] + part[k] for k in part.keys() & counts.keys()}
             dict.update(counts, part)
             dict.update(counts, summed)
-            if word_cap is not None and len(counts) > word_cap:
-                raise WordCapExceeded(word_cap)
-            _check_key_bytes(len(counts), len(next(iter(counts), b"")))
+            _check_histogram(len(counts), len(next(iter(counts), b"")), word_cap)
     finally:
         # Stops the pool now rather than when the generator is collected; a
         # wrapped run_blocks may return a list, which has nothing to stop.
@@ -671,8 +674,8 @@ def blocked_word_counts(
 
 
 class DistinctWords(Mapping):
-    """The exact histogram of K at r = n with N >= 1, where coding is the
-    identity on levels: level k codes to (k + t_1 + 1, ..., k + t_N + 1),
+    """The histogram of K on `exact_plan`'s distinct path, where coding is
+    the identity on levels: level k codes to (k + t_1 + 1, ..., k + t_N + 1),
     so every level of K is its own word, counted once.  The keys are
     decoded on demand by `code_orbits`, DECODE_BATCH levels at a time, in
     K's order, which is enumeration's first-seen order; `values()` is a
@@ -689,8 +692,7 @@ class DistinctWords(Mapping):
         return self.levels.count
 
     def __iter__(self) -> Iterator[bytes]:
-        levels = self.levels
-        dtype = np.int64 if int64_decodes(levels.sd, levels.n) else object
+        levels, dtype = self.levels, level_dtype(self.levels.sd, self.levels.n)
         for lo in range(0, levels.count, DECODE_BATCH):
             pos = np.arange(lo, min(lo + DECODE_BATCH, levels.count), dtype=dtype)
             yield from code_orbits(levels.sd, self.spec, levels.n, levels.at(pos), self.offsets)
@@ -727,57 +729,45 @@ class _CountedOnce(ItemsView):
 def _distinct_words(
     levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int], word_cap: int | None
 ) -> DistinctWords:
-    """The r = n histogram of K, after the checks enumeration would make,
-    in its order, by arithmetic: the block-list guard, the coding, then
-    the word cap and MAX_KEY_BYTES.  Enumeration holds
-    min((b + 1) * BLOCK_SIZE, |K|) distinct keys after block b, so a check
-    of "more than c keys" trips at block c // BLOCK_SIZE if |K| > c, and
-    the word cap, checked first, wins a tie."""
+    """The "distinct" histogram of K, after the checks the blocks would
+    make, in their order: the block-list guard, the coding, then
+    `_check_histogram` at each block end, where the blocks would hold that
+    many distinct keys.  The block ends are walked, not listed, as |K| may
+    reach MAX_BLOCK_ITEMS."""
     check_block_items(levels.count)
     _coding(levels.sd, spec, levels.n)
     words = DistinctWords(levels, spec, offsets)
-    count, key_cap = levels.count, MAX_KEY_BYTES // words.key_bytes
-    key_block = key_cap // BLOCK_SIZE if count > key_cap else None
-    if word_cap is not None and count > word_cap:
-        if key_block is None or word_cap // BLOCK_SIZE <= key_block:
-            raise WordCapExceeded(word_cap)
-    if key_block is not None:
-        _check_key_bytes(min((key_block + 1) * BLOCK_SIZE, count), words.key_bytes)
+    for end in range(BLOCK_SIZE, levels.count + BLOCK_SIZE, BLOCK_SIZE):
+        _check_histogram(min(end, levels.count), words.key_bytes, word_cap)
     return words
 
 
 def exact_word_counts(
-    levels: ValidLevels,
-    spec: CodingSpec,
-    offsets: Sequence[int],
-    word_cap: int | None = None,
-    workers: int = 1,
-    level_cap: int | None = None,
+    levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int], word_cap: int | None = None,
+    workers: int = 1, level_cap: int | None = None, count: int | None = None, seed: int = 0,
 ) -> tuple[Mapping[bytes, int], str, int]:
-    """The histogram of the word keys of every level of K, in first-seen
-    order, and the path and windows (`plan.count`) of `exact_plan`.
+    """The word histogram of K on the path of `exact_plan`, in first-seen
+    order, with that path and its windows.  |K| above `level_cap` raises
+    ResourceGuard on every path but compressed.
 
-    enumerate counts K itself; |K| above `level_cap` raises ResourceGuard.
-    At r = n with N >= 1, offsets in [0, t_N] and K nonempty, every level
-    is its own word, so no key is decoded: the histogram is a
-    `DistinctWords` over K, returned after the guards that enumeration
-    would trip, in its order (`_distinct_words`).  Otherwise enumerate
-    counts a `Counter` in blocks, which stays the oracle of that mapping.
-    compressed counts the plan's weighted ranges: first the h_r - t_N
-    windows inside tower r, which need no descent, then each stage's keys
-    in order of first region, each past every level already seen, so the
-    words come out in enumeration's order.  Both run in blocks that do not
-    depend on the worker count.  Every word seen occurs in copy 0 of tower
-    n, which lies in K, so checking `word_cap` after every block trips
-    exactly when enumeration's check would.
+    sampled counts `count` uniform draws from K with `seed`.  distinct
+    decodes no key: it returns a `DistinctWords` over K after the guards
+    the blocks would trip (`_distinct_words`).  enumerate counts K itself
+    in blocks, the oracle of that mapping.  compressed counts the plan's
+    weighted ranges: first the h_r - t_N windows inside tower r, which need
+    no descent, then each stage's keys in order of first region, each past
+    every level already seen, so the words come out in enumeration's
+    order.  The blocks do not depend on the worker count.  Every word seen
+    occurs in copy 0 of tower n, which lies in K, so checking `word_cap`
+    after every block trips exactly when enumeration's check would.
     """
-    path, plan = exact_plan(levels, spec, offsets)
-    if path == "enumerate" and level_cap is not None and levels.count > level_cap:
+    path, plan, windows = exact_plan(levels, spec, offsets, count)
+    if path != "compressed" and level_cap is not None and levels.count > level_cap:
         raise ResourceGuard(
             f"valid-level set has {levels.count} levels, above the cap {level_cap}"
         )
-    if (spec.reference == levels.n and offsets and levels.count
-            and all(0 <= o <= levels.t_max for o in offsets)):
-        return _distinct_words(levels, spec, offsets, word_cap), path, plan.count
-    counts = blocked_word_counts(spec, plan, plan.count, offsets, word_cap, workers)
-    return counts, path, plan.count
+    if path == "distinct":
+        return _distinct_words(levels, spec, offsets, word_cap), path, windows
+    draws = seed if path == "sampled" else None
+    counts = blocked_word_counts(spec, plan, windows, offsets, word_cap, workers, draws)
+    return counts, path, windows

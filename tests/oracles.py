@@ -151,7 +151,7 @@ def stacking_doc(sd: StackingData) -> dict:
     doc["stages"] = [
         {"q": stage.q, "spacers": list(stage.spacers)}
         if stage.spacers is not None
-        else {"q": stage.q, "seed": stage.seed, "distribution": stage.distribution}
+        else {"q": stage.q, "seed": stage.seed}
         for stage in sd.stages
     ]
     return doc

@@ -32,6 +32,7 @@ from stacklab.cli import (
 from stacklab.config import KNOWN_OPS, ConfigError, config_hash, load_config, parse_rational
 from stacklab.intarith import InvalidInput, ResourceGuard
 from stacklab.sequences import SamplingSequence, dilation_diagnostic, krug_K_estimate
+from stacklab.tower import StackingData, exact_plan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -800,13 +801,43 @@ def test_meta_records_entropy_paths(tmp_path, capsys):
         2 * k["distinct_words"] for k in meta["keys"]["entropy_2.csv"]]
     assert "path" not in (out / "summary.txt").read_text()
     assert all("path" not in p.read_text() for p in out.glob("*.csv"))
-    # The reference equal to the tower leaves nothing to lift from.
+    # At the reference equal to the tower every level of K is its own word,
+    # counted without decoding a window.
     doc["operations"] = [dict(doc["operations"][0], reference=2)]
     path.write_text(json.dumps(doc))
     assert main(["describe", "--config", str(path)]) == EXIT_OK
-    assert "path=enumerate windows=2" in capsys.readouterr().out
+    assert "path=distinct windows=0" in capsys.readouterr().out
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
-    assert json.loads((out / "meta.json").read_text())["paths"] == {"entropy.csv": ["enumerate"]}
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["paths"] == {"entropy.csv": ["distinct"]}
+    assert meta["windows"] == {"entropy.csv": [0]}
+
+
+def test_sampled_op_runs_no_key_loop(tmp_path, monkeypatch, capsys):
+    # The lift's key loop reads each lifted stage's spacers.  A sampled op is
+    # planned before it, so once the slice starts are built only the same
+    # op in exact mode, which lifts, reads them.
+    stacking = {"initial_height": 3, "spacer_cap": 3,
+                "stages": [{"q": 3, "spacers": [1, 2]}, {"q": 2001, "seed": 5}]}
+    op = {"op": "entropy", "stage": 3, "reference": 1, "length": 4,
+          "method": "sampled", "count": 500}
+    cfg = load_config({"stacking": stacking, "sequence": {"kind": "power", "alpha": "3/2",
+                                                          "horizon": 64}, "operations": [op]})
+    for m in (1, 2):
+        cfg.stacking.slice_starts(m)
+    reads = []
+    spacers = StackingData.stage_spacers
+    monkeypatch.setattr(StackingData, "stage_spacers",
+                        lambda sd, m: reads.append(m) or spacers(sd, m))
+    describe(cfg)
+    assert "path=sampled windows=500" in capsys.readouterr().out
+    cli.execute(cfg, tmp_path / "o")
+    assert json.loads((tmp_path / "o" / "meta.json").read_text())["paths"] == {
+        "entropy.csv": ["sampled"]}
+    assert reads == []
+    args = cfg.operations[0][1]
+    assert exact_plan(args["levels"], args["spec"], args["offsets"])[0] == "compressed"
+    assert reads == [1, 2]
 
 
 def test_telemetry_leaves_csvs_and_summary_unchanged(tmp_path, monkeypatch):
@@ -932,6 +963,27 @@ def test_seq_op_holds_no_row_tuples(tmp_path):
         tracemalloc.stop()
     assert len((tmp_path / "o" / "seq.csv").read_text().splitlines()) == horizon + 2
     assert peak < 128 * horizon
+
+
+def test_bounds_op_holds_no_row_tuples(tmp_path):
+    # The rows stream into the CSV; the summary line, appended once they are
+    # written, reads only the first and the last.  Held, the rows would take
+    # about 200 bytes each.
+    horizon = 1 << 16
+    cfg = load_config({"stacking": _H70, "operations": [
+        {"op": "bounds", "phi": "log", "cuts": 2, "horizon": horizon}],
+        "sequence": {"kind": "power", "alpha": "3/2", "horizon": horizon}})
+    tracemalloc.start()
+    try:
+        cli.execute(cfg, tmp_path / "o")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "o" / "bounds.csv").read_text().splitlines()) == horizon + 1
+    assert (tmp_path / "o" / "summary.txt").read_text().endswith(
+        "bounds: n=2..65536 balance 0.000000000000 -> 0.000181599199, "
+        "phi-diag 0.000000000000 -> 0.000243261492\n")
+    assert peak < 16 * horizon
 
 
 def _counted_everywhere(monkeypatch, fn, calls: list) -> None:

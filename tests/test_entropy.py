@@ -140,15 +140,15 @@ def test_exact_mode_worker_invariance(tiny_tower):
 
 def test_pool_path_worker_invariance():
     # Tower 3 of this seeded construction has about 45 000 valid levels, so
-    # both methods split into several blocks and workers=2 runs a pool.
+    # the sampled method splits into several blocks and workers=2 runs a pool.
     sd = StackingData(
         2,
-        (Stage(q=3, spacers=(1, 2)), Stage(q=5000, seed=7, distribution="uniform")),
+        (Stage(q=3, spacers=(1, 2)), Stage(q=5000, seed=7)),
         spacer_cap=3,
     )
     A = (1, 3, 6, 10)
-    # Reference 3 is the tower itself, so the exact case cannot be lifted and
-    # runs the pool.
+    # Reference 3 is the tower itself, so in the exact case every level of K
+    # is its own word, counted without blocks.
     spec = CodingSpec(3, "refined")
     for kwargs in (
         {"method": "exact"},
@@ -158,7 +158,7 @@ def test_pool_path_worker_invariance():
         two = empirical_sequence_entropy(sd, spec, 3, A, 4, workers=2, **kwargs)
         assert len(index_blocks(one.histogram.total)) > 1
         assert one.histogram.path == two.histogram.path == (
-            "enumerate" if kwargs["method"] == "exact" else "sampled"
+            "distinct" if kwargs["method"] == "exact" else "sampled"
         )
         assert list(one.histogram.counts.items()) == list(two.histogram.counts.items())
         assert one.h_nats == two.h_nats

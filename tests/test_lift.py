@@ -31,7 +31,7 @@ from stacklab.tower import (
     encode_word,
     exact_plan,
     exact_word_counts,
-    int64_decodes,
+    level_dtype,
     symbol_width,
     valid_levels,
 )
@@ -50,7 +50,7 @@ def cases(draw):
     for _ in range(draw(st.integers(1, 4))):
         q = draw(st.integers(2, 5))
         if cap > 1 and draw(st.booleans()):
-            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16)), distribution="uniform"))
+            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16))))
         else:
             spacers = draw(st.lists(st.integers(0, cap - 1), min_size=q - 1, max_size=q - 1))
             stages.append(Stage(q=q, spacers=tuple(spacers)))
@@ -97,13 +97,19 @@ def test_exact_counts_match_enumeration_and_oracle(case):
     sd, n, spec, offsets = case
     levels = valid_levels(sd, n, offsets[-1])
     counts, path, windows = exact_word_counts(levels, spec, offsets)
-    planned, plan = exact_plan(levels, spec, offsets)
-    assert (path, windows) == (planned, plan.count)
-    # Offsets lie in [0, t_N] here, so only r = n, the spacers read or the
-    # windows plus keys can force enumeration.
+    planned, plan, planned_windows = exact_plan(levels, spec, offsets)
+    assert (path, windows) == (planned, planned_windows)
+    # The plan's positions are the windows decoded, except that the distinct
+    # path counts K without decoding it.
+    assert plan.count == (levels.count if path == "distinct" else windows)
+    # Offsets lie in [0, t_N] here and N >= 1, so r = n with K nonempty
+    # counts distinct words, and only the spacers read or the windows plus
+    # keys can force enumeration.
     r = spec.reference
     reads, keys, lifted = _lift_cost(sd, n, r, offsets[-1])
-    if r < n and reads <= levels.count and lifted + keys <= levels.count:
+    if r == n and levels.count:
+        assert (path, windows) == ("distinct", 0)
+    elif r < n and reads <= levels.count and lifted + keys <= levels.count:
         assert path == "compressed" and windows == lifted
     else:
         assert path == "enumerate" and windows == levels.count
@@ -136,15 +142,15 @@ def test_exact_counts_in_python_ints_match_int64(case):
     sd, n, spec, offsets = case
     expected = exact_word_counts(valid_levels(sd, n, offsets[-1]), spec, offsets)
     big = StackingData(sd.initial_height, sd.stages, sd.spacer_cap)
-    with mock.patch.object(tower, "int64_decodes", lambda sd, n: False):
+    with mock.patch.object(tower, "level_dtype", lambda sd, n: object):
         counts, path, windows = exact_word_counts(valid_levels(big, n, offsets[-1]), spec, offsets)
     assert (path, windows) == expected[1:]
     assert list(counts.items()) == list(expected[0].items())
 
 
-@pytest.mark.parametrize("reference, path", [(1, "compressed"), (3, "enumerate")])
+@pytest.mark.parametrize("reference, path", [(1, "compressed"), (3, "distinct")])
 def test_word_cap_on_both_paths(reference, path):
-    # Heights 3, 7, 22 and t_N = 4 < h_2; reference 3 = n leaves no stage to lift from.
+    # Heights 3, 7, 22 and t_N = 4 < h_2; at reference 3 = n every level is its own word.
     sd = StackingData(3, (Stage(q=2, spacers=(1,)), Stage(q=3, spacers=(0, 1))), spacer_cap=2)
     spec, offsets = CodingSpec(reference), (1, 2, 4)
     res = empirical_sequence_entropy(sd, spec, 3, offsets, 3)
@@ -247,11 +253,10 @@ def test_guard_enumerates_random_spacers_far_below_the_horizon():
     # t_N = 45 spans up to 23 copies of tower 1 (h_1 = 2) and the random
     # spacers between them, so the keys would read more spacers than K has
     # levels.
-    sd = StackingData(2, (Stage(q=200, seed=11, distribution="uniform"),), spacer_cap=3)
+    sd = StackingData(2, (Stage(q=200, seed=11),), spacer_cap=3)
     spec, offsets = CodingSpec(1, "refined"), (0, 1, 3, 6, 10, 15, 21, 28, 36, 45)
     levels = valid_levels(sd, 2, offsets[-1])
-    path, plan = exact_plan(levels, spec, offsets)
-    assert (path, plan.count) == ("enumerate", levels.count)
+    assert exact_plan(levels, spec, offsets) == ("enumerate", levels, levels.count)
     counts, path, windows = exact_word_counts(levels, spec, offsets)
     assert (path, windows) == ("enumerate", levels.count)
     assert list(counts.items()) == list(count_words(sd, spec, 2, levels, offsets).items())
@@ -261,7 +266,7 @@ def test_guard_enumerates_when_the_lift_saves_no_windows():
     # With 64 spacer values and keys of 4 spacers nearly every key is
     # distinct, so the lift would decode nearly all of K and build as many
     # keys besides; the keys read no more spacers than K has levels.
-    sd = StackingData(4, (Stage(q=2000, seed=3, distribution="uniform"),), spacer_cap=64)
+    sd = StackingData(4, (Stage(q=2000, seed=3),), spacer_cap=64)
     spec, offsets = CodingSpec(1), (0, 2, 5, 8)
     levels = valid_levels(sd, 2, offsets[-1])
     reads, keys, lifted = _lift_cost(sd, 2, 1, offsets[-1])
@@ -407,7 +412,7 @@ def test_distinct_words_trip_the_guards_of_enumeration(
         assert fast == oracle
     else:
         counts, path, windows = fast
-        assert (path, windows) == ("enumerate", levels.count)
+        assert (path, windows) == ("distinct", 0)
         assert isinstance(counts, tower.DistinctWords)
         assert list(counts.items()) == list(oracle.items())
 
@@ -435,7 +440,7 @@ def identity_cases(draw):
     for _ in range(draw(st.integers(1, 3))):
         q = draw(st.integers(2, 5))
         if cap > 1 and draw(st.booleans()):
-            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16)), distribution="uniform"))
+            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16))))
         else:
             spacers = draw(st.lists(st.integers(0, cap - 1), min_size=q - 1, max_size=q - 1))
             stages.append(Stage(q=q, spacers=tuple(spacers)))
@@ -453,7 +458,7 @@ def identity_cases(draw):
 @given(identity_cases())
 def test_distinct_words_match_enumeration_without_decoding(case):
     sd, n, spec, offsets, big = case
-    assert int64_decodes(sd, n) != big
+    assert (level_dtype(sd, n) is object) == big
     levels = valid_levels(sd, n, offsets[-1])
     spy = mock.patch.object(tower, "code_orbits", wraps=tower.code_orbits)
     with spy as code_orbits:
@@ -463,7 +468,7 @@ def test_distinct_words_match_enumeration_without_decoding(case):
         assert code_orbits.call_count == 0
     counts = hist.counts
     assert isinstance(counts, tower.DistinctWords)
-    assert (hist.path, hist.windows, hist.total) == ("enumerate", levels.count, levels.count)
+    assert (hist.path, hist.windows, hist.total) == ("distinct", 0, levels.count)
     oracle = count_words(sd, spec, n, levels, offsets)
     forced = tower.blocked_word_counts(spec, levels, levels.count, offsets)
     assert list(counts) == list(oracle) == list(forced)

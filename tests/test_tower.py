@@ -58,7 +58,7 @@ def test_slice_starts_is_one_array_per_stage():
     heights = sd.heights()
     for m, stage in enumerate(sd.stages, start=1):
         starts = sd.slice_starts(m)
-        assert tower.int64_decodes(sd, m + 1) == (m == 1)
+        assert tower.level_dtype(sd, m + 1) is (np.int64 if m == 1 else object)
         assert starts.dtype == (np.int64 if m == 1 else object)
         assert starts.tolist() == [
             i * heights[m - 1] + sum(stage.spacers[:i]) for i in range(stage.q)
@@ -72,8 +72,8 @@ def test_slice_starts_is_one_array_per_stage():
         assert all(type(k) is int for k in ks)
         for k in ks:
             assert all(type(x) is int for x in code_orbit(sd, CodingSpec(1), n, k, (0, 5, 10)))
-        path, plan = tower.exact_plan(levels, CodingSpec(r), (0, 5, 10))
-        assert path == "compressed" and type(plan.count) is int
+        path, plan, windows = tower.exact_plan(levels, CodingSpec(r), (0, 5, 10))
+        assert path == "compressed" and type(plan.count) is int and windows == plan.count
 
 
 def test_heights_strictly_increasing():
@@ -97,7 +97,16 @@ def test_malformed_stage_reports_index():
         StackingData(2, (Stage("2", (0,)),))
     # A uniform spacer stream needs at least two values to draw from.
     with pytest.raises(TowerError, match="spacer_cap of at least 2"):
-        StackingData(2, (Stage(3, seed=4, distribution="uniform"),), spacer_cap=1)
+        StackingData(2, (Stage(3, seed=4),), spacer_cap=1)
+    # A seeded stage's document may name its distribution, which must be uniform.
+    seeded = {"q": 3, "seed": 4, "distribution": "uniform"}
+    doc = {"initial_height": 2, "spacer_cap": 3, "stages": [{"q": 2, "spacers": [0]}, seeded]}
+    assert StackingData.from_dict(doc) == StackingData(
+        2, (Stage(2, (0,)), Stage(3, seed=4)), spacer_cap=3)
+    doc["stages"][1] = dict(seeded, distribution="normal")
+    with pytest.raises(TowerError) as excinfo:
+        StackingData.from_dict(doc)
+    assert str(excinfo.value) == "stage 2: unknown spacer distribution 'normal' (only 'uniform')"
 
 
 def test_locate_level_examples(tiny_tower):
@@ -270,7 +279,7 @@ def orbit_batches(draw):
     for _ in range(draw(st.integers(1, 4))):
         q = draw(st.integers(2, 5))
         if cap is not None and 1 < cap <= 4 and draw(st.booleans()):
-            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16)), distribution="uniform"))
+            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16))))
         else:
             top = 3 if cap is None else min(cap - 1, 3)
             spacers = draw(st.lists(st.integers(0, top), min_size=q - 1, max_size=q - 1))
@@ -398,7 +407,7 @@ def test_code_orbits_decodes_above_int64_without_code_orbit():
 def test_count_words_across_decode_batches():
     # More levels than one batch, in decreasing order, so every batch
     # boundary falls inside the first-seen order.
-    sd = StackingData(3, (Stage(q=700, seed=2, distribution="uniform"),), spacer_cap=4)
+    sd = StackingData(3, (Stage(q=700, seed=2),), spacer_cap=4)
     spec, offsets = CodingSpec(1, "refined"), (0, 1, 3, 6)
     ks = list(range(sd.height(2) - 7, -1, -1))
     assert len(ks) > 2 * tower.DECODE_BATCH
@@ -419,7 +428,7 @@ def rank_blocks(draw):
     for _ in range(draw(st.integers(1, 3))):
         q = draw(st.integers(2, 5))
         if cap > 1 and draw(st.booleans()):
-            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16)), distribution="uniform"))
+            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16))))
         else:
             spacers = draw(st.lists(st.integers(0, cap - 1), min_size=q - 1, max_size=q - 1))
             stages.append(Stage(q=q, spacers=tuple(spacers)))
@@ -490,7 +499,7 @@ def test_count_words_above_int64_matches_code_orbit():
     )
     h = sd.height(8)
     assert 1 << 77 < h < 1 << 79
-    assert [tower.int64_decodes(sd, m) for m in (6, 7, 8)] == [True, False, False]
+    assert [tower.level_dtype(sd, m) for m in (6, 7, 8)] == [np.int64, object, object]
     rng = random.Random(5)
     offsets = (0, 1, 3, 7, 12)
     ks = [0, 1, h - 13, (1 << 70) + 5] + [rng.randrange(h - 12) for _ in range(40)]
@@ -535,7 +544,7 @@ def test_big_integer_towers():
 def test_seeded_stage_chunk_equals_singletons():
     sd = StackingData(
         2,
-        (Stage(2, (1,)), Stage(q=9, seed=5, distribution="uniform")),
+        (Stage(2, (1,)), Stage(q=9, seed=5)),
         spacer_cap=3,
     )
     proc = SpacerProcess(3, 5)
@@ -546,7 +555,7 @@ def test_seeded_stage_chunk_equals_singletons():
 @pytest.mark.parametrize("spacers", [LANES + 1, LANES + BATCH_MIN])
 def test_seeded_stage_across_lane_chunks_equals_singletons(spacers):
     # One full chunk of batched draws, then one index alone or one more batch.
-    sd = StackingData(2, (Stage(q=spacers + 1, seed=11, distribution="uniform"),), spacer_cap=3)
+    sd = StackingData(2, (Stage(q=spacers + 1, seed=11),), spacer_cap=3)
     proc = SpacerProcess(3, 11)
     assert sd.stage_spacers(1) == tuple(proc.value(i) for i in range(spacers))
 
@@ -562,13 +571,13 @@ def test_sampled_blocks_match_per_index_draws(big, workers):
         n, spec = 2, CodingSpec(1)
     else:
         sd = StackingData(
-            3, (Stage(3, (1, 2)), Stage(5, (0, 2, 1, 1)), Stage(q=1001, seed=4, distribution="uniform")),
+            3, (Stage(3, (1, 2)), Stage(5, (0, 2, 1, 1)), Stage(q=1001, seed=4)),
             spacer_cap=3,
         )
         n, spec = 4, CodingSpec(2, "refined")
     offsets, seed, total = (0, 1, 3, 6), 17, 2 * BLOCK_SIZE
     levels = valid_levels(sd, n, offsets[-1])
-    assert tower.int64_decodes(sd, n) != big and BATCH_MIN <= BLOCK_SIZE and levels.count < 1 << 63
+    assert (tower.level_dtype(sd, n) is object) == big and BATCH_MIN <= BLOCK_SIZE and levels.count < 1 << 63
     draws = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in range(total)]
     block = tower._count_block((spec, levels, offsets, seed, 0, BLOCK_SIZE))
     expected = count_words(sd, spec, n, map(levels.select, draws[:BLOCK_SIZE]), offsets)
@@ -596,7 +605,7 @@ def test_serialization_roundtrip(tiny_tower):
     assert doc["stages"][0] == {"q": 2, "spacers": [1]}
     assert StackingData.from_dict(doc) == tiny_tower
     seeded = StackingData(
-        2, (Stage(q=4, seed=3, distribution="uniform"),), spacer_cap=2
+        2, (Stage(q=4, seed=3),), spacer_cap=2
     )
     doc = stacking_doc(seeded)
     assert doc["stages"][0]["seed"] == 3
