@@ -166,10 +166,14 @@ def _run_markov(cfg: ExperimentConfig, args: dict, workers: int) -> Report:
         (i + 1, float(pi[i]), exact[i].numerator, exact[i].denominator)
         for i in range(H + 1)
     ]
-    residual = max(
-        abs(sum(float(model.rows[j][i]) * pi[j] for j in range(H + 1)) - pi[i])
-        for i in range(H + 1)
-    )
+    # Each column's sum of float(entry) * pi[j] in the order of j, over the
+    # nonzero entries only: a zero entry's term is 0.0 * pi[j] = +0.0, as
+    # pi >= 0, and adding it to a sum that starts at 0 never changes it.
+    sums = [0] * (H + 1)
+    for j, row in enumerate(model.nonzero):
+        for i, x in row:
+            sums[i] += float(x) * pi[j]
+    residual = max(abs(s - p) for s, p in zip(sums, pi))
     summary = [
         f"markov: period={H} stationary head={fmt(float(pi[0]))} "
         f"tail={fmt(float(pi[-1]))} residual={residual:.3e}"

@@ -25,9 +25,9 @@ it computes the vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Sequence
 
 import numpy as np
@@ -37,9 +37,10 @@ from ..parallel import index_blocks, run_blocks
 from ..rng import BULK_RNG_ID, bulk_generator, philox_bits
 
 
-# The largest period H the chain is built for.  Its (H+1)^2 Fractions and
-# the exact solver grow with H^2: the markov op takes about 7 s at 1024 and
-# 18 s at 1536, and 10^8 runs out of memory.
+# The largest period H the chain is built for.  Its (H+1)^2 entries and
+# the float solver's matrix squarings grow with H^2 and H^3: the markov op
+# takes about 1.0 s at 1024 and 3.2 s at 1536 (2-core machine), and 10^8
+# runs out of memory.
 MAX_PERIOD = 1024
 
 
@@ -50,23 +51,36 @@ class MarkovError(InvalidInput):
 @dataclass(frozen=True)
 class MarkovModel:
     """(H+1)x(H+1) row-stochastic matrix, exact entries, checked once at
-    construction."""
+    construction.  `nonzero` holds each row's nonzero entries as (column,
+    value) pairs, found by one truthiness test per entry; the checks,
+    `as_array` and the markov op's residual read only these, the H + 2
+    entries of a companion chain."""
 
     period: int
     rows: tuple[tuple[Fraction, ...], ...]
+    nonzero: tuple[tuple[tuple[int, Fraction], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         size = self.period + 1
         if len(self.rows) != size or any(len(r) != size for r in self.rows):
             raise MarkovError("matrix shape disagrees with the period")
-        for i, row in enumerate(self.rows):
-            if sum(row) != 1:
+        nonzero = tuple(tuple(compress(enumerate(row), row)) for row in self.rows)
+        object.__setattr__(self, "nonzero", nonzero)
+        for i, row in enumerate(nonzero):
+            if sum(x for _, x in row) != 1:
                 raise MarkovError(f"row {i + 1} does not sum to 1")
-            if any(x < 0 for x in row):
+            if any(x < 0 for _, x in row):
                 raise MarkovError(f"row {i + 1} has a negative entry")
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
+        size = self.period + 1
+        out = np.zeros((size, size))
+        for i, row in enumerate(self.nonzero):
+            for j, x in row:
+                out[i, j] = float(x)
+        return out
 
 
 def check_period(H: int) -> None:

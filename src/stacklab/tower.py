@@ -5,9 +5,12 @@ spacer levels in between, producing a tower of height
 h_{n+1} = q_n*h_n + a_n.  The word encoding tower n over the alphabet of
 a reference tower r <= n is exponentially long, so it is never
 materialized: a level's symbol is resolved by arithmetic descent through
-per-stage prefix-sum tables, one binary search per stage.  Exact word
-histograms over a whole valid-level set are lifted stage by stage through
-the stacking grammar where they can be, instead of decoding every level.
+per-stage prefix-sum tables, one binary search per stage; a window at a
+rank of the valid-level set K may find its copy of tower n-1 from the
+rank's copy instead, and read its symbols off one table of that tower.
+Exact word histograms over a whole valid-level set are lifted stage by
+stage through the stacking grammar where they can be, instead of
+decoding every level.
 
 Levels and heights are arbitrary-precision integers throughout.
 """
@@ -447,15 +450,9 @@ def code_orbits(
     with w = `symbol_width(sd, spec)`, decoded at once.
 
     `ks` may be a list or a 1-d numpy array.  The levels form one
-    len(ks) x len(offsets) array of dtype `level_dtype(sd, n)` that
-    descends a stage at a time: one `searchsorted` over the slice starts,
-    then the slice start is subtracted.  A level in a spacer block lies
-    above every slice start of the stages below, so it keeps its excess
-    over the height down to tower r and ends at h_r + (its position in the
-    block): refined mode codes it, like a level inside a copy, as its final
-    value + 1, and base mode codes every final value >= h_r as 0.  The rows are cast to w-byte little-endian integers and
-    cut into keys (`encode_word` above 8 bytes).  A level outside [0, h_n)
-    raises `code_orbit`'s error at the first offending level.
+    len(ks) x len(offsets) array of dtype `level_dtype(sd, n)`, which
+    `_symbol_keys` decodes through every stage n-1 .. r.  A level outside
+    [0, h_n) raises `code_orbit`'s error at the first offending level.
     """
     if len(ks) == 0:
         return []
@@ -465,21 +462,46 @@ def code_orbits(
         # lowest and highest are each a level or sample code_orbit checks: some k raises.
         for k in ks:
             code_orbit(sd, spec, n, int(k), offsets)
-    h_r, refined = _coding(sd, spec, n)
-    width = symbol_width(sd, spec)
+    _coding(sd, spec, n)
     if not offsets:
         return [b""] * len(ks)
     dtype = level_dtype(sd, n)
     lvl = np.add.outer(np.asarray(ks, dtype=dtype), np.array(offsets, dtype=dtype))
-    for m in range(n - 1, spec.reference - 1, -1):
-        starts = sd.slice_starts(m)
+    return _symbol_keys(sd, spec, n, lvl)
+
+
+def _descend(sd: StackingData, spec: CodingSpec, m: int, lvl: np.ndarray) -> np.ndarray:
+    """The symbols of `lvl`, levels of tower m or past its top in the spacer
+    block above a copy of it, overwriting `lvl`: one `searchsorted` per
+    stage m-1 .. r, then the slice start is subtracted.  A level in a
+    spacer block lies above every slice start of the stages below, so it
+    keeps its excess over the height down to tower r and ends at h_r + (its
+    position in the block): refined mode codes it, like a level inside a
+    copy, as its final value + 1, and base mode codes every final value
+    >= h_r as 0."""
+    for s in range(m - 1, spec.reference - 1, -1):
+        starts = sd.slice_starts(s)
         lvl -= starts[np.searchsorted(starts, lvl, side="right") - 1]
-    if not refined:
-        lvl[lvl >= h_r] = -1
+    if spec.mode != "refined":
+        lvl[lvl >= sd.heights()[spec.reference - 1]] = -1
     lvl += 1
+    return lvl
+
+
+def _symbol_keys(
+    sd: StackingData, spec: CodingSpec, m: int, lvl: np.ndarray, table: np.ndarray | None = None
+) -> list[bytes]:
+    """The keys of the rows of `lvl`, levels of tower m or past its top in
+    the spacer block above a copy of it (`lvl` is overwritten): one gather
+    from `table`, the symbols of [0, len(table)), when given, else
+    `_descend`.  The rows are cast to w-byte little-endian integers, w =
+    `symbol_width(sd, spec)`, and cut into keys (`encode_word` above 8
+    bytes)."""
+    width = symbol_width(sd, spec)
+    sym = _descend(sd, spec, m, lvl) if table is None else table[lvl.astype(np.int64, copy=False)]
     if width > 8:
-        return [encode_word(row, width) for row in lvl.tolist()]
-    return lvl.astype(f"<u{width}").view(f"V{width * len(offsets)}").ravel().tolist()
+        return [encode_word(row, width) for row in sym.tolist()]
+    return sym.astype(f"<u{width}").view(f"V{width * sym.shape[1]}").ravel().tolist()
 
 
 # Levels per `code_orbits` call: bounds its level arrays and the lists
@@ -592,39 +614,128 @@ def exact_plan(
     ), windows
 
 
+def _largest_gap(sd: StackingData, m: int) -> int:
+    """The largest gap between stage m's slice starts, h_m plus its largest
+    spacer, cached per stage.  It is read BLOCK_SIZE gaps at a time, so no
+    temporary is as long as the stage, and no spacer tuple is read."""
+    key = ("gap", m)
+    gap = sd._cache.get(key)
+    if gap is None:
+        starts = sd.slice_starts(m)
+        gap = sd._cache[key] = max(
+            int(np.max(np.diff(starts[i : i + BLOCK_SIZE + 1])))
+            for i in range(0, len(starts) - 1, BLOCK_SIZE)
+        )
+    return gap
+
+
+def _rank_path(
+    spec: CodingSpec, levels: ValidLevels, offsets: Sequence[int], windows: int, sampled: bool
+) -> tuple[int | None, np.ndarray | None] | None:
+    """How `_rank_keys` decodes a histogram of `windows` windows at ranks
+    of K, drawn at random when `sampled`: None for `code_orbits` of their
+    levels when r = n, N = 0 or an offset lies outside [0, t_N]; else
+    (follow, table).
+
+    A window level at rank u then lies in the copy of tower n-1, or the
+    spacer block above it, that starts at one of P_c .. P_{c+f}, with c =
+    u // h_{n-1} and f = min((h_{n-1} - 1 + the largest offset) //
+    h_{n-1}, q_{n-1} - 1).  Draws walk those starts (follow = f) while
+    64 f^4 <= q_{n-1}, where the walk beat one search over all q_{n-1}
+    starts in every case timed (ROADMAP aim 1).  Otherwise follow = None
+    searches, as enumerated ranks always do: they run in order, which
+    makes the search cheap.
+
+    `table`, cached per (n, reference, mode), holds the symbols of [0, L),
+    L = `_largest_gap(sd, n - 1)`, where every window level less its
+    copy's start lies.  `_descend` builds it when L <= windows and 8L
+    bytes fit in MAX_KEY_BYTES, so it costs at most one symbol per window;
+    otherwise it is None and `_symbol_keys` descends.
+    """
+    sd, n = levels.sd, levels.n
+    _coding(sd, spec, n)
+    if spec.reference == n or not offsets or min(offsets) < 0 or max(offsets) > levels.t_max:
+        return None
+    h, q = sd.heights()[n - 2], sd.stages[n - 2].q
+    follow = min((h - 1 + max(offsets)) // h, q - 1)
+    table = None
+    if h <= windows:  # L >= h: no scan when h rules the table out
+        size, key = _largest_gap(sd, n - 1), ("symbols", n, spec.reference, spec.mode)
+        if size <= windows and 8 * size <= MAX_KEY_BYTES:
+            table = sd._cache.get(key)
+            if table is None:
+                residuals = np.arange(size, dtype=level_dtype(sd, n - 1))
+                table = sd._cache[key] = _descend(sd, spec, n - 1, residuals)
+    return (follow if sampled and 64 * follow**4 <= q else None), table
+
+
+def _rank_keys(
+    spec: CodingSpec, levels: ValidLevels, pos: np.ndarray, offsets: Sequence[int],
+    path: tuple[int | None, np.ndarray | None] | None,
+) -> list[bytes]:
+    """The keys of the windows at ranks `pos` of K, on `_rank_path`'s
+    `path`.  Rank u is the level P_c + x of copy c = u // h_{n-1} of tower
+    n-1, x = u % h_{n-1}.  The walk gathers P_c .. P_{c+follow} at once
+    and takes, for each window level P_c + x + o, the last of them at or
+    below it by `follow` masked copies; the search takes it from all of
+    stage n-1's starts.  `_symbol_keys` decodes the level less that
+    start."""
+    sd, n = levels.sd, levels.n
+    if path is None:
+        return code_orbits(sd, spec, n, levels.at(pos), offsets)
+    follow, table = path
+    starts = sd.slice_starts(n - 1)
+    if follow is None:
+        rel = np.add.outer(levels.at(pos), np.array(offsets, dtype=starts.dtype))
+        rel -= starts[np.searchsorted(starts, rel, side="right") - 1]
+        return _symbol_keys(sd, spec, n - 1, rel, table)
+    h = sd.heights()[n - 2]
+    copies = np.add.outer((pos // h).astype(np.int64, copy=False), np.arange(follow + 1))
+    # Past the last copy the index repeats it: its start is the last at or below the level.
+    ahead = starts[np.minimum(copies, len(starts) - 1)]
+    ahead = ahead[:, 1:] - ahead[:, :1]
+    rel = np.add.outer(pos % h, np.array(offsets, dtype=ahead.dtype))
+    below = np.zeros_like(rel)
+    for j in range(follow):
+        np.copyto(below, ahead[:, j : j + 1], where=ahead[:, j : j + 1] <= rel)
+    rel -= below
+    return _symbol_keys(sd, spec, n - 1, rel, table)
+
+
 def _count_block(block) -> Counter:
     """Word counts at the positions [lo, hi) of a plan, or at the draws
     [lo, hi) of the counter RNG from [0, plan.count) when a seed is given;
-    top-level for pickling.  On K, position u is the level
-    P_{u // h_{n-1}} + u % h_{n-1} (`ValidLevels.select`); on the lift's
-    `Ranges`, one `searchsorted` over the ends finds each position's range,
-    whose windows count `weights` times.  Positions have tower n's
-    `level_dtype`.  Each run of positions on one tower is decoded
-    DECODE_BATCH levels at a time."""
-    spec, plan, offsets, seed, lo, hi = block
+    top-level for pickling.  A block is (spec, plan, offsets, seed, path,
+    lo, hi), with `path` the histogram's `_rank_path` on K, which
+    `blocked_word_counts` computes once; a block without it, run alone,
+    takes the path of its own hi - lo windows.  Positions have tower n's
+    `level_dtype`.  On K, position u is a rank (`ValidLevels.select`),
+    decoded by `_rank_keys`; on the lift's `Ranges`, one `searchsorted`
+    over the ends finds each position's range, whose windows are decoded
+    by `code_orbits` a run of one tower at a time and count `weights`
+    times.  Both decode DECODE_BATCH positions at a time."""
+    spec, plan, offsets, seed, *given, lo, hi = block
     sd = plan.sd
     dtype = level_dtype(sd, plan.n)
     if seed is None:
         pos = np.arange(lo, hi, dtype=dtype)
     else:
         pos = uniform_ints(seed, _STREAM_LEVEL_SAMPLE, lo, hi, plan.count).astype(dtype, copy=False)
-    if isinstance(plan, ValidLevels):
-        ks, runs, weights = plan.at(pos), [(plan.n, 0, len(pos))], None
-    else:
-        i = np.searchsorted(plan.ends, pos, side="right")
-        ks, towers, weights = plan.base[i] + pos, plan.towers[i], plan.weights[i]
-        cuts = [0, *(np.flatnonzero(np.diff(towers)) + 1).tolist(), len(pos)]
-        runs = [(int(towers[a]), a, b) for a, b in zip(cuts, cuts[1:])]
     part: Counter = Counter()
-    for m, a, b in runs:
+    if isinstance(plan, ValidLevels):
+        path = given[0] if given else _rank_path(spec, plan, offsets, hi - lo, seed is not None)
+        for j in range(0, len(pos), DECODE_BATCH):
+            part.update(_rank_keys(spec, plan, pos[j : j + DECODE_BATCH], offsets, path))
+        return part
+    i = np.searchsorted(plan.ends, pos, side="right")
+    ks, towers, weights = plan.base[i] + pos, plan.towers[i], plan.weights[i]
+    cuts = [0, *(np.flatnonzero(np.diff(towers)) + 1).tolist(), len(pos)]
+    for a, b in zip(cuts, cuts[1:]):
         for j in range(a, b, DECODE_BATCH):
             k = min(j + DECODE_BATCH, b)
-            words = code_orbits(sd, spec, m, ks[j:k], offsets)
-            if weights is None:
-                part.update(words)
-            else:
-                for word, weight in zip(words, weights[j:k]):
-                    part[word] += weight
+            words = code_orbits(sd, spec, int(towers[a]), ks[j:k], offsets)
+            for word, weight in zip(words, weights[j:k]):
+                part[word] += weight
     return part
 
 
@@ -652,7 +763,11 @@ def blocked_word_counts(
     keys of one histogram have one length); a tripped check stops the
     blocks.
     """
-    blocks = [(spec, plan, offsets, seed, lo, hi) for lo, hi in index_blocks(total)]
+    spans, path = index_blocks(total), None
+    if spans and isinstance(plan, ValidLevels):
+        # Once per histogram: its table is cached before the pool forks.
+        path = _rank_path(spec, plan, offsets, total, seed is not None)
+    blocks = [(spec, plan, offsets, seed, path, lo, hi) for lo, hi in spans]
     counts: Counter = Counter()
     results = run_blocks(_count_block, blocks, workers=workers)
     try:

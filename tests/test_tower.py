@@ -490,6 +490,125 @@ def test_blocked_word_counts_workers_agree(block, seed, draws):
     assert list(runs[0].items()) == list(runs[1].items()) == list(expected.items())
 
 
+@st.composite
+def k_histograms(draw):
+    """A histogram over K: a tower of 1 to 3 stages whose top stage is
+    explicit or seeded, under a bounded spacer cap or none, below 2^63 or
+    above it (a first height past 2^62, or a top-stage spacer of 2^63);
+    any tower n >= 2, reference 1..n and mode; offsets in [0, t_N] that
+    end at t_N, N = 0 included; and K enumerated, or a count of seeded
+    draws below or from the length of the symbol table (the largest gap
+    between stage n-1's slice starts) on.  A seeded top stage may have
+    1024 or 5000 copies, so that draws walk at f = 1 and 2."""
+    kind = draw(st.sampled_from(("int64",) * 4 + ("first", "spacer")))
+    cap = None if kind == "spacer" else draw(st.sampled_from((None, 1, 2, 3)))
+    spacer = st.integers(0, 3 if cap is None else cap - 1)
+    stages, count = [], draw(st.integers(1, 3))
+    for m in range(1, count + 1):
+        q = draw(st.integers(2, 40 if m == count else 4))
+        if cap is not None and cap > 1 and draw(st.booleans()):
+            if m == count and draw(st.booleans()):
+                q = draw(st.sampled_from((1024, 5000)))
+            stages.append(Stage(q, seed=draw(st.integers(0, 1 << 16))))
+        else:
+            stages.append(Stage(q, tuple(draw(st.lists(spacer, min_size=q - 1, max_size=q - 1)))))
+    if kind == "spacer":
+        i, top = draw(st.integers(0, stages[-1].q - 2)), stages[-1].spacers
+        stages[-1] = Stage(stages[-1].q, top[:i] + (1 << 63,) + top[i + 1 :])
+    sd = StackingData(draw(st.integers(1, 4)) + ((kind == "first") << 62), tuple(stages),
+                      spacer_cap=cap)
+    n = sd.num_towers if kind == "spacer" else draw(st.integers(2, sd.num_towers))
+    modes = ("base",) if cap is None else ("base", "refined")
+    spec = CodingSpec(draw(st.integers(1, n)), draw(st.sampled_from(modes)))
+    t = draw(st.integers(0, min(sd.height(n) - 1, 3 * sd.heights()[n - 2])))
+    length = draw(st.integers(0, 5))
+    inner = st.sampled_from((0, t)) | st.integers(0, t)
+    offsets = () if length == 0 else (*sorted(draw(st.lists(inner, min_size=length - 1, max_size=length - 1))), t)
+    levels = valid_levels(sd, n, t)
+    assume(levels.count > 0)
+    gap = int(np.max(np.diff(sd.slice_starts(n - 1))))
+    if levels.count <= 2000 and draw(st.booleans()):
+        return spec, levels, offsets, None, levels.count, gap
+    if gap > 2000 or (gap > 1 and draw(st.booleans())):  # the descent side
+        total = draw(st.integers(1, min(gap - 1, 2000)))
+    else:
+        total = draw(st.integers(gap, gap + 600))
+    return spec, levels, offsets, draw(st.integers(0, 1 << 32)), total, gap
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_histograms())
+def test_K_histograms_match_per_level_decoding(case):
+    spec, levels, offsets, seed, total, gap = case
+    sd, n = levels.sd, levels.n
+    ranks = range(total)
+    if seed is not None:
+        ranks = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks]
+    ks = [levels.select(u) for u in ranks]
+    counts = tower.blocked_word_counts(spec, levels, total, offsets, seed=seed)
+    width = symbol_width(sd, spec)
+    per_level = Counter(encode_word(code_orbit(sd, spec, n, k, offsets), width) for k in ks)
+    oracle = count_words(sd, spec, n, ks, offsets)
+    assert list(counts.items()) == list(oracle.items()) == list(per_level.items())
+    # The table exists exactly when it is no longer than the windows; every
+    # path decodes the same keys, whichever the cost rule picks.
+    path = tower._rank_path(spec, levels, offsets, total, seed is not None)
+    h, q = sd.heights()[n - 2], sd.stages[n - 2].q
+    follow = None if not offsets else min((h - 1 + offsets[-1]) // h, q - 1)
+    assert (path is None) == (spec.reference == n or not offsets)
+    if path is None:
+        return
+    assert path[0] == (follow if seed is not None and 64 * follow**4 <= q else None)
+    table = path[1]
+    assert (table is not None) == (gap <= total) and (table is None or len(table) == gap)
+    pos = np.array(ranks[: tower.DECODE_BATCH], dtype=tower.level_dtype(sd, n))
+    expected = [encode_word(code_orbit(sd, spec, n, k, offsets), width) for k in ks[: len(pos)]]
+    for forced in ((follow, table), (follow, None), (None, table), (None, None)):
+        assert tower._rank_keys(spec, levels, pos, offsets, forced) == expected
+
+
+def test_sampled_block_searches_no_top_stage():
+    # The walk finds each window level's copy from its rank's copy and the
+    # slice starts after it: no search over the seeded top stage's starts.
+    sd = StackingData(3, (Stage(3, (1, 2)), Stage(5, (0, 2, 1, 1)), Stage(q=20001, seed=4)),
+                      spacer_cap=3)
+    n, offsets, seed = 4, (0, 1, 3, 6, 10, 15, 21), 3
+    top, searched, search = sd.slice_starts(n - 1), [], np.searchsorted
+
+    def spy(starts, *args, **kwargs):
+        searched.append(starts is top)
+        return search(starts, *args, **kwargs)
+
+    for spec in (CodingSpec(1), CodingSpec(2, "refined"), CodingSpec(3)):
+        levels = valid_levels(sd, n, offsets[-1])
+        with mock.patch.object(np, "searchsorted", spy):
+            block = tower._count_block((spec, levels, offsets, seed, 0, BLOCK_SIZE))
+            counts = tower.blocked_word_counts(spec, levels, BLOCK_SIZE, offsets, seed=seed)
+        draws = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count)
+                 for s in range(BLOCK_SIZE)]
+        expected = count_words(sd, spec, n, map(levels.select, draws), offsets)
+        assert list(block.items()) == list(counts.items()) == list(expected.items())
+    assert searched.count(True) == 0 and searched.count(False) > 0
+
+
+def test_rank_path_is_worked_out_once_per_histogram():
+    # blocked_word_counts hands one path to all its blocks, and whether it
+    # has a table depends on the histogram's windows, not on a table an
+    # earlier histogram cached.
+    sd = StackingData(3, (Stage(3, (1, 2)), Stage(5, (0, 2, 1, 1)), Stage(q=1001, seed=4)),
+                      spacer_cap=3)
+    n, spec, offsets, seed = 4, CodingSpec(2, "refined"), (0, 1, 3, 6), 17
+    levels, gap = valid_levels(sd, n, offsets[-1]), tower._largest_gap(sd, n - 1)
+    calls, rank_path = [], tower._rank_path
+    with mock.patch.object(tower, "_rank_path", lambda *a: calls.append(a[3]) or rank_path(*a)):
+        tower.blocked_word_counts(spec, levels, 3 * BLOCK_SIZE, offsets, seed=seed)
+        tower.blocked_word_counts(spec, levels, gap - 1, offsets, seed=seed)
+    assert calls == [3 * BLOCK_SIZE, gap - 1]
+    follow, table = rank_path(spec, levels, offsets, gap, True)
+    assert follow == 1 and table is sd._cache[("symbols", n, 2, "refined")]
+    assert rank_path(spec, levels, offsets, gap - 1, True) == (1, None)
+
+
 def test_count_words_above_int64_matches_code_orbit():
     # h_1 = 2 and 7 stages of q = 2048: h_8 is about 2^78, so tower 8 (and
     # tower 7, about 2^67) decodes in Python ints while tower 6 fits int64.
