@@ -482,7 +482,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, needs_out=True):
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument(
+            "--workers", type=int, default=1,
+            help="forked worker processes for blocked work, at most one per block; "
+                 "serial where os.fork is missing (default 1)",
+        )
         p.add_argument("--cap-words", type=int, default=None, dest="cap_words")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")

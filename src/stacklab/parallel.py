@@ -2,20 +2,28 @@
 
 Work is always split into a block decomposition that depends only on the
 problem size (never on the worker count); blocks are evaluated serially or
-on a process pool and merged in block order, so results are identical for
-any number of workers.  Each pool worker receives the block function and
-the whole block list once, through the pool initializer (inherited without
-pickling under the fork start method, pickled once per worker otherwise),
-and is then sent only block indices.  Results are handed over one block at
-a time, so a consumer that stops early (a guard tripped, an error raised)
-leaves the remaining blocks unrun, and only the merged result need be
-held, not every block's.
+on forked worker processes and merged in block order, so results are
+identical for any number of workers.
+
+`run_blocks` forks k = min(workers, blocks) children, which inherit the
+block function and the block list, so nothing is sent to them.  Child j
+runs blocks j, j + k, j + 2k, ... in order and writes each result, or the
+exception its block raised, pickled to its own pipe; the parent reads
+block i from child i mod k and runs no block itself, so its memory holds
+only the merged result.  Results are handed over one block at a time; a
+child runs ahead of the consumer only until its pipe fills, and a
+consumer that stops early (a guard tripped, an error raised) kills every
+child, so the blocks not yet run stay unrun.  Where `os.fork` is missing,
+blocks run serially, with the same results.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+# Unused here: a pool class the benchmark tracer subclasses at install.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .intarith import ResourceGuard
@@ -31,10 +39,6 @@ BLOCK_SIZE = 8192
 # instead of stopping.  2^32 items is 2^19 blocks of BLOCK_SIZE; the
 # largest count that tests and benchmark workloads run is 2^20.
 MAX_BLOCK_ITEMS = 1 << 32
-
-# The block function and blocks of the pool this worker process serves.
-_worker_fn: Callable | None = None
-_worker_blocks: Sequence = ()
 
 
 def check_block_items(total: int) -> None:
@@ -53,36 +57,68 @@ def index_blocks(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, in
     return [(lo, min(lo + block_size, total)) for lo in range(0, total, block_size)]
 
 
-def _init_worker(fn: Callable, blocks: Sequence) -> None:
-    global _worker_fn, _worker_blocks
-    _worker_fn, _worker_blocks = fn, blocks
-
-
-def _run_block(index: int):
-    return _worker_fn(_worker_blocks[index])
+def _serve(fn: Callable, blocks: Sequence, fd: int) -> None:
+    """A forked child's work: `fn` of each block in turn, written to the
+    pipe `fd` as pickled (True, result), or (False, error) for the first
+    block that raises, after which no block runs."""
+    with os.fdopen(fd, "wb") as out:
+        for block in blocks:
+            try:
+                message = pickle.dumps((True, fn(block)))
+            except Exception as error:  # crosses to the parent, raised there
+                out.write(pickle.dumps((False, error)))
+                return
+            out.write(message)
+            out.flush()
 
 
 def run_blocks(fn: Callable[[A], R], blocks: Sequence[A], workers: int = 1) -> Iterator[R]:
     """`fn` of each block, yielded in block order.
 
-    The pool starts no more processes than there are blocks.  On it, at
-    most two blocks per worker are submitted, counting the one whose
-    result is awaited, so finished results do not pile up.
-    Closing the generator (as a consumer that stops early should) shuts
-    the pool down and cancels the blocks not yet started.
+    At most one child per block is forked (none at one worker or where
+    `os.fork` is missing).  A block's exception is raised here at that
+    block's turn; a child that ends without its block's result raises
+    ResourceGuard.  Closing the generator (as a consumer that stops early
+    should), an error or an interrupt kills and reaps every child.
     """
     workers = min(workers, len(blocks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         yield from map(fn, blocks)
         return
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(fn, blocks))
-    pending: deque = deque()
+    children: list = []  # (pid, read end) of each child; pid None once reaped
     try:
+        for j in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: serve blocks j, j + k, ..., then exit
+                status = 1
+                try:
+                    os.close(read)
+                    for _, reader in children:
+                        reader.close()
+                    _serve(fn, blocks[j::workers], write)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, os.fdopen(read, "rb")))
+            os.close(write)
         for i in range(len(blocks)):
-            pending.append(pool.submit(_run_block, i))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+            pid, reader = children[i % workers]
+            try:
+                ok, value = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                _, status = os.waitpid(pid, 0)
+                children[i % workers] = (None, reader)
+                raise ResourceGuard(
+                    f"the worker process running block {i} of {len(blocks)} ended "
+                    f"without its result (wait status {status})"
+                ) from None
+            if not ok:
+                raise value
+            yield value
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for pid, reader in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            reader.close()

@@ -53,6 +53,9 @@ class WordCapExceeded(ResourceGuard):
             f"distinct-word histogram exceeded the configured cap of {cap} entries"
         )
 
+    def __reduce__(self):
+        return type(self), (self.cap,)
+
 
 class OrbitEscape(TowerError):
     """An orbit sample left the tower.
@@ -67,6 +70,9 @@ class OrbitEscape(TowerError):
         super().__init__(
             f"orbit escapes tower at sample {index}: level {level} >= height {height}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.index, self.level, self.height)
 
 
 @dataclass(frozen=True)
@@ -780,7 +786,7 @@ def blocked_word_counts(
             dict.update(counts, summed)
             _check_histogram(len(counts), len(next(iter(counts), b"")), word_cap)
     finally:
-        # Stops the pool now rather than when the generator is collected; a
+        # Kills the workers now rather than when the generator is collected; a
         # wrapped run_blocks may return a list, which has nothing to stop.
         close = getattr(results, "close", None)
         if close is not None:

@@ -4,9 +4,9 @@ against enumeration and against the string-recursion oracle."""
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import Counter
-from concurrent.futures import Future
 from fractions import Fraction
 from unittest import mock
 
@@ -188,29 +188,16 @@ def test_compressed_base_worker_invariance(monkeypatch):
     assert one.h_nats == two.h_nats
 
 
-def test_pool_starts_no_more_processes_than_blocks(monkeypatch):
-    # A stand-in pool records its size and runs each block in this process
-    # as it is submitted, so a large worker count starts no process.
-    sizes = []
-
-    class Pool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            self.fn, self.blocks = initargs
-
-        def submit(self, fn, index):
-            future = Future()
-            future.set_result(self.fn(self.blocks[index]))
-            return future
-
-        def shutdown(self, wait, cancel_futures):
-            pass
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Pool)
+def test_pool_starts_no_more_processes_than_blocks():
+    # Each block reports the process that ran it: min(workers, blocks)
+    # distinct forked children, or this process for a single block.
     for workers, count in ((1000, 3), (2, 5), (1000, 1)):
         blocks = range(-count, 0)
-        assert list(run_blocks(abs, blocks, workers)) == [abs(b) for b in blocks]
-    assert sizes == [3, 2]
+        out = list(run_blocks(lambda b: (abs(b), os.getpid()), blocks, workers))
+        assert [r for r, _ in out] == [abs(b) for b in blocks]
+        pids = {pid for _, pid in out}
+        assert len(pids) == min(workers, count)
+        assert (os.getpid() in pids) == (count == 1)
 
 
 def _squaring_tower() -> StackingData:
@@ -339,8 +326,9 @@ def _squaring_entropy_blocks(tmp_path, monkeypatch, workers, word_cap=DEFAULT_WO
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tripped_word_cap_stops_the_blocks(tmp_path, monkeypatch, workers):
-    # Block 0 alone holds 8192 distinct words.  On a pool, only the blocks
-    # already handed to it (two per worker) may still run.
+    # Block 0 alone holds 8192 distinct words.  On a pool, a child runs
+    # ahead only until its pipe fills, which one block's 2 MiB of keys
+    # does, so at most two blocks per worker run.
     ranks, error = _squaring_entropy_blocks(tmp_path, monkeypatch, workers, word_cap=10)
     assert isinstance(error, WordCapExceeded)
     assert ranks[0] == 0 and ranks == [r for r in ranks if r < 2 * workers * BLOCK_SIZE]
