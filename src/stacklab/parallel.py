@@ -3,7 +3,9 @@
 Work is always split into a block decomposition that depends only on the
 problem size (never on the worker count); blocks are evaluated serially or
 on forked worker processes and merged in block order, so results are
-identical for any number of workers.
+identical for any number of workers.  A block is an `index_blocks` span
+(lo, hi); callers bind the arguments fixed for a call to their kernel
+once (`functools.partial`), so `fn(span)` is the block's work.
 
 `run_blocks` forks k = min(workers, blocks) children, which inherit the
 block function and the block list, so nothing is sent to them.  Child j

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import compress, product
 from typing import Sequence
 
@@ -295,19 +296,21 @@ def _chunk_rows(m: int) -> int:
     return max(2, _MC_CHUNK_BITS // m // 2 * 2)
 
 
-def _mc_block(args) -> tuple[int, tuple[int, ...]]:
+def _mc_block(h, pattern, l0, position, separation, seed, span) -> tuple[int, tuple[int, ...]]:
     """One sampling block: conditioning hits and joint hits for every target symbol.
 
-    Each row is one stream of m spacer bits.  The rows are drawn and
-    counted `_chunk_rows(m)` at a time with `philox_bits`, which reads
-    the stream that one `integers(0, 2, (count, m), int32)` call reads.
+    The block is the rows [lo, hi) = `span` of the run, read from the
+    Philox stream of block lo // _MC_BLOCK.  Each row is one stream of m
+    spacer bits.  The rows are drawn and counted `_chunk_rows(m)` at a
+    time with `philox_bits`, which reads the stream that one
+    `integers(0, 2, (count, m), int32)` call reads, count = hi - lo.
     Segment j of a row ends at j*H + S_j, with S_j the sum of its first j
     spacer bits, so 0 <= S_j <= j: every end with j*(H+1) < p lies before p,
     no end with j*H >= p does, and only the band between is compared.
     The symbol at far is found only in the rows whose symbol at the
     position is l0.
     """
-    h, pattern, l0, position, separation, seed, block, count = args
+    count = span[1] - span[0]
     word = pattern_word(h, tuple(pattern))
     H = len(word)
     # Symbol by offset from the last segment end before p: w, then a spacer.
@@ -315,7 +318,7 @@ def _mc_block(args) -> tuple[int, tuple[int, ...]]:
     far = position + separation
     m = _window_bits_needed(H, far)
     rows = _chunk_rows(m)
-    gen = bulk_generator(seed, block)
+    gen = bulk_generator(seed, span[0] // _MC_BLOCK)
 
     def symbols(bits: np.ndarray, p: int) -> np.ndarray:
         lo, hi = (p - 1) // (H + 1), (p - 1) // H
@@ -373,11 +376,8 @@ def conditional_limits_mc(
             f"stream position {far}; the bounds are 2^28 bytes (MAX_DRAW_BYTES) and "
             f"position 2^30"
         )
-    blocks = [
-        (h, tuple(pattern), l0, position, separation, seed, lo // _MC_BLOCK, hi - lo)
-        for lo, hi in index_blocks(samples, _MC_BLOCK)
-    ]
-    results = list(run_blocks(_mc_block, blocks, workers=workers))
+    kernel = partial(_mc_block, h, tuple(pattern), l0, position, separation, seed)
+    results = list(run_blocks(kernel, index_blocks(samples, _MC_BLOCK), workers=workers))
     hits0 = sum(r[0] for r in results)
     if hits0 == 0:
         raise MarkovError("zero conditioning events in the Monte Carlo run")

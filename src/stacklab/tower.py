@@ -22,6 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from math import prod
 from typing import Iterable, Iterator, Sequence
@@ -367,8 +368,8 @@ def _coding(sd: StackingData, spec: CodingSpec, n: int) -> tuple[int, bool]:
 
 def _search_table(sd: StackingData, m: int):
     """Stage m's slice starts in a form `bisect` reads as Python ints,
-    cached: a picklable `array("q")` copy of an int64 table (2-3x faster
-    to search than numpy scalars), an object table as it is."""
+    cached: an `array("q")` copy of an int64 table (2-3x faster to search
+    than numpy scalars), an object table as it is."""
     key = ("search", m)
     table = sd._cache.get(key)
     if table is None:
@@ -708,19 +709,16 @@ def _rank_keys(
     return _symbol_keys(sd, spec, n - 1, rel, table)
 
 
-def _count_block(block) -> Counter:
-    """Word counts at the positions [lo, hi) of a plan, or at the draws
-    [lo, hi) of the counter RNG from [0, plan.count) when a seed is given;
-    top-level for pickling.  A block is (spec, plan, offsets, seed, path,
-    lo, hi), with `path` the histogram's `_rank_path` on K, which
-    `blocked_word_counts` computes once; a block without it, run alone,
-    takes the path of its own hi - lo windows.  Positions have tower n's
-    `level_dtype`.  On K, position u is a rank (`ValidLevels.select`),
-    decoded by `_rank_keys`; on the lift's `Ranges`, one `searchsorted`
-    over the ends finds each position's range, whose windows are decoded
-    by `code_orbits` a run of one tower at a time and count `weights`
-    times.  Both decode DECODE_BATCH positions at a time."""
-    spec, plan, offsets, seed, *given, lo, hi = block
+def _count_block(spec, plan, offsets, seed, path, span) -> Counter:
+    """Word counts at the positions [lo, hi) = `span` of a plan, or at the
+    draws [lo, hi) of the counter RNG from [0, plan.count) when a seed is
+    given.  Positions have tower n's `level_dtype`.  On K, position u is a
+    rank (`ValidLevels.select`), decoded by `_rank_keys` on `path`, the
+    histogram's `_rank_path`; on the lift's `Ranges`, which take no path,
+    one `searchsorted` over the ends finds each position's range, whose
+    windows are decoded by `code_orbits` a run of one tower at a time and
+    count `weights` times.  Both decode DECODE_BATCH positions at a time."""
+    lo, hi = span
     sd = plan.sd
     dtype = level_dtype(sd, plan.n)
     if seed is None:
@@ -729,7 +727,6 @@ def _count_block(block) -> Counter:
         pos = uniform_ints(seed, _STREAM_LEVEL_SAMPLE, lo, hi, plan.count).astype(dtype, copy=False)
     part: Counter = Counter()
     if isinstance(plan, ValidLevels):
-        path = given[0] if given else _rank_path(spec, plan, offsets, hi - lo, seed is not None)
         for j in range(0, len(pos), DECODE_BATCH):
             part.update(_rank_keys(spec, plan, pos[j : j + DECODE_BATCH], offsets, path))
         return part
@@ -763,19 +760,19 @@ def blocked_word_counts(
     word_cap: int | None = None, workers: int = 1, seed: int | None = None,
 ) -> Counter:
     """Word counts (`_count_block`) at the positions [0, total) of `plan`,
-    or at `total` uniform draws from it when a seed is given, in blocks
-    that do not depend on the worker count, run on `workers` processes and
-    merged in block order.  `_check_histogram` runs after each block (all
-    keys of one histogram have one length); a tripped check stops the
-    blocks.
+    or at `total` uniform draws from it when a seed is given, over the
+    spans of `index_blocks(total)`, run on `workers` processes and merged
+    in block order; the kernel is bound once, to the `_rank_path` on K
+    among the rest.  `_check_histogram` runs after each block (all keys of
+    one histogram have one length); a tripped check stops the blocks.
     """
     spans, path = index_blocks(total), None
     if spans and isinstance(plan, ValidLevels):
         # Once per histogram: its table is cached before the pool forks.
         path = _rank_path(spec, plan, offsets, total, seed is not None)
-    blocks = [(spec, plan, offsets, seed, path, lo, hi) for lo, hi in spans]
+    kernel = partial(_count_block, spec, plan, offsets, seed, path)
     counts: Counter = Counter()
-    results = run_blocks(_count_block, blocks, workers=workers)
+    results = run_blocks(kernel, spans, workers=workers)
     try:
         for part in results:
             # `counts.update(part)` in C: the shared keys' sums, then part's

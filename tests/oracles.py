@@ -24,7 +24,9 @@ import numpy as np
 
 from stacklab.entropy import plogp
 from stacklab.intarith import ResourceGuard, is_int
-from stacklab.randomstacks.markov import MarkovError, _window_bits_needed, pattern_word
+from stacklab.randomstacks.markov import (
+    _MC_BLOCK, MarkovError, _window_bits_needed, pattern_word,
+)
 from stacklab.rng import bulk_generator
 from stacklab.sequences import MAX_TERMS, SamplingSequence, SequenceError
 from stacklab.tower import DECODE_BATCH, CodingSpec, StackingData, TowerError, code_orbits
@@ -227,10 +229,12 @@ def symbol_density_limit(h: int, pattern: Sequence[int], l1: int) -> Fraction:
     raise MarkovError(f"symbol {l1} outside the alphabet")
 
 
-def mc_block_oracle(args) -> tuple[int, tuple[int, ...]]:
+def mc_block_oracle(
+    h, pattern, l0, position, separation, seed, span
+) -> tuple[int, tuple[int, ...]]:
     """`markov._mc_block` on the full array: the same int64 Philox bits,
     every segment end from one cumsum, and each compared with p."""
-    h, pattern, l0, position, separation, seed, block, count = args
+    block, count = span[0] // _MC_BLOCK, span[1] - span[0]
     word = np.array(pattern_word(h, tuple(pattern)), dtype=np.int64)
     H = len(word)
     far = position + separation

@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stacklab
 from stacklab import cli, parallel
 from stacklab.tower import OrbitEscape, WordCapExceeded
@@ -128,10 +130,46 @@ def test_without_fork_blocks_run_in_the_caller(monkeypatch):
     assert out == [(b * b, os.getpid()) for b in range(5)]
 
 
-def test_three_workers_give_the_bytes_of_one():
-    # Each histogram and the Monte Carlo run span more than three blocks,
-    # so workers=3 forks three children.
+def test_pool_starts_no_more_processes_than_blocks():
+    # Each block reports the process that ran it: min(workers, blocks)
+    # distinct forked children, or this process for a single block.  The
+    # block function closes over a lock, which cannot be pickled, so the
+    # children run what they inherit.
     out = _run("""
+import pickle, threading
+
+def counter(lock):
+    def fn(b):
+        with lock:
+            return abs(b), os.getpid()
+    return fn
+
+fn = counter(threading.Lock())
+try:
+    pickle.dumps(fn)
+    picklable = True
+except Exception:
+    picklable = False
+out = {"picklable": picklable, "me": os.getpid(), "runs": []}
+for workers, count in ((1000, 3), (2, 5), (1000, 1)):
+    blocks = range(-count, 0)
+    got, error = run(fn, blocks, workers)
+    out["runs"].append([workers, count, [r for r, _ in got], sorted({p for _, p in got}), error])
+out["forked"], out["left"] = len(forked), left()
+print(json.dumps(out))
+""")
+    assert out["picklable"] is False
+    for workers, count, results, pids, error in out["runs"]:
+        assert error is None
+        assert results == [abs(b) for b in range(-count, 0)]
+        assert len(pids) == min(workers, count)
+        assert (out["me"] in pids) == (count == 1)
+    assert out["forked"] == 3 + 2 and out["left"] == []
+
+
+# Three histograms and a Monte Carlo run, each of more than three blocks;
+# `outputs(w)` gives their bytes (as digests and reprs) at w workers.
+WORKLOAD = """
 import hashlib, pickle
 from stacklab.parallel import BLOCK_SIZE
 from stacklab.randomstacks.markov import _MC_BLOCK, conditional_limits_mc
@@ -146,15 +184,28 @@ runs = {
     "compressed": (plan, windows, None),
     "sampled": (levels, 5 * BLOCK_SIZE + 3, 4),
 }
-out = {"path": path, "blocks": {k: -(-total // BLOCK_SIZE) for k, (_, total, _) in runs.items()}}
-for name, (plan, total, seed) in runs.items():
-    out[name] = [
-        hashlib.sha256(pickle.dumps(list(blocked_word_counts(
-            spec, plan, total, offsets, workers=w, seed=seed).items()))).hexdigest()
-        for w in (1, 3)
-    ]
 kwargs = dict(h=2, pattern=(0,), l0=1, separation=100, samples=3 * _MC_BLOCK + 1000, seed=4)
-out["mc"] = [repr(sorted(conditional_limits_mc(**kwargs, workers=w).items())) for w in (1, 3)]
+
+
+def outputs(w):
+    out = {
+        name: hashlib.sha256(pickle.dumps(list(blocked_word_counts(
+            spec, plan, total, offsets, workers=w, seed=seed).items()))).hexdigest()
+        for name, (plan, total, seed) in runs.items()
+    }
+    out["mc"] = repr(sorted(conditional_limits_mc(**kwargs, workers=w).items()))
+    return out
+"""
+
+
+def test_three_workers_give_the_bytes_of_one():
+    # Each histogram and the Monte Carlo run span more than three blocks,
+    # so workers=3 forks three children.
+    out = _run(WORKLOAD + """
+out = {"path": path, "blocks": {k: -(-total // BLOCK_SIZE) for k, (_, total, _) in runs.items()}}
+one, three = outputs(1), outputs(3)
+for name in one:
+    out[name] = [one[name], three[name]]
 out["left"] = left()
 print(json.dumps(out))
 """)
@@ -163,6 +214,24 @@ print(json.dumps(out))
     for name in ("enumerated", "compressed", "sampled", "mc"):
         one, three = out[name]
         assert one == three, name
+    assert out["left"] == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_two_workers_on_one_cpu_give_the_bytes_of_one():
+    # The interpreter, and so every child it forks, is pinned to one CPU:
+    # two children share it, and the results must not depend on how their
+    # runs interleave.
+    out = _run("""
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+""" + WORKLOAD + """
+one, two = outputs(1), outputs(2)
+print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "forked": len(forked),
+                  "one": one, "two": two, "left": left()}))
+""")
+    assert out["cpus"] == 1 and out["forked"] == 4 * 2
+    assert sorted(out["one"]) == ["compressed", "enumerated", "mc", "sampled"]
+    assert out["one"] == out["two"]
     assert out["left"] == []
 
 

@@ -353,7 +353,7 @@ def test_mc_worker_invariance():
     assert reprs[1] == reprs[0] and reprs[2] == reprs[0]
     # The hits are the sum of the four blocks' (position 5 at H = 4).
     counts = [min(_MC_BLOCK, samples - lo) for lo in range(0, samples, _MC_BLOCK)]
-    hits = sum(_mc_block((2, (0,), 1, 5, 100, 4, b, n))[0] for b, n in enumerate(counts))
+    hits = sum(_mc_block(2, (0,), 1, 5, 100, 4, _span(b, n))[0] for b, n in enumerate(counts))
     assert runs[0][0][1].conditioning_hits == hits
 
 
@@ -422,6 +422,11 @@ def test_philox_bits_chunks_equal_the_int32_draw(seed):
     assert np.array_equal(np.concatenate(chunks).reshape(count, m), want)
 
 
+def _span(block: int, count: int) -> tuple[int, int]:
+    """The span of `count` rows that starts block `block` of a run."""
+    return block * _MC_BLOCK, block * _MC_BLOCK + count
+
+
 @st.composite
 def mc_blocks(draw):
     # Every l0 in 0..h occurs near the start of these streams, so
@@ -439,7 +444,7 @@ def mc_blocks(draw):
     # Small blocks, and blocks of up to three chunks of rows.
     rows = _chunk_rows(_window_bits_needed(len(word), position + separation))
     count = draw(st.integers(1, 300) | st.integers(1, 2 * rows + 2))
-    return (h, pattern, l0, position, separation, seed, block, count)
+    return (h, pattern, l0, position, separation, seed, _span(block, count))
 
 
 # h = 2, pattern (0,): H = 4, position 5; separation 8 takes 5 bits a row,
@@ -448,18 +453,18 @@ _ODD_ROWS = _chunk_rows(5)
 
 
 @given(mc_blocks())
-@example((2, (0,), 1, 5, 8, 11, 7, _ODD_ROWS - 1))
-@example((2, (0,), 1, 5, 8, 12, 8, _ODD_ROWS + 1))
-@example((2, (0,), 0, 5, 8, 13, 9, 2 * _ODD_ROWS + 1))
+@example((2, (0,), 1, 5, 8, 11, _span(7, _ODD_ROWS - 1)))
+@example((2, (0,), 1, 5, 8, 12, _span(8, _ODD_ROWS + 1)))
+@example((2, (0,), 0, 5, 8, 13, _span(9, 2 * _ODD_ROWS + 1)))
 def test_mc_block_matches_full_array_oracle(args):
-    assert _mc_block(args) == mc_block_oracle(args)
+    assert _mc_block(*args) == mc_block_oracle(*args)
 
 
 @pytest.mark.parametrize("seed", [0, 29])
 def test_mc_block_matches_oracle_at_full_block(seed):
     # The search-chain block: H = 4, far = 605, 153 columns.
-    args = (2, (0,), 1, 5, 600, seed, 3, _MC_BLOCK)
-    assert _mc_block(args) == mc_block_oracle(args)
+    args = (2, (0,), 1, 5, 600, seed, _span(3, _MC_BLOCK))
+    assert _mc_block(*args) == mc_block_oracle(*args)
 
 
 def test_mc_block_rows_match_symbol_at():
@@ -474,7 +479,7 @@ def test_mc_block_rows_match_symbol_at():
         near = _symbol_at(word, bits, position)
         far = _symbol_at(word, bits, position + separation)
         for l0 in range(h + 1):
-            hits, joint = _mc_block((h, pattern, l0, position, separation, 7, block, 1))
+            hits, joint = _mc_block(h, pattern, l0, position, separation, 7, _span(block, 1))
             assert hits == (l0 == near)
             assert joint == tuple(int(hits and l1 == far) for l1 in range(h + 1))
 

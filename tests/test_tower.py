@@ -418,11 +418,12 @@ def test_count_words_across_decode_batches():
 
 @st.composite
 def rank_blocks(draw):
-    """A block of the word-count kernel over K: a tower whose first height
-    is small, just below 2^62 (tower 2 or 3 passes 2^63) or above 2^64,
-    any tower n >= 2 and reference, offsets in [0, t_N], and positions
-    [lo, hi) that are ranks of K or, with a seed, indices of level draws;
-    a block may span more than one decode batch."""
+    """The arguments of one block of the word-count kernel over K: a tower
+    whose first height is small, just below 2^62 (tower 2 or 3 passes
+    2^63) or above 2^64, any tower n >= 2 and reference, offsets in
+    [0, t_N], the path of the block's own hi - lo windows, and the span
+    [lo, hi) of ranks of K or, with a seed, indices of level draws; a
+    block may span more than one decode batch."""
     cap = draw(st.integers(1, 4))
     stages = []
     for _ in range(draw(st.integers(1, 3))):
@@ -446,18 +447,19 @@ def rank_blocks(draw):
     else:
         seed, lo = None, draw(st.integers(0, levels.count - 1))
         hi = min(levels.count, lo + draw(size))
-    return spec, levels, tuple(offsets), seed, lo, hi
+    path = tower._rank_path(spec, levels, offsets, hi - lo, seed is not None)
+    return spec, levels, tuple(offsets), seed, path, (lo, hi)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rank_blocks())
 def test_count_block_on_K_matches_select(block):
-    spec, levels, offsets, seed, lo, hi = block
+    spec, levels, offsets, seed, _, (lo, hi) = block
     ranks = range(lo, hi)
     if seed is not None:
         ranks = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks]
     expected = count_words(levels.sd, spec, levels.n, map(levels.select, ranks), offsets)
-    assert list(tower._count_block(block).items()) == list(expected.items())
+    assert list(tower._count_block(*block).items()) == list(expected.items())
 
 
 # Block parts as `_count_block` returns them: Counters over keys of one
@@ -485,8 +487,11 @@ def test_blocked_word_counts_workers_agree(block, seed, draws):
     spec, levels, offsets = block[:3]
     runs = [tower.blocked_word_counts(spec, levels, draws, offsets, workers=w, seed=seed)
             for w in (1, 2)]
-    blocks = [(spec, levels, offsets, seed, lo, hi) for lo, hi in index_blocks(draws)]
-    expected = merged_blocks(map(tower._count_block, blocks))
+    expected = merged_blocks(
+        tower._count_block(spec, levels, offsets, seed,
+                           tower._rank_path(spec, levels, offsets, hi - lo, True), (lo, hi))
+        for lo, hi in index_blocks(draws)
+    )
     assert list(runs[0].items()) == list(runs[1].items()) == list(expected.items())
 
 
@@ -582,7 +587,8 @@ def test_sampled_block_searches_no_top_stage():
     for spec in (CodingSpec(1), CodingSpec(2, "refined"), CodingSpec(3)):
         levels = valid_levels(sd, n, offsets[-1])
         with mock.patch.object(np, "searchsorted", spy):
-            block = tower._count_block((spec, levels, offsets, seed, 0, BLOCK_SIZE))
+            path = tower._rank_path(spec, levels, offsets, BLOCK_SIZE, True)
+            block = tower._count_block(spec, levels, offsets, seed, path, (0, BLOCK_SIZE))
             counts = tower.blocked_word_counts(spec, levels, BLOCK_SIZE, offsets, seed=seed)
         draws = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count)
                  for s in range(BLOCK_SIZE)]
@@ -698,7 +704,8 @@ def test_sampled_blocks_match_per_index_draws(big, workers):
     levels = valid_levels(sd, n, offsets[-1])
     assert (tower.level_dtype(sd, n) is object) == big and BATCH_MIN <= BLOCK_SIZE and levels.count < 1 << 63
     draws = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in range(total)]
-    block = tower._count_block((spec, levels, offsets, seed, 0, BLOCK_SIZE))
+    path = tower._rank_path(spec, levels, offsets, BLOCK_SIZE, True)
+    block = tower._count_block(spec, levels, offsets, seed, path, (0, BLOCK_SIZE))
     expected = count_words(sd, spec, n, map(levels.select, draws[:BLOCK_SIZE]), offsets)
     assert list(block.items()) == list(expected.items())
     counts = tower.blocked_word_counts(spec, levels, total, offsets, workers=workers, seed=seed)

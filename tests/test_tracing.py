@@ -74,3 +74,45 @@ def test_traced_run_writes_the_untraced_outputs_and_records_the_spans(tmp_path):
         if name != "meta.json":
             assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
     assert _without_time(json.loads((traced / "meta.json").read_text())) == _without_time(meta)
+
+
+# One sampled histogram of 20000 draws: three blocks, run on two workers.
+POOL_DOC = {**DOC, "operations": [
+    {"op": "entropy", "stage": 4, "reference": 2, "length": 8, "method": "sampled",
+     "count": 20000},
+]}
+
+# As TRACED_RUN at two workers; prints the blocks and workers of each
+# recorded `parallel.run_blocks` call.
+TRACED_POOL_RUN = """
+import json, sys
+from pathlib import Path
+root, out, doc = Path(sys.argv[1]), Path(sys.argv[2]), json.loads(sys.argv[3])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import tracing
+from stacklab import cli, config
+tracer = tracing.Tracer("test")
+tracer.install()
+cli.execute(config.load_config(doc), out, workers=2)
+print(json.dumps([[record["blocks"], record["workers"]] for record in tracer.records()
+                  if record["name"] == "parallel.run_blocks"]))
+"""
+
+
+def test_traced_run_on_two_workers_writes_the_untraced_outputs(tmp_path):
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    cli.execute(load_config(POOL_DOC), plain, workers=2)
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_POOL_RUN, str(ROOT), str(traced), json.dumps(POOL_DOC)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[3, 2]]
+    meta = json.loads((plain / "meta.json").read_text())
+    assert meta["paths"] == {"entropy.csv": ["sampled"]}
+    files = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in traced.iterdir()) == files
+    for name in files:
+        if name != "meta.json":
+            assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+    assert _without_time(json.loads((traced / "meta.json").read_text())) == _without_time(meta)
