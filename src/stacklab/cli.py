@@ -426,7 +426,12 @@ def verify(outdir: Path, out=None) -> int:
     csvs = {p.name for p in outdir.glob("*.csv")} | set(outputs)
     for name in sorted(csvs) + ["summary.txt"]:
         path = outdir / name
-        first, digest = _read(path) if path.is_file() else (None, None)
+        try:
+            first, digest = _read(path) if path.is_file() else (None, None)
+        except OSError as e:  # there, but unreadable
+            print(f"REJECTED: {name} cannot be read: {e.strerror}", file=out)
+            ok = False
+            continue
         if first is None:
             print(f"REJECTED: {name} is missing", file=out)
             ok = False

@@ -15,8 +15,11 @@ block i from child i mod k and runs no block itself, so its memory holds
 only the merged result.  Results are handed over one block at a time; a
 child runs ahead of the consumer only until its pipe fills, and a
 consumer that stops early (a guard tripped, an error raised) kills every
-child, so the blocks not yet run stay unrun.  Where `os.fork` is missing,
-blocks run serially, with the same results.
+child, so the blocks not yet run stay unrun.  A child that cannot be
+started raises ResourceGuard, and so does one that ends without its
+block's result; either way every child already forked is killed and
+reaped.  Where `os.fork` is missing, blocks run serially, with the same
+results.
 """
 
 from __future__ import annotations
@@ -79,9 +82,11 @@ def run_blocks(fn: Callable[[A], R], blocks: Sequence[A], workers: int = 1) -> I
 
     At most one child per block is forked (none at one worker or where
     `os.fork` is missing).  A block's exception is raised here at that
-    block's turn; a child that ends without its block's result raises
-    ResourceGuard.  Closing the generator (as a consumer that stops early
-    should), an error or an interrupt kills and reaps every child.
+    block's turn; a child that cannot start (`os.pipe` or `os.fork`
+    failing, as past a limit on open files or processes) or that ends
+    without its block's result raises ResourceGuard.  Closing the
+    generator (as a consumer that stops early should), an error or an
+    interrupt kills and reaps every child.
     """
     workers = min(workers, len(blocks))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -90,8 +95,16 @@ def run_blocks(fn: Callable[[A], R], blocks: Sequence[A], workers: int = 1) -> I
     children: list = []  # (pid, read end) of each child; pid None once reaped
     try:
         for j in range(workers):
-            read, write = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = read, write = os.pipe()
+                pid = os.fork()
+            except OSError as error:  # out of fds or processes: a resource, not a bug
+                for fd in fds:
+                    os.close(fd)
+                raise ResourceGuard(
+                    f"worker process {j + 1} of {workers} could not start: {error}"
+                ) from None
             if pid == 0:  # the child: serve blocks j, j + k, ..., then exit
                 status = 1
                 try:

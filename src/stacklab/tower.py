@@ -202,7 +202,8 @@ class StackingData:
         cached array of dtype `level_dtype(self, m + 1)`.
 
         P_i is the start of slice i+1 inside tower m+1; spacer block i+1
-        occupies [P_i + h_m, P_{i+1}).
+        occupies [P_i + h_m, P_{i+1}).  The largest step is recorded as
+        `largest_gap(m)`.
         """
         key = ("pfx", m)
         starts = self._cache.get(key)
@@ -210,8 +211,27 @@ class StackingData:
             steps = np.zeros(self.stages[m - 1].q, dtype=level_dtype(self, m + 1))
             steps[1:] = self.stage_spacers(m)
             steps[1:] += self.heights()[m - 1]
+            self._cache[("gap", m)] = int(np.max(steps))
             starts = self._cache[key] = np.cumsum(steps)
         return starts
+
+    def largest_gap(self, m: int) -> int:
+        """The largest gap between stage m's slice starts, h_m plus its
+        largest spacer."""
+        self.slice_starts(m)
+        return self._cache[("gap", m)]
+
+    def search_table(self, m: int):
+        """Stage m's slice starts in a form `bisect` reads as Python ints,
+        cached: an `array("q")` copy of an int64 table (2-3x faster to search
+        than numpy scalars), an object table as it is."""
+        key = ("search", m)
+        table = self._cache.get(key)
+        if table is None:
+            starts = self.slice_starts(m)
+            table = starts if starts.dtype.hasobject else array("q", starts.tobytes())
+            self._cache[key] = table
+        return table
 
     def extended(self, stage: Stage) -> "StackingData":
         """A new construction with one more stage appended."""
@@ -317,7 +337,7 @@ class ValidLevels:
         a copy of tower n-1 (one bisect over stage n-1's slice starts)."""
         if not (is_int(k) and 0 <= k <= self.sd.height(self.n) - self.t_max - 1):
             return False
-        starts = _search_table(self.sd, self.n - 1)
+        starts = self.sd.search_table(self.n - 1)
         return k - starts[bisect_right(starts, k) - 1] < self.sd.heights()[self.n - 2]
 
     def at(self, pos: np.ndarray) -> np.ndarray:
@@ -366,18 +386,6 @@ def _coding(sd: StackingData, spec: CodingSpec, n: int) -> tuple[int, bool]:
     return sd.heights()[r - 1], refined
 
 
-def _search_table(sd: StackingData, m: int):
-    """Stage m's slice starts in a form `bisect` reads as Python ints,
-    cached: an `array("q")` copy of an int64 table (2-3x faster to search
-    than numpy scalars), an object table as it is."""
-    key = ("search", m)
-    table = sd._cache.get(key)
-    if table is None:
-        starts = sd.slice_starts(m)
-        table = sd._cache[key] = starts if starts.dtype.hasobject else array("q", starts.tobytes())
-    return table
-
-
 def code_orbit(
     sd: StackingData,
     spec: CodingSpec,
@@ -403,7 +411,7 @@ def code_orbit(
         h_r, refined = _coding(sd, spec, n)
         heights = sd.heights()
         descent = tuple(
-            (_search_table(sd, m), heights[m - 1]) for m in range(n - 1, spec.reference - 1, -1)
+            (sd.search_table(m), heights[m - 1]) for m in range(n - 1, spec.reference - 1, -1)
         )
         setup = sd._cache[key] = (h_n, h_r, refined, descent)
     _, h_r, refined, descent = setup
@@ -527,14 +535,13 @@ MAX_KEY_BYTES = 1 << 28
 @dataclass(frozen=True, eq=False)
 class Ranges:
     """The `count` windows a lift decodes, laid end to end: position j,
-    with ends[i-1] <= j < ends[i], is the start base[i] + j of tower
-    towers[i] and stands for weights[i] levels of K.  `base` and `ends`
+    with ends[i-1] <= j < ends[i], is the start base[i] + j, a level of
+    tower n, and stands for weights[i] levels of K.  `base` and `ends`
     have tower n's `level_dtype`; `weights` holds Python ints."""
 
     sd: StackingData
     n: int
     count: int
-    towers: np.ndarray
     ends: np.ndarray
     base: np.ndarray
     weights: np.ndarray
@@ -593,8 +600,8 @@ def exact_plan(
     if reads > levels.count:
         return "enumerate", levels, levels.count
     windows, keys = max(0, heights[r - 1] - t), 0
-    # (tower, end, base, weight) per range, as in `Ranges`; tower r's come first.
-    ranges = [(r, windows, 0, prod(stage.q for stage in sd.stages[r - 1 : n - 1]))]
+    # (end, base, weight) per range, as in `Ranges`; tower r's come first.
+    ranges = [(windows, 0, prod(stage.q for stage in sd.stages[r - 1 : n - 1]))]
     for m in range(r, n):
         h, width, top = heights[m - 1], t // heights[m - 1] + 2, m == n - 1
         spacers, starts = sd.stage_spacers(m), sd.slice_starts(m)
@@ -612,28 +619,13 @@ def exact_plan(
             if windows + keys > levels.count:
                 return "enumerate", levels, levels.count
         above = prod(stage.q for stage in sd.stages[m : n - 1])
-        ranges.extend((m + 1, end, base, mult * above) for end, base, mult in groups.values())
-    towers, ends, base, weights = zip(*ranges)
+        ranges.extend((end, base, mult * above) for end, base, mult in groups.values())
+    ends, base, weights = zip(*ranges)
     dtype = level_dtype(sd, n)
     return "compressed", Ranges(
-        sd, n, windows, np.array(towers), np.array(ends, dtype=dtype),
-        np.array(base, dtype=dtype), np.array(weights, dtype=object),
+        sd, n, windows, np.array(ends, dtype=dtype), np.array(base, dtype=dtype),
+        np.array(weights, dtype=object),
     ), windows
-
-
-def _largest_gap(sd: StackingData, m: int) -> int:
-    """The largest gap between stage m's slice starts, h_m plus its largest
-    spacer, cached per stage.  It is read BLOCK_SIZE gaps at a time, so no
-    temporary is as long as the stage, and no spacer tuple is read."""
-    key = ("gap", m)
-    gap = sd._cache.get(key)
-    if gap is None:
-        starts = sd.slice_starts(m)
-        gap = sd._cache[key] = max(
-            int(np.max(np.diff(starts[i : i + BLOCK_SIZE + 1])))
-            for i in range(0, len(starts) - 1, BLOCK_SIZE)
-        )
-    return gap
 
 
 def _rank_path(
@@ -654,10 +646,10 @@ def _rank_path(
     makes the search cheap.
 
     `table`, cached per (n, reference, mode), holds the symbols of [0, L),
-    L = `_largest_gap(sd, n - 1)`, where every window level less its
-    copy's start lies.  `_descend` builds it when L <= windows and 8L
-    bytes fit in MAX_KEY_BYTES, so it costs at most one symbol per window;
-    otherwise it is None and `_symbol_keys` descends.
+    L = `sd.largest_gap(n - 1)`, where every window level less its copy's
+    start lies.  `_descend` builds it when L <= windows and 8L bytes fit in
+    MAX_KEY_BYTES, so it costs at most one symbol per window; otherwise it
+    is None and `_symbol_keys` descends.
     """
     sd, n = levels.sd, levels.n
     _coding(sd, spec, n)
@@ -665,14 +657,12 @@ def _rank_path(
         return None
     h, q = sd.heights()[n - 2], sd.stages[n - 2].q
     follow = min((h - 1 + max(offsets)) // h, q - 1)
-    table = None
-    if h <= windows:  # L >= h: no scan when h rules the table out
-        size, key = _largest_gap(sd, n - 1), ("symbols", n, spec.reference, spec.mode)
-        if size <= windows and 8 * size <= MAX_KEY_BYTES:
-            table = sd._cache.get(key)
-            if table is None:
-                residuals = np.arange(size, dtype=level_dtype(sd, n - 1))
-                table = sd._cache[key] = _descend(sd, spec, n - 1, residuals)
+    size, key, table = sd.largest_gap(n - 1), ("symbols", n, spec.reference, spec.mode), None
+    if size <= windows and 8 * size <= MAX_KEY_BYTES:
+        table = sd._cache.get(key)
+        if table is None:
+            residuals = np.arange(size, dtype=level_dtype(sd, n - 1))
+            table = sd._cache[key] = _descend(sd, spec, n - 1, residuals)
     return (follow if sampled and 64 * follow**4 <= q else None), table
 
 
@@ -716,8 +706,10 @@ def _count_block(spec, plan, offsets, seed, path, span) -> Counter:
     rank (`ValidLevels.select`), decoded by `_rank_keys` on `path`, the
     histogram's `_rank_path`; on the lift's `Ranges`, which take no path,
     one `searchsorted` over the ends finds each position's range, whose
-    windows are decoded by `code_orbits` a run of one tower at a time and
-    count `weights` times.  Both decode DECODE_BATCH positions at a time."""
+    windows count `weights` times.  Both decode DECODE_BATCH positions at
+    a time, a batch of lifted windows by `code_orbits` in the lowest tower
+    m >= r that holds all of it: a window of tower m+1 that starts at s is
+    level s of every tower above, as copy 0 of each lies at its level 0."""
     lo, hi = span
     sd = plan.sd
     dtype = level_dtype(sd, plan.n)
@@ -731,14 +723,13 @@ def _count_block(spec, plan, offsets, seed, path, span) -> Counter:
             part.update(_rank_keys(spec, plan, pos[j : j + DECODE_BATCH], offsets, path))
         return part
     i = np.searchsorted(plan.ends, pos, side="right")
-    ks, towers, weights = plan.base[i] + pos, plan.towers[i], plan.weights[i]
-    cuts = [0, *(np.flatnonzero(np.diff(towers)) + 1).tolist(), len(pos)]
-    for a, b in zip(cuts, cuts[1:]):
-        for j in range(a, b, DECODE_BATCH):
-            k = min(j + DECODE_BATCH, b)
-            words = code_orbits(sd, spec, int(towers[a]), ks[j:k], offsets)
-            for word, weight in zip(words, weights[j:k]):
-                part[word] += weight
+    ks, weights = plan.base[i] + pos, plan.weights[i]
+    heights, reach = sd.heights(), max(offsets, default=0)
+    for j in range(0, len(pos), DECODE_BATCH):
+        batch = slice(j, j + DECODE_BATCH)
+        m = max(spec.reference, bisect_right(heights, int(np.max(ks[batch])) + reach) + 1)
+        for word, weight in zip(code_orbits(sd, spec, m, ks[batch], offsets), weights[batch]):
+            part[word] += weight
     return part
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import importlib.util
 import inspect
 import json
@@ -1185,6 +1186,25 @@ def test_verify_rejects_a_directory_in_place_of_a_json_file(tmp_path, name):
     proc = _cli("verify", "--out", out)
     assert proc.returncode == EXIT_VALIDATION and "Traceback" not in proc.stderr
     assert proc.stdout == f"REJECTED: {name} cannot be read: Is a directory\n"
+
+
+def test_verify_rejects_a_report_that_cannot_be_opened(tmp_path, monkeypatch, capsys):
+    # Permissions do not bind root, so opening the CSV is made to fail instead.
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(FIXTURES / "entropy_tiny.json"), "--out", str(out)]) == 0
+    real_open = Path.open
+
+    def refusing(self, *args, **kwargs):
+        if self.name == "entropy.csv":
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refusing)
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == (
+        "REJECTED: entropy.csv cannot be read: Permission denied\nok: summary.txt\n"
+    )
 
 
 @pytest.mark.parametrize("name", ["entropy.csv", "summary.txt", "meta.json"])

@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stacklab import parallel, tower
 from stacklab.entropy import (
@@ -130,6 +130,24 @@ def test_exact_counts_match_enumeration_and_oracle(case):
     res = empirical_sequence_entropy(sd, spec, n, offsets, len(offsets), word_cap=distinct)
     assert res.histogram.path == path
     assert list(res.histogram.counts.items()) == list(enumerated.items())
+
+
+@settings(max_examples=60, deadline=None)
+@example((StackingData(3, (Stage(q=2, spacers=(1,)), Stage(q=3, spacers=(0, 1))), spacer_cap=2),
+          3, CodingSpec(1), (1, 2, 4)), 5)
+@given(cases(), st.integers(1, 6))
+def test_decode_batches_across_towers_match_enumeration(case, batch):
+    # Batches of a few lifted windows straddle the bounds between towers and
+    # between ranges, and blocks of 7 positions run on three workers; each
+    # batch decodes in the lowest tower that holds all of it.
+    sd, n, spec, offsets = case
+    levels = valid_levels(sd, n, offsets[-1])
+    expected = count_words(sd, spec, n, levels, offsets)
+    with mock.patch.object(tower, "DECODE_BATCH", batch), \
+            mock.patch.object(tower, "index_blocks", lambda total: parallel.index_blocks(total, 7)):
+        for workers in (1, 3):
+            counts, path, _ = exact_word_counts(levels, spec, offsets, workers=workers)
+            assert list(counts.items()) == list(expected.items()), (path, workers)
 
 
 @given(cases())

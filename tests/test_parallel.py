@@ -1,7 +1,9 @@
 """The forked block pool of `parallel.run_blocks`: results in block order,
-block errors raised at their turn, no child left behind, and the same
-bytes at any worker count.  Each pool runs in a fresh interpreter under a
-timeout, so a pool that hangs fails its test instead of stalling the suite."""
+block errors raised at their turn, no child or file descriptor left
+behind, and the same bytes at any worker count.  Each pool runs in a
+fresh interpreter under a timeout, so a pool that hangs fails its test
+instead of stalling the suite, and in development mode with resource
+warnings as errors, so an unclosed pipe reader fails it too."""
 
 from __future__ import annotations
 
@@ -55,13 +57,21 @@ def left():
     return out
 
 
+# Open descriptors: a raw pipe end left open raises no ResourceWarning, so
+# each pool compares them before and after.
+def fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 def run(fn, blocks, workers):
-    got = []
+    got, before = [], fds()
     try:
         for result in parallel.run_blocks(fn, blocks, workers):
             got.append(result)
     except (TowerError, ResourceGuard) as error:
         return got, [type(error).__name__, str(error)]
+    finally:
+        assert fds() == before, f"the pool left descriptors open: {before} -> {fds()}"
     return got, None
 """
 
@@ -70,9 +80,12 @@ def _run(body: str) -> dict:
     """The JSON that `body`, after PREAMBLE, prints in a fresh interpreter."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", PREAMBLE + body], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", PREAMBLE + body],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    # A warning raised in a finalizer is printed, not raised: stderr must be empty.
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     return json.loads(proc.stdout)
 
 
@@ -99,12 +112,14 @@ def fn(b):
     time.sleep(0.01)
     return b
 
+before = fds()
 blocks = parallel.run_blocks(fn, range(30), 3)
 first = next(blocks)
 blocks.close()
-print(json.dumps({"first": first, "forked": len(forked), "left": left()}))
+print(json.dumps({"first": first, "forked": len(forked), "left": left(),
+                  "fds": fds() == before}))
 """)
-    assert out == {"first": 0, "forked": 3, "left": []}
+    assert out == {"first": 0, "forked": 3, "left": [], "fds": True}
 
 
 def test_child_that_exits_without_a_result_raises_resource_guard():
@@ -122,6 +137,55 @@ print(json.dumps({"got": got, "error": error, "left": left()}))
     assert name == "ResourceGuard"
     assert "block 2 of 6" in message and f"wait status {7 << 8}" in message
     assert out["left"] == []
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_worker_that_cannot_start_raises_resource_guard(call):
+    # Every second os.fork (or os.pipe) fails, as past a limit on processes
+    # or open files.  The pool raises ResourceGuard naming the worker and
+    # the reason, closes the failed worker's pipe, and kills the child
+    # already forked; `stacklab run --workers 2` exits 3.
+    out = _run(f"""
+import contextlib, errno, io, shutil, tempfile
+from pathlib import Path
+from stacklab import cli
+
+calls, real = [], os.{call}
+
+
+def failing(*args):
+    calls.append(args)
+    if len(calls) % 2 == 0:
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    return real(*args)
+
+
+os.{call} = failing
+before = fds()
+got, error = run(lambda b: b, range(4), 2)
+out = {{"got": got, "error": error, "fds": fds() == before, "left": left()}}
+tmp = Path(tempfile.mkdtemp())
+doc = {{"stacking": {{"initial_height": 2, "spacer_cap": 2, "stages": [{{"q": 2, "spacers": [1]}}]}},
+       "sequence": {{"kind": "explicit", "values": [1, 2]}}, "seed": 1,
+       "operations": [{{"op": "entropy", "stage": 2, "length": 2, "method": "sampled",
+                       "count": 3 * parallel.BLOCK_SIZE}}]}}
+(tmp / "config.json").write_text(json.dumps(doc))
+stderr = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+    code = cli.main(["run", "--config", str(tmp / "config.json"), "--out", str(tmp / "out"),
+                     "--workers", "2"])
+shutil.rmtree(tmp)
+out.update(code=code, stderr=stderr.getvalue(), calls=len(calls), fds_after_run=fds() == before,
+           left_after_run=left())
+print(json.dumps(out))
+""")
+    reason = "could not start: [Errno 11] Resource temporarily unavailable"
+    assert out["got"] == []
+    assert out["error"] == ["ResourceGuard", f"worker process 2 of 2 {reason}"]
+    assert out["fds"] and out["left"] == []
+    assert out["code"] == 3 and out["calls"] == 4
+    assert out["stderr"] == f"resource guard: worker process 2 of 2 {reason}\n"
+    assert out["fds_after_run"] and out["left_after_run"] == []
 
 
 def test_without_fork_blocks_run_in_the_caller(monkeypatch):
@@ -188,12 +252,13 @@ kwargs = dict(h=2, pattern=(0,), l0=1, separation=100, samples=3 * _MC_BLOCK + 1
 
 
 def outputs(w):
-    out = {
-        name: hashlib.sha256(pickle.dumps(list(blocked_word_counts(
-            spec, plan, total, offsets, workers=w, seed=seed).items()))).hexdigest()
-        for name, (plan, total, seed) in runs.items()
-    }
+    before, out = fds(), {}
+    for name, (plan, total, seed) in runs.items():
+        counts = blocked_word_counts(spec, plan, total, offsets, workers=w, seed=seed)
+        out[name] = hashlib.sha256(pickle.dumps(list(counts.items()))).hexdigest()
+        assert fds() == before, name
     out["mc"] = repr(sorted(conditional_limits_mc(**kwargs, workers=w).items()))
+    assert fds() == before, "mc"
     return out
 """
 

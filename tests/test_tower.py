@@ -76,6 +76,33 @@ def test_slice_starts_is_one_array_per_stage():
         assert path == "compressed" and type(plan.count) is int and windows == plan.count
 
 
+@st.composite
+def stackings(draw):
+    """Explicit and seeded stages under a spacer cap, on a first height
+    just below or just past 2^63, or a small one."""
+    cap = draw(st.integers(1, 4))
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.integers(2, 6))
+        if cap > 1 and draw(st.booleans()):
+            stages.append(Stage(q=q, seed=draw(st.integers(0, 1 << 16))))
+        else:
+            spacers = draw(st.lists(st.integers(0, cap - 1), min_size=q - 1, max_size=q - 1))
+            stages.append(Stage(q=q, spacers=tuple(spacers)))
+    first = draw(st.sampled_from((0, (1 << 63) - 4)))
+    return StackingData(first + draw(st.integers(1, 6)), tuple(stages), spacer_cap=cap)
+
+
+@given(stackings())
+def test_largest_gap_is_the_height_plus_the_largest_spacer(sd):
+    heights = sd.heights()
+    for m in range(1, sd.num_towers):
+        gap = sd.largest_gap(m)  # before anything else builds the starts
+        assert type(gap) is int
+        assert gap == int(np.max(np.diff(sd.slice_starts(m))))
+        assert gap == heights[m - 1] + max(sd.stage_spacers(m))
+
+
 def test_heights_strictly_increasing():
     rng = random.Random(11)
     from .conftest import random_stacking
@@ -604,7 +631,7 @@ def test_rank_path_is_worked_out_once_per_histogram():
     sd = StackingData(3, (Stage(3, (1, 2)), Stage(5, (0, 2, 1, 1)), Stage(q=1001, seed=4)),
                       spacer_cap=3)
     n, spec, offsets, seed = 4, CodingSpec(2, "refined"), (0, 1, 3, 6), 17
-    levels, gap = valid_levels(sd, n, offsets[-1]), tower._largest_gap(sd, n - 1)
+    levels, gap = valid_levels(sd, n, offsets[-1]), sd.largest_gap(n - 1)
     calls, rank_path = [], tower._rank_path
     with mock.patch.object(tower, "_rank_path", lambda *a: calls.append(a[3]) or rank_path(*a)):
         tower.blocked_word_counts(spec, levels, 3 * BLOCK_SIZE, offsets, seed=seed)
@@ -613,6 +640,29 @@ def test_rank_path_is_worked_out_once_per_histogram():
     follow, table = rank_path(spec, levels, offsets, gap, True)
     assert follow == 1 and table is sd._cache[("symbols", n, 2, "refined")]
     assert rank_path(spec, levels, offsets, gap - 1, True) == (1, None)
+
+
+@pytest.mark.parametrize("spacers", [(0, 2, 1, 0), (0, 0, 0, 0)])
+def test_rank_path_builds_the_table_from_the_largest_gap_on(spacers):
+    # Windows at h_{n-1} - 1, h_{n-1}, L - 1 and L, L = h_{n-1} + the largest
+    # spacer (L = h_{n-1} when every spacer is 0): the table holds the
+    # symbols of the L levels from the start of the copy below that spacer,
+    # and exists from L windows on.  f = 1 and 64 f^4 > q, so draws search.
+    sd = StackingData(3, (Stage(3, (1, 2)), Stage(5, spacers)), spacer_cap=3)
+    n, offsets = 3, (0, 1, 4)
+    h, gap = sd.heights()[n - 2], sd.largest_gap(n - 1)
+    assert gap == h + max(spacers)
+    levels = valid_levels(sd, n, offsets[-1])
+    start = int(sd.slice_starts(n - 1)[spacers.index(max(spacers))])
+    for spec in (CodingSpec(1), CodingSpec(1, "refined"), CodingSpec(2, "refined")):
+        symbols = [code_orbit(sd, spec, n, start + x, (0,))[0] for x in range(gap)]
+        for windows in (h - 1, h, gap - 1, gap):
+            for sampled in (False, True):
+                follow, table = tower._rank_path(spec, levels, offsets, windows, sampled)
+                assert follow is None
+                assert (table is None) == (windows < gap)
+                if table is not None:
+                    assert table.tolist() == symbols
 
 
 def test_count_words_above_int64_matches_code_orbit():
