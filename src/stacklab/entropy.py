@@ -116,12 +116,12 @@ class WordHistogram:
     the orbit windows decoded.  Each key of `counts` is a word's symbols
     as `symbol_width`-byte little-endian integers (`tower.encode_word`);
     `words()` decodes them.  `counts` is a `Counter`, or on the distinct
-    path a `tower.DistinctWords`, whose keys are decoded only when read:
-    the checks below and `entropy_nats` read its length, key length and
-    run of ones, and decode none.
+    path a `tower.DistinctWords`, read only by its keys, `values()` and
+    `items()`: the checks below and `entropy_nats` read its length, key
+    length and run of ones, and decode no key.
     """
 
-    counts: Mapping[bytes, int]
+    counts: Counter | DistinctWords
     total: int
     word_length: int
     coverage: float

@@ -33,7 +33,10 @@ def hoeffding_bound(n: int, m: int, t: float) -> float:
         raise GenericSearchError("n and m must be positive")
     if t <= 0:
         raise GenericSearchError("t must be positive")
-    return math.exp(-2.0 * (n // m) * t * t)
+    try:
+        return math.exp(-2.0 * (n // m) * t * t)
+    except OverflowError:  # floor(n/m) past the float range: the bound is 0
+        return 0.0
 
 
 def analytic_failure_bound(heights: Sequence[int], N: int) -> float:

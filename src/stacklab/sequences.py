@@ -203,14 +203,12 @@ def max_gap(seq: SamplingSequence, n: int) -> int:
 class DilationReport:
     """Tail-gap diagnostics over a finite horizon.
 
-    `tail_minima[j]` is the smallest gap from position j onward; the
-    verdict is a finite-horizon heuristic: gaps strictly increase over the
-    final half of the range and the closing tail minimum beats the opening
-    one.  It is a trend statement about the inspected range, nothing more.
+    The verdict is a finite-horizon heuristic: gaps strictly increase over
+    the final half of the range and the last gap beats the smallest one.
+    It is a trend statement about the inspected range, nothing more.
     """
 
     gaps: tuple[int, ...]
-    tail_minima: tuple[int, ...]
     dilating: bool
 
 
@@ -224,17 +222,11 @@ def dilation_diagnostic(seq: SamplingSequence, horizon: int | None = None) -> Di
 def gaps_dilation(gaps: tuple[int, ...]) -> DilationReport:
     """The `DilationReport` of a run of terms from its consecutive gaps,
     of which there is at least one."""
-    tail = [0] * len(gaps)
-    running = gaps[-1]
-    for j in range(len(gaps) - 1, -1, -1):
-        running = min(running, gaps[j])
-        tail[j] = running
     half = len(gaps) // 2
     strictly_rising = all(
         gaps[j] < gaps[j + 1] for j in range(half, len(gaps) - 1)
     )
-    verdict = strictly_rising and tail[-1] > tail[0]
-    return DilationReport(gaps=gaps, tail_minima=tuple(tail), dilating=verdict)
+    return DilationReport(gaps=gaps, dilating=strictly_rising and gaps[-1] > min(gaps))
 
 
 def thickened_count(gaps: Iterable[int], r: int) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -309,9 +308,9 @@ class ValidLevels:
     """The level set K of tower n for a sampling horizon t_N.
 
     K = { k : 0 <= k <= h_n - t_N - 1, level k is not inside a spacer
-    block added by stage n-1 }.  The set is never enumerated eagerly:
-    membership counting and rank selection run off the stage n-1 prefix
-    sums, so uniform sampling needs no materialization.
+    block added by stage n-1 }.  The set is never materialized: its size
+    is counted, and its levels read by rank (`at`), off stage n-1's slice
+    starts, so uniform sampling needs no enumeration.
     """
 
     sd: StackingData
@@ -322,28 +321,10 @@ class ValidLevels:
     def __len__(self) -> int:
         return self.count
 
-    def select(self, u: int) -> int:
-        """The u-th valid level in increasing order, 0 <= u < count."""
-        if not 0 <= u < self.count:
-            raise TowerError(f"rank {u} out of range [0, {self.count})")
-        h = self.sd.heights()[self.n - 2]
-        return int(self.sd.slice_starts(self.n - 1)[u // h]) + u % h
-
-    def __iter__(self) -> Iterator[int]:
-        return map(self.select, range(self.count))
-
-    def __contains__(self, k) -> bool:
-        """Whether level k lies in K: at or below h_n - t_N - 1 and inside
-        a copy of tower n-1 (one bisect over stage n-1's slice starts)."""
-        if not (is_int(k) and 0 <= k <= self.sd.height(self.n) - self.t_max - 1):
-            return False
-        starts = self.sd.search_table(self.n - 1)
-        return k - starts[bisect_right(starts, k) - 1] < self.sd.heights()[self.n - 2]
-
     def at(self, pos: np.ndarray) -> np.ndarray:
-        """`select` of each rank in `pos`, an int64 or object array: rank u
-        is the level P_{u // h_{n-1}} + u % h_{n-1} of stage n-1's slice
-        starts."""
+        """The levels of K at the ranks `pos`, an array of tower n's
+        `level_dtype`: rank u is level P_{u // h_{n-1}} + u % h_{n-1}, with P
+        stage n-1's slice starts, so K's levels increase with their rank."""
         h = self.sd.heights()[self.n - 2]
         copies = (pos // h).astype(np.int64, copy=False)
         return self.sd.slice_starts(self.n - 1)[copies] + pos % h
@@ -703,7 +684,7 @@ def _count_block(spec, plan, offsets, seed, path, span) -> Counter:
     """Word counts at the positions [lo, hi) = `span` of a plan, or at the
     draws [lo, hi) of the counter RNG from [0, plan.count) when a seed is
     given.  Positions have tower n's `level_dtype`.  On K, position u is a
-    rank (`ValidLevels.select`), decoded by `_rank_keys` on `path`, the
+    rank (`ValidLevels.at`), decoded by `_rank_keys` on `path`, the
     histogram's `_rank_path`; on the lift's `Ranges`, which take no path,
     one `searchsorted` over the ends finds each position's range, whose
     windows count `weights` times.  Both decode DECODE_BATCH positions at
@@ -782,20 +763,18 @@ def blocked_word_counts(
     return counts
 
 
-class DistinctWords(Mapping):
+class DistinctWords:
     """The histogram of K on `exact_plan`'s distinct path, where coding is
     the identity on levels: level k codes to (k + t_1 + 1, ..., k + t_N + 1),
-    so every level of K is its own word, counted once.  The keys are
-    decoded on demand by `code_orbits`, DECODE_BATCH levels at a time, in
+    so every level of K is its own word, counted once.  Iterating yields
+    the keys, decoded by `code_orbits` DECODE_BATCH levels at a time in
     K's order, which is enumeration's first-seen order; `values()` is a
-    run of |K| ones.  A key's count is read off its first symbol, which
-    names its level, so `[]`, `in` and `items()` cost O(N) per key and
-    building, sizing and summing the histogram decode nothing."""
+    run of |K| ones and `items()` pairs each key with its 1, so building,
+    sizing and summing the histogram decode nothing."""
 
     def __init__(self, levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int]):
         self.levels, self.spec, self.offsets = levels, spec, tuple(offsets)
-        self.width = symbol_width(levels.sd, spec)
-        self.key_bytes = self.width * len(self.offsets)
+        self.key_bytes = symbol_width(levels.sd, spec) * len(self.offsets)
 
     def __len__(self) -> int:
         return self.levels.count
@@ -806,33 +785,25 @@ class DistinctWords(Mapping):
             pos = np.arange(lo, min(lo + DECODE_BATCH, levels.count), dtype=dtype)
             yield from code_orbits(levels.sd, self.spec, levels.n, levels.at(pos), self.offsets)
 
-    def __getitem__(self, key) -> int:
-        if isinstance(key, bytes) and len(key) == self.key_bytes:
-            k = int.from_bytes(key[: self.width], "little") - self.offsets[0] - 1
-            word = [k + t + 1 for t in self.offsets]
-            if k in self.levels and key == encode_word(word, self.width):
-                return 1
-        raise KeyError(key)
+    def values(self) -> _Ones:
+        return _Ones(self.levels.count)
 
-    def values(self) -> ValuesView:
-        return _Ones(self)
-
-    def items(self) -> ItemsView:
-        return _CountedOnce(self)
+    def items(self) -> Iterator[tuple[bytes, int]]:
+        return zip(self, repeat(1))
 
 
-class _Ones(ValuesView):
-    """The counts of a `DistinctWords`: one per key, without its keys."""
+class _Ones:
+    """The counts of a `DistinctWords`: one per key, without its keys;
+    sized and re-iterable, as `counts_entropy` reads them twice."""
+
+    def __init__(self, count: int):
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
 
     def __iter__(self) -> Iterator[int]:
-        return repeat(1, len(self._mapping))
-
-
-class _CountedOnce(ItemsView):
-    """The items of a `DistinctWords`: each key with its count of 1."""
-
-    def __iter__(self) -> Iterator[tuple[bytes, int]]:
-        return zip(self._mapping, repeat(1))
+        return repeat(1, self.count)
 
 
 def _distinct_words(
@@ -840,21 +811,23 @@ def _distinct_words(
 ) -> DistinctWords:
     """The "distinct" histogram of K, after the checks the blocks would
     make, in their order: the block-list guard, the coding, then
-    `_check_histogram` at each block end, where the blocks would hold that
-    many distinct keys.  The block ends are walked, not listed, as |K| may
-    reach MAX_BLOCK_ITEMS."""
+    `_check_histogram`.  The blocks hold min(end, |K|) distinct keys at
+    each block end, and their guards pass up to `passes` keys, so the
+    first block end past `passes`, if any, is the one that trips."""
     check_block_items(levels.count)
     _coding(levels.sd, spec, levels.n)
     words = DistinctWords(levels, spec, offsets)
-    for end in range(BLOCK_SIZE, levels.count + BLOCK_SIZE, BLOCK_SIZE):
-        _check_histogram(min(end, levels.count), words.key_bytes, word_cap)
+    passes = min(MAX_KEY_BYTES // words.key_bytes, levels.count if word_cap is None else word_cap)
+    if levels.count > passes:
+        end = (passes // BLOCK_SIZE + 1) * BLOCK_SIZE
+        _check_histogram(min(levels.count, end), words.key_bytes, word_cap)
     return words
 
 
 def exact_word_counts(
     levels: ValidLevels, spec: CodingSpec, offsets: Sequence[int], word_cap: int | None = None,
     workers: int = 1, level_cap: int | None = None, count: int | None = None, seed: int = 0,
-) -> tuple[Mapping[bytes, int], str, int]:
+) -> tuple[Counter | DistinctWords, str, int]:
     """The word histogram of K on the path of `exact_plan`, in first-seen
     order, with that path and its windows.  |K| above `level_cap` raises
     ResourceGuard on every path but compressed.

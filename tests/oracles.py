@@ -29,7 +29,9 @@ from stacklab.randomstacks.markov import (
 )
 from stacklab.rng import bulk_generator
 from stacklab.sequences import MAX_TERMS, SamplingSequence, SequenceError
-from stacklab.tower import DECODE_BATCH, CodingSpec, StackingData, TowerError, code_orbits
+from stacklab.tower import (
+    DECODE_BATCH, CodingSpec, StackingData, TowerError, ValidLevels, code_orbits, level_dtype,
+)
 
 
 def materialize_word(sd: StackingData, r: int, n: int, mode: str = "base") -> list[int]:
@@ -305,13 +307,17 @@ def oracle_word_counts(sd: StackingData, r: int, n: int, offsets, mode: str = "b
 
 
 def count_words(
-    sd: StackingData, spec: CodingSpec, n: int, levels: Iterable[int], offsets: Sequence[int]
+    sd: StackingData, spec: CodingSpec, n: int, levels: Iterable[int] | ValidLevels,
+    offsets: Sequence[int],
 ) -> Counter:
     """Histogram of the word keys (`code_orbits`) of `levels`, keys in
     first-seen order, decoded DECODE_BATCH levels at a time; `levels` may
-    be an iterable or a 1-d numpy array.  The enumeration oracle of
-    `tower.exact_word_counts` and `tower.blocked_word_counts`."""
+    be an iterable, a 1-d numpy array or a whole K, read by rank through
+    `ValidLevels.at`.  The enumeration oracle of `tower.exact_word_counts`
+    and `tower.blocked_word_counts`."""
     counts: Counter = Counter()
+    if isinstance(levels, ValidLevels):
+        levels = levels.at(np.arange(levels.count, dtype=level_dtype(levels.sd, levels.n)))
     if isinstance(levels, np.ndarray):
         batches = (levels[j : j + DECODE_BATCH] for j in range(0, len(levels), DECODE_BATCH))
     else:

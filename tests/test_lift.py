@@ -27,7 +27,6 @@ from stacklab.tower import (
     Stage,
     StackingData,
     decode_symbol,
-    encode_word,
     exact_plan,
     exact_word_counts,
     level_dtype,
@@ -411,6 +410,24 @@ def test_distinct_words_trip_the_guards_of_enumeration(
         assert list(counts.items()) == list(oracle.items())
 
 
+@pytest.mark.parametrize("word_cap, check", [
+    (None, None),                    # no guard trips: no check
+    (10, (BLOCK_SIZE, 256, 10)),     # the word cap at block 0
+    (65023, (65024, 256, 65023)),    # the word cap at the last block
+])
+def test_distinct_words_check_the_histogram_at_most_once(monkeypatch, word_cap, check):
+    # Exact-squaring's reference-5 op: 65 024 levels of K, 8 blocks.  The
+    # guard that trips, if any, is found by arithmetic, not at each block end.
+    A = SamplingSequence.power(Fraction(3, 2), horizon=160)
+    sd, spec, offsets = _squaring_tower(), CodingSpec(5), sampling_offsets(A, 64)
+    levels = valid_levels(sd, 5, offsets[-1])
+    assert levels.count == 65024
+    calls, check_histogram = [], tower._check_histogram
+    monkeypatch.setattr(tower, "_check_histogram", lambda *a: calls.append(a) or check_histogram(*a))
+    _guard_error(lambda: exact_word_counts(levels, spec, offsets, word_cap))
+    assert calls == ([] if check is None else [check])
+
+
 def test_distinct_words_raise_the_coding_error_of_the_blocks():
     # Refined mode needs a finite spacer cap; the first block's decode says
     # so, and at r = n the same check runs before any block would.
@@ -469,18 +486,5 @@ def test_distinct_words_match_enumeration_without_decoding(case):
     assert list(counts.items()) == list(oracle.items()) == list(forced.items())
     assert len(counts) == len(oracle) == levels.count
     assert len(counts.values()) == levels.count and list(counts.values()) == list(counts.values())
-    assert all(key in counts and counts[key] == 1 for key in oracle)
-    assert counts == oracle and oracle == counts and counts == forced
-    # Keys that code no level of K: the level just above K, and (N >= 2) a
-    # valid first symbol followed by 0, which no in-tower level codes to.
-    width = symbol_width(sd, spec)
-    above = sd.height(n) - offsets[-1]
-    strangers = [encode_word([above + o + 1 for o in offsets], width), b"", b"\x00" * 3]
-    if len(offsets) > 1:
-        strangers.append(encode_word([offsets[0] + 1] + [0] * (len(offsets) - 1), width))
-    for key in strangers:
-        assert key not in counts and counts.get(key) is None
-        with pytest.raises(KeyError):
-            counts[key]
     assert h == res.h_nats == counts_entropy(forced.values(), levels.count)
     assert h == plogp_sum(oracle.values(), levels.count)

@@ -525,6 +525,10 @@ def test_hoeffding_examples():
     assert hoeffding_bound(100, 10, 0.5) == pytest.approx(math.exp(-5), abs=1e-12)
     assert hoeffding_bound(100, 10, 1e-9) == pytest.approx(1.0)
     assert hoeffding_bound(50, 1, 0.1) == pytest.approx(math.exp(-1), abs=1e-12)
+    # floor(n/m) past the float range: exp underflows to 0.
+    assert hoeffding_bound(10**400, 1, 0.5) == 0.0
+    assert hoeffding_bound(10**400, 10**90, 1e-9) == 0.0
+    assert hoeffding_bound(10**400, 10**399, 0.5) == math.exp(-5)
 
 
 # -- genericness search -------------------------------------------------------------

@@ -100,7 +100,6 @@ def test_max_gap_examples():
 def test_dilation_diagnostic_examples():
     rep = dilation_diagnostic(SamplingSequence.power(2, horizon=100))
     assert rep.dilating
-    assert all(a <= b for a, b in zip(rep.tail_minima, rep.tail_minima[1:]))
     rep = dilation_diagnostic(SamplingSequence.linear(2, 0, horizon=100))
     assert not rep.dilating
     rep = dilation_diagnostic(SamplingSequence.explicit([1, 2, 4, 8, 9]))
@@ -118,7 +117,7 @@ def test_power_tail_gaps_eventually_large():
     )
     assert gap_hit
     rep = dilation_diagnostic(seq, 100_000)
-    assert rep.tail_minima[-1] > bound or rep.gaps[-1] > bound
+    assert rep.gaps[-1] > bound
 
 
 def test_krug_examples():

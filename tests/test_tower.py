@@ -39,6 +39,11 @@ from .oracles import (
 )
 
 
+def at_ranks(levels, ranks) -> np.ndarray:
+    """The levels of K at `ranks`, read by `ValidLevels.at` in K's dtype."""
+    return levels.at(np.array(list(ranks), dtype=tower.level_dtype(levels.sd, levels.n)))
+
+
 def test_heights_examples():
     assert StackingData(2, (Stage(3, (1, 0)),)).heights() == (2, 7)
     assert StackingData(2, (Stage(2, (0,)), Stage(2, (0,)))).heights() == (2, 4, 8)
@@ -68,9 +73,7 @@ def test_slice_starts_is_one_array_per_stage():
     for n, r in ((2, 1), (4, 3)):
         levels = valid_levels(sd, n, 10)
         assert type(levels.count) is int
-        ks = [levels.select(u) for u in (0, heights[n - 2], levels.count - 1)]
-        assert all(type(k) is int for k in ks)
-        for k in ks:
+        for k in at_ranks(levels, (0, heights[n - 2], levels.count - 1)).tolist():
             assert all(type(x) is int for x in code_orbit(sd, CodingSpec(1), n, k, (0, 5, 10)))
         path, plan, windows = tower.exact_plan(levels, CodingSpec(r), (0, 5, 10))
         assert path == "compressed" and type(plan.count) is int and windows == plan.count
@@ -236,9 +239,9 @@ def test_zero_symbol_count_identity():
 
 
 def test_valid_levels_examples(tiny_tower):
-    assert list(valid_levels(tiny_tower, 2, 2)) == [0, 1]
-    assert list(valid_levels(tiny_tower, 2, 0)) == [0, 1, 3, 4]
-    assert len(valid_levels(tiny_tower, 2, 5)) == 0
+    for t_max, expected in ((2, [0, 1]), (0, [0, 1, 3, 4]), (5, [])):
+        K = valid_levels(tiny_tower, 2, t_max)
+        assert len(K) == len(expected) and K.at(np.arange(K.count)).tolist() == expected
 
 
 def test_valid_levels_against_brute_force():
@@ -254,10 +257,17 @@ def test_valid_levels_against_brute_force():
         for t_max in (0, 1, h_n // 3, h_n - 1, h_n, h_n + 5):
             K = valid_levels(sd, n, t_max)
             expected = brute_valid_levels(sd, n, t_max)
-            assert list(K) == expected
             assert len(K) == len(expected)
-            for u in range(len(K)):
-                assert K.select(u) == expected[u]
+            assert at_ranks(K, range(K.count)).tolist() == expected
+    # Past 2^63, K's levels at object ranks are Python ints: rank i h + j is
+    # level j of copy i, which starts i h plus the spacers below it.
+    h, spacers = (1 << 63) + 5, (0, 3, 1)
+    K = valid_levels(StackingData(h, (Stage(4, spacers),), spacer_cap=4), 2, h // 2)
+    assert K.count == 4 * h - h // 2
+    ranks = [i * h + j for i in range(4) for j in (0, 1, h - h // 2 - 1)]
+    levels = at_ranks(K, ranks)
+    assert levels.dtype == object and all(type(k) is int for k in levels)
+    assert levels.tolist() == [u + sum(spacers[: u // h]) for u in ranks]
 
 
 def test_valid_levels_needs_previous_stage(tiny_tower):
@@ -480,12 +490,12 @@ def rank_blocks(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(rank_blocks())
-def test_count_block_on_K_matches_select(block):
+def test_count_block_on_K_matches_levels_at_ranks(block):
     spec, levels, offsets, seed, _, (lo, hi) = block
     ranks = range(lo, hi)
     if seed is not None:
         ranks = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks]
-    expected = count_words(levels.sd, spec, levels.n, map(levels.select, ranks), offsets)
+    expected = count_words(levels.sd, spec, levels.n, at_ranks(levels, ranks), offsets)
     assert list(tower._count_block(*block).items()) == list(expected.items())
 
 
@@ -576,7 +586,7 @@ def test_K_histograms_match_per_level_decoding(case):
     ranks = range(total)
     if seed is not None:
         ranks = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in ranks]
-    ks = [levels.select(u) for u in ranks]
+    ks = at_ranks(levels, ranks).tolist()
     counts = tower.blocked_word_counts(spec, levels, total, offsets, seed=seed)
     width = symbol_width(sd, spec)
     per_level = Counter(encode_word(code_orbit(sd, spec, n, k, offsets), width) for k in ks)
@@ -619,7 +629,7 @@ def test_sampled_block_searches_no_top_stage():
             counts = tower.blocked_word_counts(spec, levels, BLOCK_SIZE, offsets, seed=seed)
         draws = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count)
                  for s in range(BLOCK_SIZE)]
-        expected = count_words(sd, spec, n, map(levels.select, draws), offsets)
+        expected = count_words(sd, spec, n, at_ranks(levels, draws), offsets)
         assert list(block.items()) == list(counts.items()) == list(expected.items())
     assert searched.count(True) == 0 and searched.count(False) > 0
 
@@ -756,10 +766,10 @@ def test_sampled_blocks_match_per_index_draws(big, workers):
     draws = [uniform_int(seed, tower._STREAM_LEVEL_SAMPLE, s, levels.count) for s in range(total)]
     path = tower._rank_path(spec, levels, offsets, BLOCK_SIZE, True)
     block = tower._count_block(spec, levels, offsets, seed, path, (0, BLOCK_SIZE))
-    expected = count_words(sd, spec, n, map(levels.select, draws[:BLOCK_SIZE]), offsets)
+    expected = count_words(sd, spec, n, at_ranks(levels, draws[:BLOCK_SIZE]), offsets)
     assert list(block.items()) == list(expected.items())
     counts = tower.blocked_word_counts(spec, levels, total, offsets, workers=workers, seed=seed)
-    expected = count_words(sd, spec, n, map(levels.select, draws), offsets)
+    expected = count_words(sd, spec, n, at_ranks(levels, draws), offsets)
     assert list(counts.items()) == list(expected.items())
 
 
